@@ -7,10 +7,12 @@ pooled F1.
 
 The expensive part of evaluating a grid point is the geometry, and the
 geometry does not depend on the thresholds. Each trajectory is therefore
-reduced once to its per-sample candidate/distance/speed streams, after
-which every grid point costs a linear pass; the time axis of the grid is
-additionally swept in bulk since loosening only the minimum duration
-keeps the same runs and merely admits more of them.
+reduced once to its per-sample candidate/distance/speed streams. The
+sweep then makes one vectorized pass over all trajectories per delta_b
+value: every run that exists at some v_b is found at once, with the v_b
+range it exists over, and the minimum-duration and speed axes are filled
+from those runs by cumulative sums. A sweep costs O(n log n) per delta_b
+for n samples, whatever the sizes of the t_b and v_b axes.
 """
 
 from __future__ import annotations
@@ -241,27 +243,134 @@ def _run_summary(prep: _Prepared, delta_b: float, v_b: float):
     return durations, lengths, overlap
 
 
+_CHUNK = 4096  # samples per nearest-greater pass; bounds the sparse table's memory
+
+
 def _sweep_counts(prepared, t_axis, d_axis, v_axis):
-    """Pooled tp / predicted-ones per grid point; shape (nT, nD, nV)."""
+    """Pooled tp / predicted-ones per grid point; shape (nT, nD, nV).
+
+    One vectorized pass over all trajectories per delta_b, in chunks of at
+    most _CHUNK samples cut between blocks. Fix delta_b and call a block a
+    maximal stretch of consecutive samples, in one trajectory, that pass
+    the candidate and distance conditions with one candidate. Within a block the runs that exist at some v_b are exactly
+    the nodes of the block's max-Cartesian tree on speed (Vuillemin, "A
+    unifying look at data structures", CACM 1980): node k spans the
+    samples between its nearest left neighbour with speed >= s_k and its
+    nearest right neighbour with speed > s_k, and is a run for
+    s_k <= v_b < min(s_left, s_right), block ends counting as +inf. Those
+    all-nearest-greater-values (Berkman, Schieber & Vishkin, J. Algorithms
+    1993) come from a sparse table by binary lifting. The >= / > split
+    gives a node tied with its left neighbour an empty v_b range, so every
+    run is counted once. Each run is scattered into an (nT+1) x (nV+1)
+    difference table over (t_b qualification bound, v_b range), which a
+    cumulative sum over v_b and a reverse one over t_b turn into the
+    counts.
+    """
     n_t, n_d, n_v = len(t_axis), len(d_axis), len(v_axis)
-    tp = np.zeros((n_t, n_d, n_v), dtype=np.int64)
-    s_ones = np.zeros((n_t, n_d, n_v), dtype=np.int64)
-    v_ones = 0
+    v_ones = sum(prep.visit_ones for prep in prepared)
+    speed, times, d_first, link, vac = _flatten(prepared, d_axis, v_axis)
+    cum = np.concatenate([[0], np.cumsum(vac)])
+    cells = (n_t + 1) * (n_v + 1)
+    d_len = np.zeros((n_d, cells))
+    d_hit = np.zeros((n_d, cells))
+    # blocks only split as delta_b shrinks, so chunks cut at the widest blocks serve every delta_b
+    for lo, hi in _chunks(np.flatnonzero(~link), len(link)):
+        for di in range(n_d):
+            sel = lo + np.flatnonzero(d_first[lo:hi] <= di)
+            if len(sel) == 0:
+                continue
+            new_block = np.ones(len(sel), dtype=bool)
+            new_block[1:] = (sel[1:] != sel[:-1] + 1) | ~link[sel[1:]]
+            first, last, length, lo_v, hi_v = _tree_runs(speed[sel], new_block, v_axis)
+            s, e = sel[first], sel[last]
+            # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
+            # the same float predicate the detector applies
+            upto = np.searchsorted(t_axis, times[e] - times[s] + DURATION_TOL, side="right")
+            hit = cum[e + 1] - cum[s]
+            cell = np.concatenate([upto * (n_v + 1) + lo_v, upto * (n_v + 1) + hi_v])
+            d_len[di] += np.bincount(cell, weights=np.concatenate([length, -length]), minlength=cells)
+            d_hit[di] += np.bincount(cell, weights=np.concatenate([hit, -hit]), minlength=cells)
+
+    def table(diff):
+        diff = diff.astype(np.int64).reshape(n_d, n_t + 1, n_v + 1)  # integer-valued sums, exact
+        by_v = np.cumsum(diff, axis=2)[:, :, :n_v]
+        # row i sums the runs whose duration qualifies at t_axis[i], i.e. upto > i
+        by_t = np.cumsum(by_v[:, :0:-1], axis=1)[:, ::-1]
+        return np.ascontiguousarray(by_t.transpose(1, 0, 2))
+
+    return table(d_hit), table(d_len), v_ones
+
+
+def _flatten(prepared, d_axis, v_axis):
+    """The samples that meet the conditions at some grid point, of all trajectories in order.
+
+    Returns their speeds, times, the first delta_b index whose distance
+    condition they meet, whether each continues the previous one (next
+    sample of the same trajectory, same candidate) and the visit truth.
+    Filtering trip by trip keeps the unfiltered streams out of memory.
+    """
+    parts = []
     for prep in prepared:
-        v_ones += prep.visit_ones
-        for di, dv in enumerate(d_axis):
-            for vi, vv in enumerate(v_axis):
-                durations, lengths, overlap = _run_summary(prep, dv, vv)
-                if len(durations) == 0:
-                    continue
-                # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
-                # the same float predicate the detector applies
-                upto = np.searchsorted(t_axis, durations + DURATION_TOL, side="right")
-                cm = np.bincount(upto, weights=lengths, minlength=n_t + 1)
-                cv = np.bincount(upto, weights=overlap, minlength=n_t + 1)
-                s_ones[:, di, vi] += np.cumsum(cm[:0:-1])[::-1].astype(np.int64)
-                tp[:, di, vi] += np.cumsum(cv[:0:-1])[::-1].astype(np.int64)
-    return tp, s_ones, v_ones
+        keep = np.flatnonzero(
+            (prep.candidates >= 0) & (prep.lams <= d_axis[-1]) & (prep.speeds <= v_axis[-1]))
+        cand = prep.candidates[keep]
+        link = np.zeros(len(keep), dtype=bool)
+        link[1:] = (keep[1:] == keep[:-1] + 1) & (cand[1:] == cand[:-1])
+        d_first = np.searchsorted(d_axis, prep.lams[keep], side="left").astype(np.int32)
+        parts.append((prep.speeds[keep], prep.times[keep], d_first, link, prep.visit_at_candidate[keep]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _chunks(starts, n, size=_CHUNK):
+    """Cut range(n) at block starts into pieces of at most size samples.
+
+    A block longer than size becomes a piece of its own.
+    """
+    lo = 0
+    while lo < n:
+        hi = n
+        if lo + size < n:
+            k = int(np.searchsorted(starts, lo + size, side="right")) - 1
+            if starts[k] > lo:
+                hi = int(starts[k])
+            elif k + 1 < len(starts):
+                hi = int(starts[k + 1])
+        yield lo, hi
+        lo = hi
+
+
+def _tree_runs(speed, new_block, v_axis):
+    """Runs of the blocks' max-Cartesian trees that exist at some v_b.
+
+    Returns first and last sample, length, and the v_axis index range
+    [lo_v, hi_v) over which each run exists, for non-empty ranges only.
+    """
+    n = len(speed)
+    block = np.cumsum(new_block) - 1
+    starts = np.flatnonzero(new_block)
+    ends = np.append(starts[1:], n) - 1
+    b_first, b_last = starts[block], ends[block]
+    levels = int(np.max(ends - starts)).bit_length()
+    sparse = [speed]  # sparse[j][i] = max(speed[i:i + 2**j])
+    for j in range(1, levels):
+        prev, half = sparse[-1], 1 << (j - 1)
+        sparse.append(np.maximum(prev[:-half], prev[half:]))
+    left = np.arange(n)
+    right = left + 1  # node k: speeds in [left[k], k) are < speed[k], in (k, right[k]) <= speed[k]
+    for j in range(levels - 1, -1, -1):
+        step, top = 1 << j, len(sparse[j]) - 1
+        cand = left - step
+        ok = (cand >= b_first) & (sparse[j][np.maximum(cand, 0)] < speed)
+        left = np.where(ok, cand, left)
+        ok = (right + step - 1 <= b_last) & (sparse[j][np.minimum(right, top)] <= speed)
+        right = np.where(ok, right + step, right)
+    s_left = np.where(left > b_first, speed[np.maximum(left - 1, 0)], np.inf)
+    s_right = np.where(right <= b_last, speed[np.minimum(right, n - 1)], np.inf)
+    lo_v = np.searchsorted(v_axis, speed, side="left")
+    hi_v = np.searchsorted(v_axis, np.minimum(s_left, s_right), side="left")
+    live = lo_v < hi_v
+    left, right = left[live], right[live]
+    return left, right - 1, right - left, lo_v[live], hi_v[live]
 
 
 def _f1_table(tp, s_ones, v_ones):
@@ -287,23 +396,29 @@ def counts_at(prepared, params: StopParams) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
-def calibrate(dataset, layout: StoreLayout, grid: ParamGrid, refine: bool = False) -> CalibrationResult:
+def _grid_axes(grid):
+    """The grid's three axes, each checked non-empty, finite and strictly increasing."""
+    axes = grid.axes()
+    if min(len(axis) for axis in axes) == 0:
+        raise EmptyGrid("parameter grid has no points")
+    for name, axis in zip(("t_b", "delta_b", "v_b"), axes):
+        axis = np.asarray(axis, dtype=np.float64)
+        if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
+            raise ValidationError(f"{name} axis must be finite and strictly increasing, got {axis}")
+    return axes
+
+
+def calibrate(dataset, layout: StoreLayout, grid: ParamGrid) -> CalibrationResult:
     """Exhaustive grid search for the F1-maximizing thresholds.
 
     Ties are broken toward the lexicographically smallest
-    (t_b, delta_b, v_b). With refine=True a coarse pass (every 4th value
-    per axis) locates a neighborhood that is then searched at full
-    resolution; cheaper, but no longer guaranteed exhaustive.
+    (t_b, delta_b, v_b).
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("calibration requires at least one trajectory")
-    t_axis, d_axis, v_axis = grid.axes()
-    if min(len(t_axis), len(d_axis), len(v_axis)) == 0:
-        raise EmptyGrid("parameter grid has no points")
+    t_axis, d_axis, v_axis = _grid_axes(grid)
     prepared = _prepare(dataset, layout, cutoff=float(d_axis[-1]))
-    if refine:
-        return _calibrate_refined(prepared, t_axis, d_axis, v_axis)
     return _calibrate_prepared(prepared, t_axis, d_axis, v_axis)
 
 
@@ -321,27 +436,6 @@ def _calibrate_prepared(prepared, t_axis, d_axis, v_axis) -> CalibrationResult:
         grid_axes=(t_axis, d_axis, v_axis),
         f1_table=f1,
         count_tables=(tp, fp, fn),
-    )
-
-
-def _coarse(axis: np.ndarray, stride: int = 4) -> np.ndarray:
-    idx = sorted(set(range(0, len(axis), stride)) | {len(axis) - 1})
-    return axis[list(idx)]
-
-
-def _calibrate_refined(prepared, t_axis, d_axis, v_axis) -> CalibrationResult:
-    coarse = _calibrate_prepared(prepared, _coarse(t_axis), _coarse(d_axis), _coarse(v_axis))
-    best = coarse.best_params
-
-    def window(axis, center, stride=4):
-        i = int(np.argmin(np.abs(axis - center)))
-        return axis[max(i - stride, 0):min(i + stride + 1, len(axis))]
-
-    return _calibrate_prepared(
-        prepared,
-        window(t_axis, best.t_b),
-        window(d_axis, best.delta_b),
-        window(v_axis, best.v_b),
     )
 
 
@@ -367,7 +461,7 @@ def same_store_eval(dataset, layout: StoreLayout, grid: ParamGrid, p: float,
     n = len(dataset)
     if n == 0:
         raise EmptyDataset("evaluation requires at least one trajectory")
-    t_axis, d_axis, v_axis = grid.axes()
+    t_axis, d_axis, v_axis = _grid_axes(grid)
     prepared = _prepare(dataset, layout, cutoff=float(d_axis[-1]))
     n_cal = math.ceil(p * n)
     if n_cal == 0 or n_cal == n:
@@ -408,7 +502,7 @@ def cross_store_eval(calib_dataset, calib_layout: StoreLayout,
     eval_dataset = list(eval_dataset)
     if not calib_dataset or not eval_dataset:
         raise EmptyDataset("both calibration and evaluation datasets must be non-empty")
-    t_axis, d_axis, v_axis = grid.axes()
+    t_axis, d_axis, v_axis = _grid_axes(grid)
     cal_prepared = _prepare(calib_dataset, calib_layout, cutoff=float(d_axis[-1]))
     eval_prepared = _prepare(eval_dataset, eval_layout, cutoff=float(d_axis[-1]))
     n = len(cal_prepared)

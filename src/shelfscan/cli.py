@@ -173,7 +173,7 @@ def cmd_calibrate(args):
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
     dataset = _load_labeled_dataset(args.trajectories, args.labels, layout, window)
-    result = calibration.calibrate(dataset, layout, grid, refine=bool(args.refine))
+    result = calibration.calibrate(dataset, layout, grid)
     report = {
         "best_params": {
             "t_b": result.best_params.t_b,
@@ -453,7 +453,6 @@ def build_parser():
     p.add_argument("--trajectories", required=True)
     p.add_argument("--labels", required=True, help="labels JSONL; manifest sits next to it")
     _grid_flags(p)
-    p.add_argument("--refine", action="store_true", help="coarse-to-fine search instead of exhaustive")
     p.add_argument("--dump-grid", action="store_true", help="also write per-point scores to grid.csv")
     p.set_defaults(func=cmd_calibrate)
 

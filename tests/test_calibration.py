@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shelfscan import (
+    DT,
     ConfusionCounts,
     ParamGrid,
     StopParams,
@@ -22,7 +24,8 @@ from shelfscan import (
     same_store_eval,
     score_dataset,
 )
-from shelfscan.detector import StopMatrix
+from shelfscan.calibration import _calibrate_prepared, _Prepared, counts_at
+from shelfscan.detector import DURATION_TOL, StopMatrix
 from shelfscan.errors import (
     AxisMismatch,
     DegenerateSplit,
@@ -192,10 +195,63 @@ def test_tie_break_is_lexicographic():
     assert result.best_params == StopParams(5.0, 0.05, 0.01)
 
 
-def test_refined_search_finds_planted_point_here():
+def test_default_grid_calibrates_planted_dataset():
     dataset, layout = planted_dataset(n=12)
-    result = calibrate(dataset, layout, PLANTED_GRID, refine=True)
+    result = calibrate(dataset, layout, ParamGrid())
+    # several grid points score 1.0 here; the tie-break need not pick the planted one
     assert result.best_f1 == 1.0
+    assert result.metrics.counts.fp == 0
+    assert result.metrics.counts.fn == 0
+
+
+# exact axis values, values between and beyond them, NaN and inf
+_SPEEDS = (0.0, 0.1, 0.2, 0.3, 0.35, 0.5, 0.6, math.nan, math.inf)
+_V_AXIS = (0.1, 0.2, 0.35, 0.5)
+_D_AXIS = (0.5, 1.0, 1.2)
+# run durations are multiples of DT, so these put t_b on, just below and just above them
+_T_VALUES = (DURATION_TOL, 2 * DURATION_TOL) + tuple(
+    k * DT + e * DURATION_TOL for k in range(1, 5) for e in (-1, 0, 1))
+
+
+def _stream(draw, n, values):
+    """n values in stretches of repeats, so blocks run long."""
+    out = []
+    while len(out) < n:
+        out += [draw(st.sampled_from(values))] * draw(st.integers(1, 4))
+    return np.array(out[:n])
+
+
+@st.composite
+def prepared_streams(draw):
+    trips = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 30))
+        vac = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        t0 = draw(st.sampled_from((0.0, 0.05, 3.7)))
+        trips.append(_Prepared(
+            times=t0 + np.arange(n) * DT,
+            candidates=_stream(draw, n, (0, 0, 0, 1, -1)).astype(np.int64),
+            lams=_stream(draw, n, _D_AXIS + (math.inf,)).astype(np.float64),
+            speeds=np.array([draw(st.sampled_from(_SPEEDS)) for _ in range(n)], dtype=np.float64),
+            visit_at_candidate=vac,
+            visit_ones=int(vac.sum()) + draw(st.integers(0, 3)),
+        ))
+    axis = lambda values: np.array(sorted(draw(st.sets(st.sampled_from(values), min_size=2, max_size=4))))
+    return trips, axis(_T_VALUES), axis(_D_AXIS), axis(_V_AXIS)
+
+
+@given(prepared_streams())
+@settings(max_examples=100, deadline=None)
+def test_sweep_tables_match_pointwise_counts(streams):
+    prepared, t_axis, d_axis, v_axis = streams
+    result = _calibrate_prepared(prepared, t_axis, d_axis, v_axis)
+    tp, fp, fn = result.count_tables
+    for ti, t_b in enumerate(t_axis):
+        for di, delta_b in enumerate(d_axis):
+            for vi, v_b in enumerate(v_axis):
+                want = counts_at(prepared, StopParams(float(t_b), float(delta_b), float(v_b)))
+                got = (tp[ti, di, vi], fp[ti, di, vi], fn[ti, di, vi])
+                assert got == (want.tp, want.fp, want.fn)
 
 
 def test_empty_dataset_rejected():
@@ -204,15 +260,35 @@ def test_empty_dataset_rejected():
         calibrate([], layout, PLANTED_GRID)
 
 
-class _HollowGrid:
+class _FixedGrid:
+    def __init__(self, t_axis, d_axis, v_axis):
+        self._axes = tuple(np.array(axis, dtype=float) for axis in (t_axis, d_axis, v_axis))
+
     def axes(self):
-        return np.array([]), np.array([]), np.array([])
+        return self._axes
 
 
 def test_empty_grid_rejected():
     dataset, layout = planted_dataset(n=3)
     with pytest.raises(EmptyGrid):
-        calibrate(dataset, layout, _HollowGrid())
+        calibrate(dataset, layout, _FixedGrid([], [], []))
+
+
+@pytest.mark.parametrize("axes", [
+    ([1.0, 2.0], [1.2], [0.55, 0.5]),        # v_b decreasing
+    ([2.0, 2.0], [1.2], [0.55]),             # t_b repeated
+    ([2.0], [0.6, math.nan], [0.55]),        # delta_b not finite
+    ([2.0], [1.2], [0.55, math.inf]),        # v_b not finite
+])
+def test_unsorted_or_non_finite_axes_rejected(axes):
+    dataset, layout = planted_dataset(n=4)
+    grid = _FixedGrid(*axes)
+    with pytest.raises(ValidationError):
+        calibrate(dataset, layout, grid)
+    with pytest.raises(ValidationError):
+        same_store_eval(dataset, layout, grid, p=0.5, repeats=1, seed=0)
+    with pytest.raises(ValidationError):
+        cross_store_eval(dataset, layout, dataset, layout, grid)
 
 
 def test_same_store_eval_planted_is_perfect():
