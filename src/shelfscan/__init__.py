@@ -33,15 +33,12 @@ from .calibration import (
     score_dataset,
 )
 from .detector import (
-    GazeSample,
     StopEvent,
     StopMatrix,
     StopParams,
-    candidate_shelf,
     detect_many,
     detect_stops,
     gaze_stream,
-    ray_segment_intersection,
     read_stop_events,
     write_stop_events,
 )

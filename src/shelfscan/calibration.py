@@ -22,14 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import DURATION_TOL, StopMatrix, StopParams, detect_stops, gaze_stream
+from .detector import (
+    DURATION_TOL,
+    StopMatrix,
+    StopParams,
+    check_store,
+    detect_stops,
+    gaze_stream,
+    runs,
+    stack_tracks,
+)
 from .errors import (
     AxisMismatch,
     DegenerateSplit,
     EmptyDataset,
     EmptyGrid,
     FractionOutOfRange,
-    FrameMismatch,
     ValidationError,
 )
 from .labeling import VisitMatrix
@@ -68,7 +76,7 @@ class ParamGrid:
 
     def __post_init__(self):
         for name, (lo, hi, step) in (("t_b", self.t_b), ("delta_b", self.delta_b), ("v_b", self.v_b)):
-            if lo > hi or step <= 0 or lo <= 0:
+            if not (0 < lo <= hi < math.inf and 0 < step < math.inf):  # False for NaN too
                 raise ValidationError(f"bad {name} range (min {lo}, max {hi}, step {step})")
 
     @staticmethod
@@ -191,13 +199,12 @@ class _Prepared:
     visit_ones: int             # total truth ones across all shelves
 
 
+_GAZE_BATCH = 32  # trajectories per gaze_stream call; bounds the concatenated arrays
+
+
 def _prepare(dataset, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
-    prepared = []
     for track, visits in dataset:
-        if track.store_id != layout.store_id:
-            raise FrameMismatch(
-                f"track belongs to store {track.store_id!r}, layout to {layout.store_id!r}"
-            )
+        check_store(track, layout)
         if track.trajectory_id != visits.trajectory_id:
             raise AxisMismatch(
                 f"visit matrix is for {visits.trajectory_id!r}, track is {track.trajectory_id!r}"
@@ -207,40 +214,24 @@ def _prepare(dataset, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
                 f"visit matrix shape {visits.values.shape} does not match "
                 f"{layout.n_shelves} shelves x {len(track)} samples"
             )
-        candidates, lams = gaze_stream(track.positions, track.normals, layout, cutoff=cutoff)
-        k = np.arange(len(track))
-        vac = np.zeros(len(track), dtype=bool)
-        seen = candidates >= 0
-        vac[seen] = visits.values[candidates[seen], k[seen]]
-        prepared.append(_Prepared(
-            times=track.times,
-            candidates=candidates,
-            lams=lams,
-            speeds=track.speeds,
-            visit_at_candidate=vac,
-            visit_ones=int(np.count_nonzero(visits.values)),
-        ))
+    prepared = []
+    for lo in range(0, len(dataset), _GAZE_BATCH):
+        batch = dataset[lo:lo + _GAZE_BATCH]
+        positions, normals, cuts = stack_tracks([track for track, _ in batch])
+        candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff)
+        for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
+            seen = np.flatnonzero(cand >= 0)
+            vac = np.zeros(len(track), dtype=bool)
+            vac[seen] = visits.values[cand[seen], seen]
+            prepared.append(_Prepared(
+                times=track.times,
+                candidates=cand,
+                lams=lam,
+                speeds=track.speeds,
+                visit_at_candidate=vac,
+                visit_ones=int(np.count_nonzero(visits.values)),
+            ))
     return prepared
-
-
-def _run_summary(prep: _Prepared, delta_b: float, v_b: float):
-    """Length, duration and truth overlap of every constant-candidate run."""
-    cond = (prep.candidates >= 0) & (prep.lams <= delta_b) & (prep.speeds <= v_b)
-    key = np.where(cond, prep.candidates, -1)
-    if len(key) == 0:
-        empty = np.empty(0)
-        return empty, empty.astype(int), empty.astype(int)
-    breaks = np.flatnonzero(key[1:] != key[:-1]) + 1
-    starts = np.concatenate([[0], breaks])
-    ends = np.concatenate([breaks, [len(key)]])
-    keep = key[starts] >= 0
-    s = starts[keep]
-    e = ends[keep] - 1
-    durations = prep.times[e] - prep.times[s]
-    lengths = e - s + 1
-    cum = np.concatenate([[0], np.cumsum(prep.visit_at_candidate)])
-    overlap = cum[e + 1] - cum[s]
-    return durations, lengths, overlap
 
 
 _CHUNK = 4096  # samples per nearest-greater pass; bounds the sparse table's memory
@@ -387,11 +378,13 @@ def counts_at(prepared, params: StopParams) -> ConfusionCounts:
     """Pooled confusion counts of prepared trajectories at one grid point."""
     tp = fp = fn = 0
     for prep in prepared:
-        durations, lengths, overlap = _run_summary(prep, params.delta_b, params.v_b)
-        qual = durations + DURATION_TOL >= params.t_b
-        run_tp = int(overlap[qual].sum())
+        s, e, _ = runs((prep.lams <= params.delta_b) & (prep.speeds <= params.v_b), prep.candidates)
+        qual = prep.times[e] - prep.times[s] + DURATION_TOL >= params.t_b
+        s, e = s[qual], e[qual]
+        hits = np.concatenate([[0], np.cumsum(prep.visit_at_candidate)])
+        run_tp = int((hits[e + 1] - hits[s]).sum())
         tp += run_tp
-        fp += int(lengths[qual].sum()) - run_tp
+        fp += int((e - s + 1).sum()) - run_tp
         fn += prep.visit_ones - run_tp
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 

@@ -68,13 +68,17 @@ def _opt(args, cfg, key, default=None):
     return _DEFAULTS.get(key, default)
 
 
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _require_paths(*paths):
     for p in paths:
         if p is None:
             continue
         if not os.path.exists(p):
-            print(f"error: path does not exist: {p}", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(f"path does not exist: {p}")
 
 
 def _grid_from(args, cfg) -> calibration.ParamGrid:
@@ -88,9 +92,8 @@ def _params_from(args, cfg) -> StopParams:
     values = {key: _opt(args, cfg, key) for key in ("t_b", "delta_b", "v_b")}
     missing = [k for k, v in values.items() if v is None]
     if missing:
-        print(f"error: missing detector parameters: {', '.join(missing)} "
-              f"(pass --t-b/--delta-b/--v-b or a config file)", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"missing detector parameters: {', '.join(missing)} "
+                     f"(pass --t-b/--delta-b/--v-b or a config file)")
     return StopParams(t_b=float(values["t_b"]), delta_b=float(values["delta_b"]),
                       v_b=float(values["v_b"]))
 
@@ -144,7 +147,10 @@ def cmd_detect(args):
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     params = _params_from(args, cfg)
-    jobs = int(_opt(args, cfg, "jobs") or default_jobs())
+    try:
+        jobs = int(_opt(args, cfg, "jobs") or default_jobs())
+    except ValueError as exc:
+        _usage_error(exc)
     tracks = _load_tracks(args.trajectories, window)
     per_track_events = detect_many(tracks, layout, params, jobs=jobs)
 
@@ -342,6 +348,11 @@ def cmd_analyze(args):
 
 def cmd_synth(args):
     cfg = _load_config(args)
+    if args.plant:
+        try:
+            t_b, delta_b, v_b = (float(x) for x in args.plant.split(","))
+        except ValueError:
+            _usage_error(f"--plant takes three comma-separated numbers T,D,V, got {args.plant!r}")
     os.makedirs(args.out, exist_ok=True)
     if args.spec:
         _require_paths(args.spec)
@@ -358,7 +369,6 @@ def cmd_synth(args):
     write_trajectories(trajectories, os.path.join(args.out, "trajectories.jsonl"))
     synth.write_ground_truth(truth, os.path.join(args.out, "ground_truth.json"))
     if args.plant:
-        t_b, delta_b, v_b = (float(x) for x in args.plant.split(","))
         window = int(_opt(args, cfg, "window"))
         params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)
         labels = []

@@ -6,7 +6,9 @@ the candidate shelf and the hit distance. A stop on shelf j is a maximal
 run of consecutive samples during which the candidate stays j, the hit
 distance stays within delta_b, and the speed stays within v_b, lasting at
 least t_b seconds. The detector emits stop events plus the per-timestamp
-Boolean matrix downstream metrics count on.
+Boolean matrix downstream metrics count on. Two kernels do the work, here
+and in calibration: gaze_stream casts the rays of many samples at once,
+and runs cuts the samples that meet the conditions into runs.
 
 Numeric conventions (shared by the brute-force cross-check in oracle.py):
 - a hit counts only if its ray parameter exceeds EPS_LAMBDA, so an origin
@@ -23,7 +25,6 @@ Numeric conventions (shared by the brute-force cross-check in oracle.py):
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import FrameMismatch, ValidationError
 from .kinematics import KinematicTrack
-from .layout import Segment2D, StoreLayout, all_segments
+from .layout import StoreLayout
 
 EPS_LAMBDA = 1e-9
 EPS_MEMBER = 1e-9
@@ -60,20 +61,6 @@ class StopParams:
     def __post_init__(self):
         if not (self.t_b > 0 and self.delta_b > 0 and self.v_b > 0):
             raise ValidationError(f"stop parameters must all be positive, got {self}")
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    """Candidate shelf for one sample, or nothing if the view is blocked."""
-
-    candidate: int | None = None
-    lam: float | None = None
-
-    def __post_init__(self):
-        if (self.candidate is None) != (self.lam is None):
-            raise ValidationError("candidate and lam must be present together")
-        if self.lam is not None and not self.lam > 0:
-            raise ValidationError(f"lam must be positive, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -105,56 +92,6 @@ class StopMatrix:
 
     def __len__(self):
         return self.values.shape[1]
-
-
-def ray_segment_intersection(origin, direction, seg: Segment2D) -> float | None:
-    """Distance along a unit-direction ray to a segment, or None.
-
-    Returns the smallest ray parameter greater than EPS_LAMBDA at which
-    the ray meets the segment (endpoints inclusive, within EPS_MEMBER).
-    See the module docstring for the edge-on conventions.
-    """
-    ox, oy = float(origin[0]), float(origin[1])
-    dx, dy = float(direction[0]), float(direction[1])
-    if abs(math.hypot(dx, dy) - 1.0) > 1e-9:
-        raise ValidationError(f"direction {direction} is not a unit vector")
-    ax, ay = seg.a
-    sx, sy = seg.vector
-    qpx = ax - ox
-    qpy = ay - oy
-    denom = dx * sy - dy * sx
-    if denom == 0.0:
-        if qpx * sy - qpy * sx != 0.0:
-            return None  # parallel, never meets
-        # edge-on: project both endpoints onto the ray
-        la = qpx * dx + qpy * dy
-        lb = la + (sx * dx + sy * dy)
-        lo = min(la, lb)
-        return lo if lo > EPS_LAMBDA else None
-    lam = (qpx * sy - qpy * sx) / denom
-    u = (qpx * dy - qpy * dx) / denom
-    eps_u = EPS_MEMBER / seg.length
-    if lam > EPS_LAMBDA and -eps_u <= u <= 1.0 + eps_u:
-        return lam
-    return None
-
-
-def candidate_shelf(origin, heading, layout: StoreLayout) -> GazeSample:
-    """Cast the orientation ray and keep the nearest hit if it is a shelf.
-
-    Hitting an obstacle first (or nothing at all) yields no candidate.
-    """
-    lams = [ray_segment_intersection(origin, heading, seg) for _, seg, _ in all_segments(layout)]
-    hits = [lam for lam in lams if lam is not None]
-    if not hits:
-        return GazeSample()
-    best = min(hits)
-    for idx, lam in enumerate(lams):
-        if lam is not None and lam <= best + TIE_TOL:
-            if idx < layout.n_shelves:
-                return GazeSample(candidate=idx + 1, lam=lam)
-            return GazeSample()
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def _solve_block(ox, oy, dx, dy, pts, seg_idx):
@@ -305,20 +242,34 @@ def _segment_grid(layout: StoreLayout, cutoff: float) -> _SegmentGrid:
     return _SegmentGrid(layout, cutoff)
 
 
-def condition_runs(cond: np.ndarray, candidates: np.ndarray):
-    """Maximal runs of consecutive True samples with a constant candidate.
+def runs(cond: np.ndarray, candidates: np.ndarray):
+    """Maximal runs of consecutive samples that meet cond with one candidate.
 
-    Yields (start, end, shelf0) with inclusive ends; shelf0 is 0-based.
+    Samples without a candidate (-1) belong to no run. Returns (starts,
+    ends, shelf0) arrays: each run's first and last sample (inclusive)
+    and its 0-based shelf.
     """
     key = np.where(cond, candidates, -1)
-    if len(key) == 0:
-        return
-    breaks = np.flatnonzero(key[1:] != key[:-1]) + 1
-    starts = np.concatenate([[0], breaks])
-    ends = np.concatenate([breaks, [len(key)]])
-    for s, e in zip(starts, ends):
-        if key[s] >= 0:
-            yield int(s), int(e) - 1, int(key[s])
+    # the key changes at every run boundary; the -2 pads (no key is -2) add both ends
+    edges = np.flatnonzero(np.diff(key, prepend=-2, append=-2))
+    starts, ends = edges[:-1], edges[1:] - 1
+    keep = key[starts] >= 0
+    return starts[keep], ends[keep], key[starts[keep]]
+
+
+def check_store(track: KinematicTrack, layout: StoreLayout) -> None:
+    """Raise FrameMismatch unless the track was recorded in the layout's store."""
+    if track.store_id != layout.store_id:
+        raise FrameMismatch(
+            f"track belongs to store {track.store_id!r}, layout to {layout.store_id!r}"
+        )
+
+
+def stack_tracks(tracks):
+    """The tracks' positions and normals end to end, and the indices that split them back."""
+    positions = np.concatenate([t.positions for t in tracks])
+    normals = np.concatenate([t.normals for t in tracks])
+    return positions, normals, np.cumsum([len(t) for t in tracks])[:-1]
 
 
 def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams):
@@ -328,10 +279,7 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
     (n_shelves, n_samples) Boolean StopMatrix marking every sample of
     every qualifying run.
     """
-    if track.store_id != layout.store_id:
-        raise FrameMismatch(
-            f"track belongs to store {track.store_id!r}, layout to {layout.store_id!r}"
-        )
+    check_store(track, layout)
     candidates, lams = gaze_stream(track.positions, track.normals, layout, cutoff=params.delta_b)
     events, spans = _extract(track, candidates, lams, params)
     values = np.zeros((layout.n_shelves, len(track)), dtype=bool)
@@ -341,42 +289,36 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
 
 
 def _extract(track, candidates, lams, params):
-    cond = (candidates >= 0) & (lams <= params.delta_b) & (track.speeds <= params.v_b)
     times = track.times
-    events, spans = [], []
-    for s, e, shelf0 in condition_runs(cond, candidates):
-        if times[e] - times[s] + DURATION_TOL >= params.t_b:
-            spans.append((s, e, shelf0))
-            events.append(StopEvent(
-                trajectory_id=track.trajectory_id,
-                shelf_id=shelf0 + 1,
-                t_s=float(times[s]),
-                t_f=float(times[e]),
-                duration=float(times[e] - times[s]),
-                min_lambda=float(lams[s:e + 1].min()),
-                mean_speed=float(track.speeds[s:e + 1].mean()),
-            ))
+    starts, ends, shelves = runs((lams <= params.delta_b) & (track.speeds <= params.v_b), candidates)
+    qual = times[ends] - times[starts] + DURATION_TOL >= params.t_b
+    spans = list(zip(starts[qual].tolist(), ends[qual].tolist(), shelves[qual].tolist()))
+    events = [
+        StopEvent(
+            trajectory_id=track.trajectory_id,
+            shelf_id=shelf0 + 1,
+            t_s=float(times[s]),
+            t_f=float(times[e]),
+            duration=float(times[e] - times[s]),
+            min_lambda=float(lams[s:e + 1].min()),
+            mean_speed=float(track.speeds[s:e + 1].mean()),
+        )
+        for s, e, shelf0 in spans
+    ]
     return events, spans
 
 
 def _detect_chunk(args):
     tracks, layout, params = args
-    out = []
-    # one shared gaze pass over the whole chunk amortizes the numpy overhead
-    positions = np.concatenate([t.positions for t in tracks])
-    normals = np.concatenate([t.normals for t in tracks])
-    candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b)
-    offset = 0
     for track in tracks:
-        if track.store_id != layout.store_id:
-            raise FrameMismatch(
-                f"track belongs to store {track.store_id!r}, layout to {layout.store_id!r}"
-            )
-        k = len(track)
-        events, _ = _extract(track, candidates[offset:offset + k], lams[offset:offset + k], params)
-        out.append(events)
-        offset += k
-    return out
+        check_store(track, layout)
+    # one shared gaze pass over the whole chunk amortizes the numpy overhead
+    positions, normals, cuts = stack_tracks(tracks)
+    candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b)
+    return [
+        _extract(track, cand, lam, params)[0]
+        for track, cand, lam in zip(tracks, np.split(candidates, cuts), np.split(lams, cuts))
+    ]
 
 
 def write_stop_events(events, path) -> None:
@@ -417,7 +359,10 @@ def read_stop_events(path) -> list[StopEvent]:
 def default_jobs() -> int:
     env = os.environ.get("SHELFSCAN_JOBS")
     if env:
-        return max(int(env), 1)
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise ValueError(f"SHELFSCAN_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -32,6 +33,7 @@ from shelfscan.errors import (
     EmptyDataset,
     EmptyGrid,
     FractionOutOfRange,
+    FrameMismatch,
     ValidationError,
 )
 
@@ -279,16 +281,34 @@ def test_empty_grid_rejected():
     ([2.0, 2.0], [1.2], [0.55]),             # t_b repeated
     ([2.0], [0.6, math.nan], [0.55]),        # delta_b not finite
     ([2.0], [1.2], [0.55, math.inf]),        # v_b not finite
+    # ParamGrid ranges (given as dicts), rejected when the grid is built
+    {"t_b": (math.nan, 3.0, 0.5)},
+    {"delta_b": (0.6, math.inf, 0.3)},
+    {"v_b": (0.25, 0.85, math.nan)},
+    {"t_b": (1.0, 3.0, math.inf)},
 ])
 def test_unsorted_or_non_finite_axes_rejected(axes):
     dataset, layout = planted_dataset(n=4)
-    grid = _FixedGrid(*axes)
+
+    def grid():
+        return ParamGrid(**axes) if isinstance(axes, dict) else _FixedGrid(*axes)
+
     with pytest.raises(ValidationError):
-        calibrate(dataset, layout, grid)
+        calibrate(dataset, layout, grid())
     with pytest.raises(ValidationError):
-        same_store_eval(dataset, layout, grid, p=0.5, repeats=1, seed=0)
+        same_store_eval(dataset, layout, grid(), p=0.5, repeats=1, seed=0)
     with pytest.raises(ValidationError):
-        cross_store_eval(dataset, layout, dataset, layout, grid)
+        cross_store_eval(dataset, layout, dataset, layout, grid())
+
+
+def test_track_from_another_store_rejected():
+    dataset, layout = planted_dataset(n=4)
+    track, visits = dataset[2]
+    dataset[2] = (dataclasses.replace(track, store_id="elsewhere"), visits)
+    with pytest.raises(FrameMismatch):
+        calibrate(dataset, layout, PLANTED_GRID)
+    with pytest.raises(FrameMismatch):
+        same_store_eval(dataset, layout, PLANTED_GRID, p=0.5, repeats=1, seed=0)
 
 
 def test_same_store_eval_planted_is_perfect():

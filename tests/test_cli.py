@@ -252,6 +252,43 @@ def test_unknown_flag_exits_2():
     assert run(["detect", "--nonsense"]) == 2
 
 
+def test_bad_jobs_environment_exits_2(synth_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SHELFSCAN_JOBS", "abc")
+    code = run([
+        "detect",
+        "--layout", str(synth_dir / "layout.json"),
+        "--trajectories", str(synth_dir / "trajectories.jsonl"),
+        "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55",
+        "--out", str(tmp_path / "d"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "SHELFSCAN_JOBS" in err[0]
+
+
+def test_malformed_plant_exits_2(tmp_path, capsys):
+    code = run(["synth", "--population", "2", "--plant", "1,2", "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--plant" in err[0]
+    assert not (tmp_path / "s").exists()
+
+
+def test_non_finite_grid_range_exits_1_with_record(synth_dir, tmp_path, capsys):
+    code = run([
+        "calibrate",
+        "--layout", str(synth_dir / "layout.json"),
+        "--trajectories", str(synth_dir / "trajectories.jsonl"),
+        "--labels", str(synth_dir / "labels.jsonl"),
+        *SMALL_GRID,
+        "--t-b-range", "nan", "3.0", "0.5",
+        "--out", str(tmp_path / "cal"),
+    ])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+
+
 def test_data_error_exits_1_with_record(tmp_path, capsys):
     bad_layout = tmp_path / "bad.json"
     bad_layout.write_text(json.dumps({

@@ -11,14 +11,13 @@ from shelfscan import (
     StoreLayout,
     all_segments,
     build_track,
-    candidate_shelf,
     detect_many,
     detect_stops,
     gaze_stream,
-    ray_segment_intersection,
 )
 from shelfscan.detector import TIE_TOL
 from shelfscan.errors import FrameMismatch, ValidationError
+from shelfscan.oracle import _scan_ray
 from shelfscan.synth import generate, random_scenario
 from shelfscan.kinematics import fit_window
 
@@ -30,47 +29,57 @@ EAST = (1.0, 0.0)
 NORTH = (0.0, 1.0)
 
 
+def gaze_one(origin, direction, layout):
+    """Candidate (0-based, -1 none) and hit distance of one ray through gaze_stream."""
+    candidates, lams = gaze_stream([origin], [direction], layout, cutoff=None)
+    return int(candidates[0]), float(lams[0])
+
+
+def ray_hit(origin, direction, seg):
+    """Hit distance of one ray against a layout whose only segment is seg, or None."""
+    (fx, fy), length = seg.vector, seg.length
+    layout = StoreLayout(store_id="ray", shelves=(Shelf(id=1, face=seg, normal=(-fy / length, fx / length)),))
+    candidate, lam = gaze_one(origin, direction, layout)
+    assert (candidate == 0) == math.isfinite(lam)
+    return lam if candidate == 0 else None
+
+
 def test_ray_hits_vertical_segment_ahead():
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((2, -1), (2, 1))) == pytest.approx(2.0)
+    assert ray_hit(ORIGIN, EAST, Segment2D((2, -1), (2, 1))) == pytest.approx(2.0)
 
 
 def test_ray_misses_segment_behind():
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((-2, -1), (-2, 1))) is None
+    assert ray_hit(ORIGIN, EAST, Segment2D((-2, -1), (-2, 1))) is None
 
 
 def test_ray_hits_horizontal_segment_above():
-    assert ray_segment_intersection(ORIGIN, NORTH, Segment2D((-1, 3), (1, 3))) == pytest.approx(3.0)
+    assert ray_hit(ORIGIN, NORTH, Segment2D((-1, 3), (1, 3))) == pytest.approx(3.0)
 
 
 def test_ray_misses_offset_segment():
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((1, 1), (2, 2))) is None
+    assert ray_hit(ORIGIN, EAST, Segment2D((1, 1), (2, 2))) is None
 
 
 def test_ray_through_endpoint_counts():
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((2, 0), (2, 1))) == pytest.approx(2.0)
+    assert ray_hit(ORIGIN, EAST, Segment2D((2, 0), (2, 1))) == pytest.approx(2.0)
 
 
 def test_origin_on_segment_does_not_count():
     # lambda = 0 is excluded: standing on the face line sees no self-hit
-    assert ray_segment_intersection((1.0, 0.0), NORTH, Segment2D((0, 0), (2, 0))) is None
+    assert ray_hit((1.0, 0.0), NORTH, Segment2D((0, 0), (2, 0))) is None
 
 
 def test_collinear_segment_fully_ahead_uses_near_end():
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((1, 0), (3, 0))) == pytest.approx(1.0)
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((3, 0), (1, 0))) == pytest.approx(1.0)
+    assert ray_hit(ORIGIN, EAST, Segment2D((1, 0), (3, 0))) == pytest.approx(1.0)
+    assert ray_hit(ORIGIN, EAST, Segment2D((3, 0), (1, 0))) == pytest.approx(1.0)
 
 
 def test_collinear_segment_containing_origin_ignored():
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((-1, 0), (3, 0))) is None
+    assert ray_hit(ORIGIN, EAST, Segment2D((-1, 0), (3, 0))) is None
 
 
 def test_collinear_segment_behind_ignored():
-    assert ray_segment_intersection(ORIGIN, EAST, Segment2D((-3, 0), (-1, 0))) is None
-
-
-def test_non_unit_direction_rejected():
-    with pytest.raises(ValidationError):
-        ray_segment_intersection(ORIGIN, (2.0, 0.0), Segment2D((1, -1), (1, 1)))
+    assert ray_hit(ORIGIN, EAST, Segment2D((-3, 0), (-1, 0))) is None
 
 
 def shelf_behind_obstacle_layout():
@@ -87,31 +96,36 @@ def test_candidate_nearest_shelf_wins():
         shelves=(Shelf(id=1, face=Segment2D((2, -1), (2, 1)), normal=(-1, 0)),),
         obstacles=(Obstacle(id=2, segment=Segment2D((5, -1), (5, 1))),),
     )
-    gaze = candidate_shelf(ORIGIN, EAST, layout)
-    assert gaze.candidate == 1
-    assert gaze.lam == pytest.approx(2.0)
+    candidate, lam = gaze_one(ORIGIN, EAST, layout)
+    assert candidate == 0
+    assert lam == pytest.approx(2.0)
 
 
 def test_candidate_blocked_by_obstacle():
-    assert candidate_shelf(ORIGIN, EAST, shelf_behind_obstacle_layout()).candidate is None
+    assert gaze_one(ORIGIN, EAST, shelf_behind_obstacle_layout())[0] == -1
 
 
 def test_candidate_none_into_open_space():
     layout = shelf_behind_obstacle_layout()
-    assert candidate_shelf(ORIGIN, (-1.0, 0.0), layout).candidate is None
+    assert gaze_one(ORIGIN, (-1.0, 0.0), layout)[0] == -1
 
 
-def brute_candidate(origin, heading, layout):
-    """Reference selection: exact minimum, then first index within TIE_TOL."""
-    lams = [ray_segment_intersection(origin, heading, seg) for _, seg, _ in all_segments(layout)]
-    hits = [(lam, idx) for idx, lam in enumerate(lams) if lam is not None]
-    if not hits:
-        return None
-    best = min(lam for lam, _ in hits)
-    for lam, idx in hits:
-        if lam <= best + TIE_TOL:
-            return idx + 1 if idx < layout.n_shelves else None
-    return None
+def oracle_gaze(origins, headings, layout):
+    """Reference on the oracle's scalar ray cast: exact minimum, then first index within TIE_TOL.
+
+    Returns the candidates (0-based, -1 none) and nearest-hit distances (inf for no hit).
+    """
+    segments = all_segments(layout)
+    candidates, lams = [], []
+    for (ox, oy), (dx, dy) in zip(origins, headings):
+        hits = [(lam, idx) for idx, lam in enumerate(_scan_ray(ox, oy, dx, dy, segments)) if lam is not None]
+        best, winner = math.inf, -1
+        if hits:
+            best = min(lam for lam, _ in hits)
+            winner = next(idx for lam, idx in hits if lam <= best + TIE_TOL)
+        candidates.append(winner if winner < layout.n_shelves else -1)
+        lams.append(best)
+    return candidates, lams
 
 
 def test_tied_shelf_and_obstacle_goes_to_shelf():
@@ -120,21 +134,24 @@ def test_tied_shelf_and_obstacle_goes_to_shelf():
         shelves=(Shelf(id=1, face=Segment2D((2, -1), (2, 1)), normal=(-1, 0)),),
         obstacles=(Obstacle(id=2, segment=Segment2D((2, -1), (2, 1))),),
     )
-    gaze = candidate_shelf(ORIGIN, EAST, layout)
-    assert gaze.candidate == 1
-    assert gaze.candidate == brute_candidate(ORIGIN, EAST, layout)
+    candidate, _ = gaze_one(ORIGIN, EAST, layout)
+    assert candidate == 0
+    assert [candidate] == oracle_gaze([ORIGIN], [EAST], layout)[0]
 
 
 def test_candidate_matches_brute_selection_on_random_rays():
     rng = np.random.default_rng(11)
     _, _, layout = generate(random_scenario(4, max_len=10))
     xmin, ymin, xmax, ymax = layout.bounds
+    origins, headings = [], []
     for _ in range(200):
-        origin = (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
+        origins.append((rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)))
         th = rng.uniform(-np.pi, np.pi)
-        heading = (math.cos(th), math.sin(th))
-        gaze = candidate_shelf(origin, heading, layout)
-        assert gaze.candidate == brute_candidate(origin, heading, layout)
+        headings.append((math.cos(th), math.sin(th)))
+    candidates, lams = gaze_stream(origins, headings, layout, cutoff=None)
+    want_candidates, want_lams = oracle_gaze(origins, headings, layout)
+    assert candidates.tolist() == want_candidates
+    assert lams.tolist() == want_lams
 
 
 def park_in_front(layout, n_samples, theta=-math.pi / 2):
@@ -201,6 +218,15 @@ def test_store_mismatch_rejected(single_shelf_layout):
     track = build_track(standing_trajectory((1, 1), 0.0, 5, store_id="elsewhere"), window=1)
     with pytest.raises(FrameMismatch):
         detect_stops(track, single_shelf_layout, PARAMS)
+
+
+def test_detect_many_store_mismatch_rejected(single_shelf_layout):
+    tracks = [
+        build_track(standing_trajectory((1, 1), 0.0, 5, trajectory_id=tid, store_id=store), window=1)
+        for tid, store in (("here", "unit"), ("there", "elsewhere"))
+    ]
+    with pytest.raises(FrameMismatch):
+        detect_many(tracks, single_shelf_layout, PARAMS, jobs=1)
 
 
 def test_params_must_be_positive():
