@@ -47,7 +47,6 @@ from .kinematics import (
     DEFAULT_WINDOW,
     DT,
     KinematicTrack,
-    RawSample,
     Trajectory,
     build_track,
     low_pass_positions,

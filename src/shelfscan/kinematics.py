@@ -24,61 +24,57 @@ GAP_FACTOR = 1.5  # gaps longer than GAP_FACTOR * DT split a record
 DEFAULT_WINDOW = 5
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    wrapped = math.remainder(theta, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
+def wrap_angle(theta):
+    """Wrap an angle, or an array of angles, into (-pi, pi].
+
+    fmod and the one 2*pi correction are both exact, so the result is the
+    float nearest to theta modulo 2*pi, as math.remainder would give it.
+    """
+    wrapped = np.fmod(theta, 2.0 * math.pi)
+    wrapped = np.where(wrapped > math.pi, wrapped - 2.0 * math.pi, wrapped)
+    wrapped = np.where(wrapped <= -math.pi, wrapped + 2.0 * math.pi, wrapped)
+    return wrapped if wrapped.ndim else float(wrapped)
 
 
-@dataclass(frozen=True)
-class RawSample:
-    t: float
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self):
-        if not (-math.pi < self.theta <= math.pi):
-            raise ValidationError(f"theta {self.theta} outside (-pi, pi]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered raw samples for one trip, uniformly spaced at DT."""
+    """One trip's samples, uniformly spaced at DT, as read-only arrays.
+
+    Arrays do not compare with ==, so neither do trajectories.
+    """
 
     trajectory_id: str
     store_id: str
-    samples: tuple[RawSample, ...]
+    times: np.ndarray        # (n,) seconds
+    positions: np.ndarray    # (n, 2) raw, meters
+    thetas: np.ndarray       # (n,) radians in (-pi, pi]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) < 3:
-            raise TooShort(
-                f"trajectory {self.trajectory_id} has {len(self.samples)} samples, need >= 3"
+        n = len(self.times)
+        if n < 3:
+            raise TooShort(f"trajectory {self.trajectory_id} has {n} samples, need >= 3")
+        for name, shape in (("times", (n,)), ("positions", (n, 2)), ("thetas", (n,))):
+            arr = np.array(getattr(self, name), dtype=np.float64)  # a copy, then read-only
+            if arr.shape != shape or not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must be {shape} finite values",
+                                      element=self.trajectory_id)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        outside = self.thetas[(self.thetas <= -math.pi) | (self.thetas > math.pi)]
+        if outside.size:
+            raise ValidationError(f"theta {outside[0]} outside (-pi, pi]",
+                                  element=self.trajectory_id)
+        steps = np.diff(self.times)
+        uneven = np.flatnonzero(np.abs(steps - DT) > DT_TOL)
+        if uneven.size:
+            k = uneven[0]
+            raise ValidationError(
+                f"non-uniform time step {steps[k]:.6f}s at t={self.times[k + 1]}",
+                element=self.trajectory_id,
             )
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if abs((cur.t - prev.t) - DT) > DT_TOL:
-                raise ValidationError(
-                    f"non-uniform time step {cur.t - prev.t:.6f}s at t={cur.t}",
-                    element=self.trajectory_id,
-                )
 
     def __len__(self):
-        return len(self.samples)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([(s.x, s.y) for s in self.samples])
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([s.theta for s in self.samples])
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -107,18 +103,13 @@ def fit_window(window: int, n_samples: int) -> int:
     return max(w, 1)
 
 
-def low_pass_positions(traj: Trajectory, window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Centered moving average of the positions over `window` samples.
+def low_pass_positions(positions: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
+    """Centered moving average of (n, 2) positions over `window` samples.
 
     Near the ends the window is clipped to the available samples, so a
     window of 3 averages two samples at each boundary. Window 1 is the
     identity. Output length equals input length.
     """
-    positions = traj.positions
-    return _smooth(positions, window)
-
-
-def _smooth(positions: np.ndarray, window: int) -> np.ndarray:
     n = len(positions)
     if window < 1 or window % 2 == 0:
         raise InvalidWindow(f"window must be a positive odd sample count, got {window}")
@@ -147,81 +138,88 @@ def _speeds(positions: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def build_track(traj: Trajectory, window: int = DEFAULT_WINDOW) -> KinematicTrack:
     """Derive the kinematic streams used by the stop detector."""
-    return track_from_arrays(
-        traj.trajectory_id, traj.store_id, traj.times, traj.positions, traj.thetas, window
-    )
-
-
-def track_from_arrays(trajectory_id: str, store_id: str, times, positions, thetas,
-                      window: int = DEFAULT_WINDOW) -> KinematicTrack:
-    """build_track for callers that already hold raw arrays in bulk."""
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    if len(times) < 3:
-        raise TooShort(f"trajectory {trajectory_id} too short for differencing")
-    positions = _smooth(positions, window)
-    normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    positions = low_pass_positions(traj.positions, window)
     return KinematicTrack(
-        trajectory_id=trajectory_id,
-        store_id=store_id,
-        times=times,
+        trajectory_id=traj.trajectory_id,
+        store_id=traj.store_id,
+        times=traj.times,
         positions=positions,
-        normals=normals,
-        speeds=_speeds(positions, times),
+        normals=np.column_stack([np.cos(traj.thetas), np.sin(traj.thetas)]),
+        speeds=_speeds(positions, traj.times),
     )
 
 
 def split_on_gaps(trajectory_id: str, store_id: str, rows) -> list[Trajectory]:
-    """Split a raw sample sequence at tracking dropouts.
+    """Split a record's [t, x, y, theta] rows at tracking dropouts.
 
-    Any time gap exceeding GAP_FACTOR * DT starts a new trajectory; pieces
-    get a "~<i>" id suffix (only when splitting actually occurred) and
-    pieces shorter than 3 samples are dropped.
+    Rows holding a non-finite value are dropped first, so they split the
+    record like a dropout. Rows are then sorted on t, and any time gap
+    exceeding GAP_FACTOR * DT starts a new trajectory; pieces get a "~<i>"
+    id suffix (only when splitting actually occurred) and pieces shorter
+    than 3 samples are dropped.
     """
-    rows = sorted(rows, key=lambda r: r[0])
-    pieces, current = [], []
-    for row in rows:
-        if current and (row[0] - current[-1][0]) > GAP_FACTOR * DT:
-            pieces.append(current)
-            current = []
-        current.append(row)
-    if current:
-        pieces.append(current)
-
-    out = []
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+    rows = rows[np.isfinite(rows).all(axis=1)]
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    pieces = np.split(rows, np.flatnonzero(np.diff(rows[:, 0]) > GAP_FACTOR * DT) + 1)
     multiple = len(pieces) > 1
-    for i, piece in enumerate(pieces):
-        if len(piece) < 3:
-            continue
-        tid = f"{trajectory_id}~{i}" if multiple else trajectory_id
-        samples = tuple(
-            RawSample(t=float(t), x=float(x), y=float(y), theta=wrap_angle(float(th)))
-            for t, x, y, th in piece
-        )
-        out.append(Trajectory(trajectory_id=tid, store_id=store_id, samples=samples))
-    return out
+    return [
+        Trajectory(f"{trajectory_id}~{i}" if multiple else trajectory_id, store_id,
+                   piece[:, 0], piece[:, 1:3], wrap_angle(piece[:, 3]))
+        for i, piece in enumerate(pieces)
+        if len(piece) >= 3
+    ]
+
+
+def _sample_rows(samples, where: str, strict: bool) -> np.ndarray:
+    """A record's samples as an (n, 4) float array; each must be a list of four JSON numbers.
+
+    np.array would read true as 1 next to floats, so `strict` (set when the
+    line holds a JSON boolean) checks every value by type.
+    """
+    if not isinstance(samples, list):
+        raise ParseError(f"{where}: samples must be a list, got {type(samples).__name__}")
+    try:
+        rows = np.array(samples)
+        fast = not strict and rows.dtype.kind in "iuf" and rows.shape[1:] == (4,)
+    except ValueError:  # ragged rows
+        fast = False
+    if not fast:
+        for k, row in enumerate(samples):
+            if type(row) is not list or len(row) != 4 or any(type(v) not in (int, float) for v in row):
+                raise ParseError(f"{where}: sample {k} is not a list of four numbers: {row!r:.80}")
+        rows = np.array(samples, dtype=float).reshape(-1, 4)
+    return rows.astype(float, copy=False)
 
 
 def read_trajectories(path) -> list[Trajectory]:
     """Read trajectories from a JSONL file, one trip per line.
 
     Record shape: {"trajectory_id", "store_id", "samples": [[t, x, y, theta], ...]}.
-    Records are gap-split; sub-minimum fragments are silently discarded.
+    A malformed record or sample row, or a trajectory_id that an earlier
+    record used, raises ParseError. Records are gap-split (non-finite rows
+    count as dropouts); sub-minimum fragments are silently discarded.
     """
-    out = []
+    out, first_line = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
-                out.extend(
-                    split_on_gaps(str(rec["trajectory_id"]), str(rec["store_id"]), rec["samples"])
+                trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
+                rows = _sample_rows(rec["samples"], where, "true" in line or "false" in line)
+            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+                raise ParseError(f"{where}: bad trajectory record: {exc!r}") from exc
+            if trajectory_id in first_line:
+                raise ParseError(
+                    f"{where}: trajectory_id {trajectory_id!r} already used on line "
+                    f"{first_line[trajectory_id]}"
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad trajectory record: {exc!r}") from exc
+            first_line[trajectory_id] = lineno
+            out.extend(split_on_gaps(trajectory_id, store_id, rows))
     return out
 
 
@@ -231,6 +229,6 @@ def write_trajectories(trajectories, path) -> None:
             rec = {
                 "trajectory_id": traj.trajectory_id,
                 "store_id": traj.store_id,
-                "samples": [[s.t, s.x, s.y, s.theta] for s in traj.samples],
+                "samples": np.column_stack([traj.times, traj.positions, traj.thetas]).tolist(),
             }
             fh.write(json.dumps(rec) + "\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleScript, ParseError
-from .kinematics import DT, RawSample, Trajectory, wrap_angle
+from .kinematics import DT, Trajectory, wrap_angle
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
 
@@ -242,13 +242,8 @@ def generate(spec: ScenarioSpec):
                 (sid, s, min(e, keep - 1)) for sid, s, e in spans if s <= keep - 1
             ]
         times = np.arange(len(pos)) * DT
-        samples = tuple(
-            RawSample(t=float(times[k]), x=float(pos[k, 0]), y=float(pos[k, 1]),
-                      theta=wrap_angle(float(theta[k])))
-            for k in range(len(pos))
-        )
         trajectories.append(Trajectory(
-            trajectory_id=script.trajectory_id, store_id=spec.store_id, samples=samples
+            script.trajectory_id, spec.store_id, times, pos, wrap_angle(theta)
         ))
         truth[script.trajectory_id] = tuple(
             (sid, float(times[s]), float(times[e])) for sid, s, e in spans

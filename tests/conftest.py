@@ -3,7 +3,6 @@ import pytest
 
 from shelfscan import (
     DT,
-    RawSample,
     Segment2D,
     Shelf,
     StoreLayout,
@@ -23,11 +22,11 @@ def single_shelf_layout():
 
 def make_trajectory(positions, thetas, trajectory_id="t", store_id="unit", t0=0.0):
     """Trajectory from parallel position/theta sequences at the 10 Hz step."""
-    samples = tuple(
-        RawSample(t=t0 + k * DT, x=float(p[0]), y=float(p[1]), theta=wrap_angle(float(th)))
-        for k, (p, th) in enumerate(zip(positions, thetas))
+    thetas = np.asarray(thetas, dtype=float)
+    return Trajectory(
+        trajectory_id, store_id, t0 + np.arange(len(thetas)) * DT,
+        np.asarray(positions, dtype=float).reshape(-1, 2), wrap_angle(thetas),
     )
-    return Trajectory(trajectory_id=trajectory_id, store_id=store_id, samples=samples)
 
 
 def standing_trajectory(point, theta, n_samples, trajectory_id="t", store_id="unit"):

@@ -40,7 +40,7 @@ from shelfscan import (
 )
 from shelfscan import LayoutTemplate
 from shelfscan.cli import main as cli_main
-from shelfscan.kinematics import fit_window, track_from_arrays
+from shelfscan.kinematics import Trajectory, fit_window
 
 from conftest import standing_trajectory
 
@@ -292,7 +292,7 @@ def test_detection_performance_budget():
             layout.shelves[shelf - 1].face.midpoint[1] - sy,
             layout.shelves[shelf - 1].face.midpoint[0] - sx,
         )
-        tracks.append(track_from_arrays(f"p{i}", "perf", times, pos, theta, window=5))
+        tracks.append(build_track(Trajectory(f"p{i}", "perf", times, pos, theta), window=5))
     start_t = time.monotonic()
     results = detect_many(tracks, layout, StopParams(2.0, 1.2, 0.55))
     elapsed = time.monotonic() - start_t

@@ -312,6 +312,25 @@ def test_data_error_exits_1_with_record(tmp_path, capsys):
     assert "shelf 1" in record["message"]
 
 
+def test_malformed_sample_row_exits_1_with_record(synth_dir, tmp_path, capsys):
+    layout = synth_dir / "layout.json"
+    store_id = read_json(layout)["store_id"]
+    samples = [[k * 0.1, 1.0, 1.0, 0.0] for k in range(5)]
+    samples[3] = [0.3, 1.0, 1.0]
+    trajs = tmp_path / "t.jsonl"
+    rec = {"trajectory_id": "a", "store_id": store_id, "samples": samples}
+    trajs.write_text(json.dumps(rec) + "\n")
+    code = run([
+        "detect", "--layout", str(layout), "--trajectories", str(trajs),
+        "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith(f"{trajs}:1: sample 3 ")
+
+
 def test_config_file_supplies_values(synth_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t_b": 2.0, "delta_b": 1.2, "v_b": 0.55}))

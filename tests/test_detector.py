@@ -276,8 +276,8 @@ def test_rigid_motion_invariance():
     for traj in trajs:
         window = fit_window(5, len(traj))
         base = detect_stops(build_track(traj, window), layout, params)[1]
-        moved_positions = [rotate_point((s.x, s.y), angle, offset) for s in traj.samples]
-        moved_thetas = [s.theta + angle for s in traj.samples]
+        moved_positions = [rotate_point(p, angle, offset) for p in traj.positions]
+        moved_thetas = traj.thetas + angle
         moved = make_trajectory(
             moved_positions, moved_thetas,
             trajectory_id=traj.trajectory_id, store_id=traj.store_id,

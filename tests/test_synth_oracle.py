@@ -60,7 +60,11 @@ def test_generate_is_deterministic():
     spec = population_scenario(7, 5, noise=0.2)
     a_trajs, a_truth, _ = generate(spec)
     b_trajs, b_truth, _ = generate(spec)
-    assert a_trajs == b_trajs
+    assert [t.trajectory_id for t in a_trajs] == [t.trajectory_id for t in b_trajs]
+    for a, b in zip(a_trajs, b_trajs):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.thetas, b.thetas)
     assert a_truth == b_truth
 
 
@@ -98,7 +102,10 @@ def test_noise_levels_change_samples_not_shape():
     clean, _, _ = generate(clean_spec)
     noisy, _, _ = generate(noisy_spec)
     assert len(clean[0]) == len(noisy[0])
-    assert clean[0] != noisy[0]
+    assert clean[0].trajectory_id == noisy[0].trajectory_id
+    assert np.array_equal(clean[0].times, noisy[0].times)
+    assert not np.array_equal(clean[0].positions, noisy[0].positions)
+    assert not np.array_equal(clean[0].thetas, noisy[0].thetas)
 
 
 def test_max_samples_truncates_and_clips_truth():
@@ -110,7 +117,7 @@ def test_max_samples_truncates_and_clips_truth():
     trajs, truth, _ = generate(spec)
     assert len(trajs[0]) == 40
     for _, t0, t1 in truth.episodes["t1"]:
-        assert t1 <= trajs[0].samples[-1].t + 1e-9
+        assert t1 <= trajs[0].times[-1] + 1e-9
 
 
 def test_waypoint_outside_store_rejected():
