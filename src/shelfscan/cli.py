@@ -353,6 +353,7 @@ def cmd_synth(args):
             t_b, delta_b, v_b = (float(x) for x in args.plant.split(","))
         except ValueError:
             _usage_error(f"--plant takes three comma-separated numbers T,D,V, got {args.plant!r}")
+        params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)  # rejects bad values before any write
     os.makedirs(args.out, exist_ok=True)
     if args.spec:
         _require_paths(args.spec)
@@ -370,11 +371,10 @@ def cmd_synth(args):
     synth.write_ground_truth(truth, os.path.join(args.out, "ground_truth.json"))
     if args.plant:
         window = int(_opt(args, cfg, "window"))
-        params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)
-        labels = []
-        for traj in trajectories:
-            events, _ = detect_stops(build_track(traj, window), layout, params)
-            labels.extend(labeling.labels_from_stop_events(events, reviewer_id="auto"))
+        tracks = [build_track(traj, window) for traj in trajectories]
+        # one worker: a pool costs more than the batched pass it would split
+        labels = [lab for events in detect_many(tracks, layout, params, jobs=1)
+                  for lab in labeling.labels_from_stop_events(events, reviewer_id="auto")]
         labels_path = os.path.join(args.out, "labels.jsonl")
         labeling.write_labels(labels, labels_path)
         labeling.write_label_manifest(1, ["auto"], _manifest_path(labels_path))

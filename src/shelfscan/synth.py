@@ -162,8 +162,8 @@ def _build_timeline(script: ShopperScript, layout: StoreLayout, speed: float,
                     bounds) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """Noise-free positions/thetas plus dwell sample spans per waypoint."""
     xmin, ymin, xmax, ymax = bounds
-    pos: list[tuple[float, float]] = []
-    theta: list[float] = []
+    pos: list[np.ndarray] = []  # one block of samples per leg or dwell
+    theta: list[np.ndarray] = []
     episodes: list[tuple[int, int, int]] = []  # (shelf_id, first sample, last sample)
 
     for w in script.waypoints:
@@ -183,18 +183,16 @@ def _build_timeline(script: ShopperScript, layout: StoreLayout, speed: float,
         if leg_speed <= 0:
             raise InfeasibleScript(f"non-positive leg speed in {script.trajectory_id!r}")
         if not pos:
-            pos.append((tx, ty))
-            theta.append(0.0)
+            pos.append(np.array([[tx, ty]], dtype=float))
+            theta.append(np.zeros(1))
         else:
-            cx, cy = pos[-1]
+            cx, cy = pos[-1][-1]
             dist = math.hypot(tx - cx, ty - cy)
             if dist > 1e-12:
-                leg_heading = math.atan2(ty - cy, tx - cx)
                 n_steps = max(1, math.ceil(dist / (leg_speed * DT)))
-                for k in range(1, n_steps + 1):
-                    f = k / n_steps
-                    pos.append((cx + f * (tx - cx), cy + f * (ty - cy)))
-                    theta.append(leg_heading)
+                f = np.arange(1, n_steps + 1) / n_steps
+                pos.append(np.column_stack((cx + f * (tx - cx), cy + f * (ty - cy))))
+                theta.append(np.full(n_steps, math.atan2(ty - cy, tx - cx)))
 
         n_dwell = int(round(w.dwell / DT)) + 1 if w.dwell > 0 else 0
         if n_dwell:
@@ -203,21 +201,22 @@ def _build_timeline(script: ShopperScript, layout: StoreLayout, speed: float,
             elif w.heading is not None:
                 h = wrap_angle(w.heading)
             else:
-                h = theta[-1]
-            first = len(pos)
-            for _ in range(n_dwell):
-                pos.append((tx, ty))
-                theta.append(h)
+                h = theta[-1][-1]
+            first = sum(map(len, pos))
+            pos.append(np.full((n_dwell, 2), (tx, ty), dtype=float))
+            theta.append(np.full(n_dwell, h))
             if w.face_shelf is not None:
-                episodes.append((w.face_shelf, first, len(pos) - 1))
+                episodes.append((w.face_shelf, first, first + n_dwell - 1))
 
-    while len(pos) < 3:  # keep even a degenerate script usable downstream
-        pos.append(pos[-1] if pos else (xmin, ymin))
-        theta.append(theta[-1] if theta else 0.0)
-    if theta and len(script.waypoints) >= 2 and script.waypoints[0].dwell == 0:
+    n = sum(map(len, pos))
+    if n < 3:  # keep even a degenerate script usable downstream
+        pos.append(np.full((3 - n, 2), pos[-1][-1] if pos else (xmin, ymin), dtype=float))
+        theta.append(np.full(3 - n, theta[-1][-1] if theta else 0.0))
+    pos, theta = np.concatenate(pos), np.concatenate(theta)
+    if len(script.waypoints) >= 2 and script.waypoints[0].dwell == 0:
         # the spawn sample looks toward the first leg rather than at 0 rad
         theta[0] = theta[1]
-    return np.array(pos), np.array(theta), episodes
+    return pos, theta, episodes
 
 
 def generate(spec: ScenarioSpec):

@@ -3,6 +3,15 @@ import json
 
 import pytest
 
+from shelfscan import (
+    StopParams,
+    build_track,
+    detect_stops,
+    labels_from_stop_events,
+    load_layout,
+    read_trajectories,
+    write_labels,
+)
 from shelfscan.cli import main
 
 
@@ -272,6 +281,38 @@ def test_malformed_plant_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "--plant" in err[0]
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("plant", ["0,1.2,0.55", "nan,1.2,0.55"])
+def test_invalid_plant_exits_1_before_writing(tmp_path, capsys, plant):
+    out = tmp_path / "s"
+    out.mkdir()
+    code = run(["synth", "--population", "2", "--plant", plant, "--out", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+    assert list(out.iterdir()) == []
+
+
+def test_plant_across_chunks_matches_per_trip_detection(tmp_path):
+    out = tmp_path / "s"
+    code = run([
+        "synth", "--population", "257", "--shelves", "4", "--seed", "3", "--noise", "0.05",
+        "--plant", "2.0,1.2,0.55", "--out", str(out),
+    ])
+    assert code == 0
+    layout = load_layout(out / "layout.json")
+    params = StopParams(2.0, 1.2, 0.55)
+    want = [
+        lab
+        for traj in read_trajectories(out / "trajectories.jsonl")
+        for lab in labels_from_stop_events(
+            detect_stops(build_track(traj, 5), layout, params)[0], reviewer_id="auto")
+    ]
+    # the 257th trip is alone in the second 256-trip chunk of the batched pass
+    assert any(lab.trajectory_id == "trip-00256" for lab in want)
+    write_labels(want, tmp_path / "want.jsonl")
+    assert (out / "labels.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
 def test_non_finite_grid_range_exits_1_with_record(synth_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from shelfscan import (
 from shelfscan.detector import TIE_TOL
 from shelfscan.errors import FrameMismatch, ValidationError
 from shelfscan.oracle import _scan_ray
-from shelfscan.synth import generate, random_scenario
+from shelfscan.synth import generate, population_scenario, random_scenario
 from shelfscan.kinematics import fit_window
 
 from conftest import make_trajectory, rotate_point, standing_trajectory
@@ -306,3 +307,15 @@ def test_detect_many_matches_detect_stops_and_ignores_jobs():
     singles = [detect_stops(t, layout, params)[0] for t in tracks]
     assert detect_many(tracks, layout, params, jobs=1) == singles
     assert detect_many(tracks, layout, params, jobs=3) == singles
+
+
+def test_detect_many_worker_pool_matches_detect_stops():
+    spec = population_scenario(4, n_trajectories=300, n_shelves=6, noise=0.05)
+    trajs, _, layout = generate(replace(spec, max_samples=150))
+    params = StopParams(1.0, 1.4, 0.6)
+    tracks = [build_track(t, window=5) for t in trajs]
+    singles = [detect_stops(t, layout, params)[0] for t in tracks]
+    # 300 tracks make two chunks of the batched pass, so jobs=2 forks a pool
+    assert any(singles[:256]) and any(singles[256:])
+    assert detect_many(tracks, layout, params, jobs=1) == singles
+    assert detect_many(tracks, layout, params, jobs=2) == singles
