@@ -21,6 +21,7 @@ from . import analytics, calibration, labeling, synth
 from .detector import (
     StopParams,
     default_jobs,
+    detect_file,
     detect_many,
     detect_stops,
     read_stop_events,
@@ -30,7 +31,7 @@ from .errors import ShelfScanError, UnknownTrajectory
 from .kinematics import (
     DEFAULT_WINDOW,
     build_track,
-    fit_window,
+    check_window,
     read_trajectories,
     write_trajectories,
 )
@@ -104,10 +105,6 @@ def _write_json(doc, path):
         fh.write("\n")
 
 
-def _load_tracks(path, window):
-    return [build_track(t, window) for t in read_trajectories(path)]
-
-
 def _load_labeled_dataset(trajectories_path, labels_path, layout, window):
     """(track, visit matrix) pairs for every trajectory in the file.
 
@@ -147,27 +144,24 @@ def cmd_detect(args):
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     params = _params_from(args, cfg)
+    jobs = _opt(args, cfg, "jobs")
     try:
-        jobs = int(_opt(args, cfg, "jobs") or default_jobs())
+        jobs = default_jobs() if jobs is None else int(jobs)
     except ValueError as exc:
         _usage_error(exc)
-    tracks = _load_tracks(args.trajectories, window)
-    per_track_events = detect_many(tracks, layout, params, jobs=jobs)
+    if jobs < 1:
+        _usage_error(f"--jobs must be at least 1, got {jobs}")
+    n_tracks, events, stopped = detect_file(args.trajectories, layout, params, window, jobs)
 
-    all_events = [ev for events in per_track_events for ev in events]
-    write_stop_events(all_events, os.path.join(args.out, "stops.jsonl"))
+    write_stop_events(events, os.path.join(args.out, "stops.jsonl"))
     # sparse long form: rows only where S = 1
     with open(os.path.join(args.out, "stop_matrix.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trajectory_id", "shelf_id", "k", "t", "S"])
-        for track, events in zip(tracks, per_track_events):
-            times = track.times
-            for ev in events:
-                k_s = int(np.searchsorted(times, ev.t_s - 1e-9))
-                k_f = int(np.searchsorted(times, ev.t_f - 1e-9))
-                for k in range(k_s, k_f + 1):
-                    writer.writerow([track.trajectory_id, ev.shelf_id, k, repr(float(times[k])), 1])
-    print(f"detect: {len(all_events)} stop events over {len(tracks)} trajectories -> {args.out}")
+        for ev, (k_s, times) in zip(events, stopped):
+            writer.writerows([ev.trajectory_id, ev.shelf_id, k, repr(t), 1]
+                             for k, t in enumerate(times, start=k_s))
+    print(f"detect: {len(events)} stop events over {n_tracks} trajectories -> {args.out}")
     return 0
 
 
@@ -354,6 +348,7 @@ def cmd_synth(args):
         except ValueError:
             _usage_error(f"--plant takes three comma-separated numbers T,D,V, got {args.plant!r}")
         params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)  # rejects bad values before any write
+        window = check_window(int(_opt(args, cfg, "window")))
     os.makedirs(args.out, exist_ok=True)
     if args.spec:
         _require_paths(args.spec)
@@ -370,7 +365,6 @@ def cmd_synth(args):
     write_trajectories(trajectories, os.path.join(args.out, "trajectories.jsonl"))
     synth.write_ground_truth(truth, os.path.join(args.out, "ground_truth.json"))
     if args.plant:
-        window = int(_opt(args, cfg, "window"))
         tracks = [build_track(traj, window) for traj in trajectories]
         # one worker: a pool costs more than the batched pass it would split
         labels = [lab for events in detect_many(tracks, layout, params, jobs=1)
@@ -402,7 +396,7 @@ def cmd_oracle_check(args):
             v_b=float(rng.uniform(0.1, 1.5)),
         )
         for traj in trajectories:
-            track = build_track(traj, fit_window(window, len(traj)))
+            track = build_track(traj, window)
             _, fast = detect_stops(track, layout, params)
             slow = brute_force_stops(track, layout, params)
             checked += 1

@@ -29,11 +29,20 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FrameMismatch, ValidationError
-from .kinematics import KinematicTrack
+from .errors import FrameMismatch, ParseError, ShelfScanError, ValidationError
+from .kinematics import (
+    DEFAULT_WINDOW,
+    KinematicTrack,
+    build_track,
+    claim_id,
+    parse_record,
+    read_lines,
+    split_on_gaps,
+)
 from .layout import StoreLayout
 
 EPS_LAMBDA = 1e-9
@@ -43,6 +52,8 @@ DURATION_TOL = 1e-9
 
 # target element count for one (samples x segments) block; bounds temp memory
 _BLOCK_ELEMS = 2_000_000
+# tracks per shared gaze pass; bounds the memory a pass holds
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -309,14 +320,13 @@ def _extract(track, candidates, lams, params):
 
 
 def _detect_chunk(args):
+    """(events, spans) of every track of a chunk, from one shared gaze pass; callers check stores."""
     tracks, layout, params = args
-    for track in tracks:
-        check_store(track, layout)
     # one shared gaze pass over the whole chunk amortizes the numpy overhead
     positions, normals, cuts = stack_tracks(tracks)
     candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b)
     return [
-        _extract(track, cand, lam, params)[0]
+        _extract(track, cand, lam, params)
         for track, cand, lam in zip(tracks, np.split(candidates, cuts), np.split(lams, cuts))
     ]
 
@@ -360,10 +370,21 @@ def default_jobs() -> int:
     env = os.environ.get("SHELFSCAN_JOBS")
     if env:
         try:
-            return max(int(env), 1)
+            jobs = int(env)
         except ValueError:
             raise ValueError(f"SHELFSCAN_JOBS must be an integer, got {env!r}") from None
+        if jobs < 1:
+            raise ValueError(f"SHELFSCAN_JOBS must be at least 1, got {jobs}")
+        return jobs
     return os.cpu_count() or 1
+
+
+def _map(fn, tasks, jobs: int):
+    """[fn(task) for task in tasks], in a pool of forked workers when jobs > 1 and tasks > 1."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
+        return pool.map(fn, tasks)
 
 
 def detect_many(tracks, layout: StoreLayout, params: StopParams, jobs: int | None = None):
@@ -373,16 +394,109 @@ def detect_many(tracks, layout: StoreLayout, params: StopParams, jobs: int | Non
     does not depend on the worker count.
     """
     tracks = list(tracks)
+    for track in tracks:
+        check_store(track, layout)
     if jobs is None:
         jobs = default_jobs()
-    chunk_size = 256
-    chunks = [tracks[i:i + chunk_size] for i in range(0, len(tracks), chunk_size)]
-    if jobs <= 1 or len(chunks) <= 1:
-        results = [_detect_chunk((c, layout, params)) for c in chunks]
-    else:
-        with get_context("fork").Pool(processes=jobs) as pool:
-            results = pool.map(_detect_chunk, [(c, layout, params) for c in chunks])
-    out = []
-    for r in results:
-        out.extend(r)
-    return out
+    chunks = [(tracks[i:i + _CHUNK], layout, params) for i in range(0, len(tracks), _CHUNK)]
+    return [events for chunk in _map(_detect_chunk, chunks, jobs) for events, _ in chunk]
+
+
+class _RangeResult(NamedTuple):
+    tracks: int      # trajectories built
+    events: list     # StopEvents in file order
+    stopped: list    # per event: (index of its first sample, times of its samples)
+    ids: list        # (trajectory_id, line) of every record parsed
+    error: tuple | None  # (line, exc): the first read error, where reading stopped
+    late: tuple | None   # (line, exc): the first build or store error; detection stopped there
+
+
+def _byte_ranges(path, n: int):
+    """Up to n non-empty (start, stop) byte ranges that cover a file, cut just after newlines."""
+    size = os.path.getsize(path)
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, n):
+            target = i * size // n
+            if target > cuts[-1]:
+                fh.seek(target - 1)
+                fh.readline()  # the cut lands just after the first newline at or past target - 1
+                cuts.append(fh.tell())
+    cuts.append(size)
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+
+
+def _detect_range(args):
+    """Read, gap-split, build and detect the records in one byte range of a trajectory file."""
+    path, start, stop, layout, params, window = args
+    n_tracks, events, stopped, ids, chunk, late = 0, [], [], [], [], None
+
+    def flush():
+        for track, (evs, spans) in zip(chunk, _detect_chunk((chunk, layout, params))):
+            events.extend(evs)
+            stopped.extend((s, track.times[s:e + 1].tolist()) for s, e, _ in spans)
+        chunk.clear()
+
+    for lineno, line in read_lines(path, start, stop):
+        try:
+            trajectory_id, store_id, rows = parse_record(line, f"{path}:{lineno}")
+            ids.append((trajectory_id, lineno))
+            pieces = split_on_gaps(trajectory_id, store_id, rows)
+        except ShelfScanError as exc:
+            return _RangeResult(n_tracks, events, stopped, ids, (lineno, exc), late)
+        if late:
+            continue  # nothing is detected past a later error; read on for read errors
+        try:
+            tracks = [build_track(traj, window) for traj in pieces]
+            for track in tracks:
+                check_store(track, layout)
+        except ShelfScanError as exc:
+            late = (lineno, exc)
+            continue
+        chunk += tracks
+        n_tracks += len(tracks)
+        if len(chunk) >= _CHUNK:
+            flush()
+    if chunk and not late:
+        flush()
+    return _RangeResult(n_tracks, events, stopped, ids, None, late)
+
+
+def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEFAULT_WINDOW,
+                jobs: int | None = None):
+    """Stop events of every trajectory in a JSONL trajectory file.
+
+    The file is cut into up to `jobs` byte ranges at newlines, and one
+    worker reads, gap-splits, builds and detects each range (in this
+    process when there is one range), so the caller parses nothing.
+    Returns (n_tracks, events, stopped): the number of trajectories, every
+    stop event in file order, and per event the index of its first sample
+    and the times of its samples.
+
+    The result and the error raised do not depend on `jobs`; the error is
+    the one read_trajectories, build_track and detect_many would raise in
+    turn on the whole file: the read error (ParseError, ValidationError,
+    a reused trajectory_id) on the lowest line, else the first later error
+    (InvalidWindow, FrameMismatch) in file order.
+    """
+    if jobs is None:
+        jobs = default_jobs()
+    tasks = [(path, start, stop, layout, params, window) for start, stop in _byte_ranges(path, jobs)]
+    results = _map(_detect_range, tasks, jobs)
+    errors, first_line = [], {}
+    for trajectory_id, lineno in (pair for r in results for pair in r.ids):
+        try:
+            claim_id(first_line, trajectory_id, lineno, path)
+        except ParseError as exc:
+            # first in the list, so it wins a tie: it is checked before its record is split
+            errors.append((lineno, exc))
+            break
+    errors += [r.error for r in results if r.error]
+    if errors:
+        raise min(errors, key=lambda err: err[0])[1]
+    late = [r.late for r in results if r.late]
+    if late:
+        raise late[0][1]
+    return (sum(r.tracks for r in results),
+            [ev for r in results for ev in r.events],
+            [st for r in results for st in r.stopped])

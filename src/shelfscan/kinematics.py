@@ -22,6 +22,7 @@ DT = 0.1  # tracking time step, seconds
 DT_TOL = 1e-6
 GAP_FACTOR = 1.5  # gaps longer than GAP_FACTOR * DT split a record
 DEFAULT_WINDOW = 5
+_COUNT_BLOCK = 1 << 20  # bytes read at a time while counting the lines before a range
 
 
 def wrap_angle(theta):
@@ -95,6 +96,13 @@ class KinematicTrack:
         return len(self.times)
 
 
+def check_window(window: int) -> int:
+    """Return `window`, or raise InvalidWindow unless it is a positive odd sample count."""
+    if window < 1 or window % 2 == 0:
+        raise InvalidWindow(f"window must be a positive odd sample count, got {window}")
+    return window
+
+
 def fit_window(window: int, n_samples: int) -> int:
     """Largest valid (odd, <= n_samples) window not exceeding `window`."""
     w = min(window, n_samples)
@@ -111,8 +119,7 @@ def low_pass_positions(positions: np.ndarray, window: int = DEFAULT_WINDOW) -> n
     identity. Output length equals input length.
     """
     n = len(positions)
-    if window < 1 or window % 2 == 0:
-        raise InvalidWindow(f"window must be a positive odd sample count, got {window}")
+    check_window(window)
     if window > n:
         raise InvalidWindow(f"window {window} exceeds sample count {n}")
     if window == 1:
@@ -137,8 +144,13 @@ def _speeds(positions: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def build_track(traj: Trajectory, window: int = DEFAULT_WINDOW) -> KinematicTrack:
-    """Derive the kinematic streams used by the stop detector."""
-    positions = low_pass_positions(traj.positions, window)
+    """Derive the kinematic streams used by the stop detector.
+
+    A trajectory shorter than `window` is smoothed over fit_window(window,
+    len(traj)) samples, so every trajectory a reader returns can be built;
+    an even or non-positive window raises InvalidWindow.
+    """
+    positions = low_pass_positions(traj.positions, fit_window(check_window(window), len(traj)))
     return KinematicTrack(
         trajectory_id=traj.trajectory_id,
         store_id=traj.store_id,
@@ -192,34 +204,69 @@ def _sample_rows(samples, where: str, strict: bool) -> np.ndarray:
     return rows.astype(float, copy=False)
 
 
-def read_trajectories(path) -> list[Trajectory]:
-    """Read trajectories from a JSONL file, one trip per line.
+def read_lines(path, start: int = 0, stop: int | None = None):
+    """Yield (lineno, line) for every non-blank line in bytes [start, stop) of a file.
+
+    start and stop must each sit at 0, just after a newline or at the end of
+    the file. Line numbers count from the file's first line, so the bytes
+    before start are read to count their newlines. Lines are bytes, stripped
+    of surrounding whitespace.
+    """
+    with open(path, "rb") as fh:
+        lineno = 0
+        while fh.tell() < start:
+            block = fh.read(min(start - fh.tell(), _COUNT_BLOCK))
+            if not block:
+                break
+            lineno += block.count(b"\n")
+        left = math.inf if stop is None else stop - start
+        for line in fh:
+            if left <= 0:
+                break
+            left -= len(line)
+            lineno += 1
+            line = line.strip()
+            if line:
+                yield lineno, line
+
+
+def parse_record(line: bytes, where: str):
+    """(trajectory_id, store_id, (n, 4) sample rows) of one JSONL trajectory record.
 
     Record shape: {"trajectory_id", "store_id", "samples": [[t, x, y, theta], ...]}.
+    A malformed record or sample row raises ParseError; `where` ("path:line")
+    prefixes its message.
+    """
+    try:
+        rec = json.loads(line)
+        trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
+        rows = _sample_rows(rec["samples"], where, b"true" in line or b"false" in line)
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"{where}: bad trajectory record: {exc!r}") from exc
+    return trajectory_id, store_id, rows
+
+
+def claim_id(first_line: dict, trajectory_id: str, lineno: int, path) -> None:
+    """Note the line trajectory_id first appears on; ParseError if an earlier line used it."""
+    first = first_line.setdefault(trajectory_id, lineno)
+    if first != lineno:
+        raise ParseError(
+            f"{path}:{lineno}: trajectory_id {trajectory_id!r} already used on line {first}"
+        )
+
+
+def read_trajectories(path) -> list[Trajectory]:
+    """Read trajectories from a JSONL file, one trip per line (see parse_record).
+
     A malformed record or sample row, or a trajectory_id that an earlier
     record used, raises ParseError. Records are gap-split (non-finite rows
     count as dropouts); sub-minimum fragments are silently discarded.
     """
     out, first_line = [], {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-                trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
-                rows = _sample_rows(rec["samples"], where, "true" in line or "false" in line)
-            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-                raise ParseError(f"{where}: bad trajectory record: {exc!r}") from exc
-            if trajectory_id in first_line:
-                raise ParseError(
-                    f"{where}: trajectory_id {trajectory_id!r} already used on line "
-                    f"{first_line[trajectory_id]}"
-                )
-            first_line[trajectory_id] = lineno
-            out.extend(split_on_gaps(trajectory_id, store_id, rows))
+    for lineno, line in read_lines(path):
+        trajectory_id, store_id, rows = parse_record(line, f"{path}:{lineno}")
+        claim_id(first_line, trajectory_id, lineno, path)
+        out.extend(split_on_gaps(trajectory_id, store_id, rows))
     return out
 
 

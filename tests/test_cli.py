@@ -1,18 +1,29 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from shelfscan import (
+    Segment2D,
+    Shelf,
     StopParams,
+    StoreLayout,
     build_track,
     detect_stops,
     labels_from_stop_events,
     load_layout,
+    random_scenario,
+    read_stop_events,
     read_trajectories,
+    save_layout,
     write_labels,
+    write_scenario,
+    write_stop_events,
 )
 from shelfscan.cli import main
+from shelfscan.labeling import write_label_manifest
 
 
 def run(argv):
@@ -384,3 +395,173 @@ def test_config_file_supplies_values(synth_dir, tmp_path):
     ])
     assert code == 0
     assert (out / "stops.jsonl").exists()
+
+
+def detect(layout, trajectories, out, *extra):
+    return run([
+        "detect", "--layout", str(layout), "--trajectories", str(trajectories),
+        "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55", *extra, "--out", str(out),
+    ])
+
+
+def standing_record(trajectory_id, n_samples, store_id="unit"):
+    """n samples 1 m in front of the single shelf, facing it."""
+    samples = [[k * 0.1, 1.0, 1.0, -math.pi / 2] for k in range(n_samples)]
+    return json.dumps({"trajectory_id": trajectory_id, "store_id": store_id, "samples": samples})
+
+
+@pytest.fixture
+def shelf_layout(tmp_path):
+    path = tmp_path / "layout.json"
+    save_layout(StoreLayout(store_id="unit", shelves=(
+        Shelf(id=1, face=Segment2D((0.0, 0.0), (2.0, 0.0)), normal=(0.0, 1.0)),)), path)
+    return path
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "8"])  # 8: more workers asked for than records
+def test_fragment_shorter_than_window_is_smoothed_not_fatal(shelf_layout, tmp_path, jobs):
+    both, alone = tmp_path / "both.jsonl", tmp_path / "alone.jsonl"
+    both.write_text(standing_record("long", 40) + "\n" + standing_record("short", 4) + "\n")
+    alone.write_text(standing_record("long", 40) + "\n")
+    assert detect(shelf_layout, both, tmp_path / "both", "--jobs", jobs) == 0
+    assert detect(shelf_layout, alone, tmp_path / "alone", "--jobs", jobs) == 0
+    for name in ("stops.jsonl", "stop_matrix.csv"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    assert len((tmp_path / "alone" / "stops.jsonl").read_text().splitlines()) == 1
+
+    labels = tmp_path / "labels.jsonl"
+    write_labels([lab for ev in read_stop_events(tmp_path / "alone" / "stops.jsonl")
+                  for lab in labels_from_stop_events([ev], reviewer_id="r")], labels)
+    write_label_manifest(1, ["r"], tmp_path / "labels.manifest.json")
+    assert run(["calibrate", "--layout", str(shelf_layout), "--trajectories", str(both),
+                "--labels", str(labels), *SMALL_GRID, "--out", str(tmp_path / "cal")]) == 0
+
+
+def test_plant_on_fragments_shorter_than_window(tmp_path):
+    spec = tmp_path / "spec.json"
+    write_scenario(random_scenario(6), spec)  # two 3-sample trajectories
+    out = tmp_path / "s"
+    assert run(["synth", "--spec", str(spec), "--plant", "2.0,1.2,0.55", "--out", str(out)]) == 0
+    assert (out / "labels.jsonl").exists()
+
+
+@pytest.mark.parametrize("window", ["4", "0", "-1"])
+def test_even_or_non_positive_window_exits_1(shelf_layout, tmp_path, capsys, window):
+    trajs = tmp_path / "t.jsonl"
+    trajs.write_text(standing_record("long", 40) + "\n")
+    assert detect(shelf_layout, trajs, tmp_path / "d", "--window", window) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "InvalidWindow"
+    out = tmp_path / "s"
+    code = run(["synth", "--population", "2", "--plant", "2.0,1.2,0.55", "--window", window,
+                "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "InvalidWindow"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", [["--jobs", "0"], ["--jobs", "-3"], "config", "environment"])
+def test_jobs_below_one_exits_2(shelf_layout, tmp_path, monkeypatch, capsys, where):
+    trajs = tmp_path / "t.jsonl"
+    trajs.write_text(standing_record("long", 40) + "\n")
+    if where == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        where = ["--config", str(cfg)]
+    elif where == "environment":
+        monkeypatch.setenv("SHELFSCAN_JOBS", "0")
+        where = []
+    assert detect(shelf_layout, trajs, tmp_path / "d", *where) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "must be at least 1, got " in err[0]
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n"])
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_file_without_records_detects_nothing(shelf_layout, tmp_path, content, jobs):
+    trajs = tmp_path / "t.jsonl"
+    trajs.write_text(content)
+    assert detect(shelf_layout, trajs, tmp_path / "d", "--jobs", jobs) == 0
+    assert (tmp_path / "d" / "stops.jsonl").read_bytes() == b""
+    assert (tmp_path / "d" / "stop_matrix.csv").read_bytes() == b"trajectory_id,shelf_id,k,t,S\r\n"
+
+
+def test_detect_output_does_not_depend_on_jobs(synth_dir, tmp_path):
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    rec = json.loads(lines[4])
+    del rec["samples"][20:25]  # a dropout: the record splits into two trajectories
+    lines[4] = json.dumps(rec)
+    lines[7:7] = ["", "   "]
+    text = "\n".join(lines)  # no trailing newline
+    # pad the last line so that the cut into two ranges lands just after a newline
+    newline = text.index("\n", len(text) // 2 - 1)
+    text += " " * max(2 * (newline + 1) - len(text), 0)
+    assert text[len(text) // 2 - 1] == "\n" and not text.endswith("\n")
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+
+    layout = load_layout(synth_dir / "layout.json")
+    params = StopParams(2.0, 1.2, 0.55)
+    events, rows = [], []
+    for traj in read_trajectories(path):
+        evs, matrix = detect_stops(build_track(traj, 5), layout, params)
+        events += evs
+        rows += [[traj.trajectory_id, shelf0 + 1, k, repr(float(traj.times[k])), 1]
+                 for k, shelf0 in zip(*np.nonzero(matrix.values.T))]
+    assert any(ev.trajectory_id == f"{rec['trajectory_id']}~1" for ev in events)
+    write_stop_events(events, tmp_path / "want.jsonl")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["trajectory_id", "shelf_id", "k", "t", "S"], *rows])
+
+    for jobs in ("1", "2", "3", "8"):
+        out = tmp_path / f"j{jobs}"
+        assert detect(synth_dir / "layout.json", path, out, "--jobs", jobs) == 0
+        assert (out / "stops.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert (out / "stop_matrix.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _reuse_line_2_id(rec, lines):
+    rec["trajectory_id"] = json.loads(lines[1])["trajectory_id"]
+
+
+def _wrong_store(name):
+    def fault(rec, lines):
+        rec["store_id"] = name
+    return fault
+
+
+def _malformed_row(rec, lines):
+    rec["samples"][3] = [0.3, 1.0]
+
+
+def _jitter(rec, lines):
+    rec["samples"][5][0] += 1e-4
+
+
+# faults by line (of 25 records), and the error every --jobs must report
+FAULT_MIXES = [
+    ({2: [_wrong_store("a")], 23: [_malformed_row]}, "ParseError", ":23: sample 3 "),
+    ({20: [_reuse_line_2_id], 23: [_malformed_row]}, "ParseError", ":20: trajectory_id "),
+    ({3: [_wrong_store("a")], 22: [_jitter]}, "ValidationError", "non-uniform time step"),
+    ({4: [_wrong_store("a")], 20: [_wrong_store("b")]}, "FrameMismatch", "store 'a'"),
+    ({20: [_reuse_line_2_id, _jitter]}, "ParseError", ":20: trajectory_id "),
+]
+
+
+@pytest.mark.parametrize("faults, error, message", FAULT_MIXES)
+def test_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, faults, error, message):
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    for lineno, edits in faults.items():
+        rec = json.loads(lines[lineno - 1])
+        for edit in edits:
+            edit(rec, lines)
+        lines[lineno - 1] = json.dumps(rec)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    reports = []
+    for jobs in ("1", "2", "3"):
+        code = detect(synth_dir / "layout.json", path, tmp_path / "d", "--jobs", jobs)
+        reports.append((code, capsys.readouterr().err))
+    assert reports[1:] == reports[:1] * 2
+    code, err = reports[0]
+    record = json.loads(err)
+    assert code == 1 and record["error"] == error and message in record["message"]

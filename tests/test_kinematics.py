@@ -74,12 +74,20 @@ def test_even_or_nonpositive_window_rejected(window):
     traj = standing_trajectory((0.0, 0.0), 0.0, 10)
     with pytest.raises(InvalidWindow):
         low_pass_positions(traj.positions, window=window)
+    with pytest.raises(InvalidWindow):
+        build_track(traj, window=window)
 
 
 def test_window_longer_than_data_rejected():
     traj = standing_trajectory((0.0, 0.0), 0.0, 5)
     with pytest.raises(InvalidWindow):
         low_pass_positions(traj.positions, window=7)
+
+
+def test_build_track_fits_window_to_short_trajectory():
+    traj = make_trajectory([(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (4.0, 0.0)], [0.0] * 4)
+    track = build_track(traj, window=7)
+    assert np.array_equal(track.positions, low_pass_positions(traj.positions, window=3))
 
 
 def test_stationary_shopper_zero_speed():
@@ -318,6 +326,14 @@ def test_non_finite_sample_splits_like_a_dropout(tmp_path, column, value):
     assert [(t.trajectory_id, len(t)) for t in trajs] == [("a~0", 10), ("a~1", 39)]
     assert all(np.isfinite(t.positions).all() for t in trajs)
     assert trajs[1].times[0] == samples[11][0]
+
+
+def test_invalid_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    rec = {"trajectory_id": "a", "store_id": "s", "samples": [[k * DT, 0, 0, 0] for k in range(4)]}
+    path.write_bytes(json.dumps(rec).encode() + b'\n{"trajectory_id": "\xff"}\n')
+    with pytest.raises(ParseError, match=r"t\.jsonl:2: bad trajectory record"):
+        read_trajectories(path)
 
 
 def test_duplicate_trajectory_id_is_parse_error(tmp_path):
