@@ -432,12 +432,6 @@ def _calibrate_prepared(prepared, t_axis, d_axis, v_axis) -> CalibrationResult:
     )
 
 
-def _stderr(scores: np.ndarray) -> float:
-    if len(scores) < 2:
-        return 0.0
-    return float(np.std(scores, ddof=1) / math.sqrt(len(scores)))
-
-
 def same_store_eval(dataset, layout: StoreLayout, grid: ParamGrid, p: float,
                     repeats: int, seed: int) -> EvalReport:
     """Calibrate on a random fraction p, score on the held-out remainder.
@@ -448,38 +442,7 @@ def same_store_eval(dataset, layout: StoreLayout, grid: ParamGrid, p: float,
     """
     if not 0.0 < p < 1.0:
         raise FractionOutOfRange(f"p must lie strictly between 0 and 1, got {p}")
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    dataset = list(dataset)
-    n = len(dataset)
-    if n == 0:
-        raise EmptyDataset("evaluation requires at least one trajectory")
-    t_axis, d_axis, v_axis = _grid_axes(grid)
-    prepared = _prepare(dataset, layout, cutoff=float(d_axis[-1]))
-    n_cal = math.ceil(p * n)
-    if n_cal == 0 or n_cal == n:
-        raise DegenerateSplit(f"p={p} with {n} trajectories leaves an empty side")
-    rng = np.random.default_rng(seed)
-    scores, chosen = [], []
-    for _ in range(repeats):
-        perm = rng.permutation(n)
-        cal = [prepared[i] for i in perm[:n_cal]]
-        held = [prepared[i] for i in perm[n_cal:]]
-        result = _calibrate_prepared(cal, t_axis, d_axis, v_axis)
-        report = precision_recall_f1(counts_at(held, result.best_params))
-        scores.append(report.f1)
-        chosen.append(result.best_params)
-    scores_arr = np.array(scores)
-    return EvalReport(
-        protocol="same-store",
-        p=p,
-        repeats=repeats,
-        scores=tuple(float(s) for s in scores),
-        mean=float(scores_arr.mean()),
-        stderr=_stderr(scores_arr),
-        seed=seed,
-        params_per_repeat=tuple(chosen),
-    )
+    return _evaluate("same-store", [(dataset, layout)], grid, p, repeats, seed)
 
 
 def cross_store_eval(calib_dataset, calib_layout: StoreLayout,
@@ -489,39 +452,44 @@ def cross_store_eval(calib_dataset, calib_layout: StoreLayout,
     """Calibrate on a fraction of one store, score on all of another."""
     if not 0.0 < p <= 1.0:
         raise FractionOutOfRange(f"p must lie in (0, 1], got {p}")
+    return _evaluate("cross-store", [(calib_dataset, calib_layout), (eval_dataset, eval_layout)],
+                     grid, p, repeats, seed)
+
+
+def _evaluate(protocol, sides, grid, p, repeats, seed) -> EvalReport:
+    """The split-calibrate-score loop of both protocols.
+
+    `sides` is [(dataset, layout)] for same-store evaluation, scored on the
+    held-out rest, or [calibration side, test side] for cross-store. Each
+    repeat calibrates on a random ceil(p*n) of the first side's n
+    trajectories; at p = 1 no permutation is drawn.
+    """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    calib_dataset = list(calib_dataset)
-    eval_dataset = list(eval_dataset)
-    if not calib_dataset or not eval_dataset:
-        raise EmptyDataset("both calibration and evaluation datasets must be non-empty")
+    sides = [(list(dataset), layout) for dataset, layout in sides]
+    if not all(dataset for dataset, _ in sides):
+        raise EmptyDataset("evaluation requires at least one trajectory in every dataset")
     t_axis, d_axis, v_axis = _grid_axes(grid)
-    cal_prepared = _prepare(calib_dataset, calib_layout, cutoff=float(d_axis[-1]))
-    eval_prepared = _prepare(eval_dataset, eval_layout, cutoff=float(d_axis[-1]))
-    n = len(cal_prepared)
+    cal, *test = [_prepare(dataset, layout, cutoff=float(d_axis[-1])) for dataset, layout in sides]
+    n = len(cal)
     n_cal = math.ceil(p * n)
-    if n_cal == 0:
-        raise DegenerateSplit(f"p={p} with {n} trajectories leaves nothing to calibrate on")
+    if not test and n_cal == n:
+        raise DegenerateSplit(f"p={p} with {n} trajectories leaves an empty side")
     rng = np.random.default_rng(seed)
     scores, chosen = [], []
     for _ in range(repeats):
-        if n_cal == n:
-            cal = cal_prepared
-        else:
-            perm = rng.permutation(n)
-            cal = [cal_prepared[i] for i in perm[:n_cal]]
-        result = _calibrate_prepared(cal, t_axis, d_axis, v_axis)
-        report = precision_recall_f1(counts_at(eval_prepared, result.best_params))
-        scores.append(report.f1)
+        order = rng.permutation(n) if n_cal < n else range(n)
+        result = _calibrate_prepared([cal[i] for i in order[:n_cal]], t_axis, d_axis, v_axis)
+        held = test[0] if test else [cal[i] for i in order[n_cal:]]
+        scores.append(precision_recall_f1(counts_at(held, result.best_params)).f1)
         chosen.append(result.best_params)
-    scores_arr = np.array(scores)
     return EvalReport(
-        protocol="cross-store",
+        protocol=protocol,
         p=p,
         repeats=repeats,
-        scores=tuple(float(s) for s in scores),
-        mean=float(scores_arr.mean()),
-        stderr=_stderr(scores_arr),
+        scores=tuple(scores),
+        mean=float(np.mean(scores)),
+        stderr=float(np.std(scores, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0,
         seed=seed,
         params_per_repeat=tuple(chosen),
     )

@@ -212,6 +212,16 @@ def _resolved_config(args, cfg, keys):
     return out
 
 
+def _write_repeats(reports, path):
+    """eval_repeats.csv: one row per repeat of every report, in order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["p", "repeat", "f1", "mean_f1", "stderr_f1"])
+        for rep in reports:
+            for i, score in enumerate(rep.scores):
+                writer.writerow([repr(rep.p), i, repr(score), repr(rep.mean), repr(rep.stderr)])
+
+
 def cmd_eval_same(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
@@ -221,7 +231,7 @@ def cmd_eval_same(args):
     grid = _grid_from(args, cfg)
     seed = int(_opt(args, cfg, "seed"))
     repeats = int(_opt(args, cfg, "repeats"))
-    fractions = args.p if args.p else cfg.get("p", [0.5])
+    fractions = _opt(args, cfg, "p", [0.5])
     if not isinstance(fractions, list):
         fractions = [fractions]
     dataset = _load_labeled_dataset(args.trajectories, args.labels, layout, window)
@@ -237,12 +247,7 @@ def cmd_eval_same(args):
         "generated_at": _timestamp(),
     }
     _write_json(doc, os.path.join(args.out, "eval.json"))
-    with open(os.path.join(args.out, "eval_repeats.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "repeat", "f1", "mean_f1", "stderr_f1"])
-        for rep in reports:
-            for i, score in enumerate(rep.scores):
-                writer.writerow([repr(rep.p), i, repr(score), repr(rep.mean), repr(rep.stderr)])
+    _write_repeats(reports, os.path.join(args.out, "eval_repeats.csv"))
     for rep in reports:
         print(f"eval-same: p={rep.p:g} mean F1 {rep.mean:.4f} +/- {rep.stderr:.4f} "
               f"over {rep.repeats} repeats")
@@ -263,7 +268,7 @@ def cmd_eval_cross(args):
     dataset_b = _load_labeled_dataset(args.trajectories_b, args.labels_b, layout_b, window)
     report = calibration.cross_store_eval(
         dataset_a, layout_a, dataset_b, layout_b, grid,
-        p=float(args.p if args.p is not None else cfg.get("p", 1.0)),
+        p=float(_opt(args, cfg, "p", 1.0)),
         seed=seed,
         repeats=int(_opt(args, cfg, "cross_repeats", 1)),
     )
@@ -274,11 +279,7 @@ def cmd_eval_cross(args):
         "generated_at": _timestamp(),
     }
     _write_json(doc, os.path.join(args.out, "eval.json"))
-    with open(os.path.join(args.out, "eval_repeats.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "repeat", "f1", "mean_f1", "stderr_f1"])
-        for i, score in enumerate(report.scores):
-            writer.writerow([repr(report.p), i, repr(score), repr(report.mean), repr(report.stderr)])
+    _write_repeats([report], os.path.join(args.out, "eval_repeats.csv"))
     print(f"eval-cross: {layout_a.store_id} -> {layout_b.store_id} mean F1 {report.mean:.4f}")
     return 0
 
@@ -356,9 +357,9 @@ def cmd_synth(args):
     else:
         spec = synth.population_scenario(
             seed=int(_opt(args, cfg, "seed")),
-            n_trajectories=int(args.population or cfg.get("population", 50)),
-            n_shelves=int(args.shelves or cfg.get("shelves", 19)),
-            noise=float(args.noise if args.noise is not None else cfg.get("noise", 0.0)),
+            n_trajectories=int(_opt(args, cfg, "population", 50)),
+            n_shelves=int(_opt(args, cfg, "shelves", 19)),
+            noise=float(_opt(args, cfg, "noise", 0.0)),
         )
     trajectories, truth, layout = synth.generate(spec)
     save_layout(layout, os.path.join(args.out, "layout.json"))
@@ -381,8 +382,8 @@ def cmd_oracle_check(args):
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     seed = int(_opt(args, cfg, "seed"))
-    scenarios = int(args.scenarios or cfg.get("scenarios", 100))
-    max_len = int(args.max_len or cfg.get("max_len", 2000))
+    scenarios = int(_opt(args, cfg, "scenarios", 100))
+    max_len = int(_opt(args, cfg, "max_len", 2000))
     window = int(_opt(args, cfg, "window"))
     checked = 0
     mismatch = None

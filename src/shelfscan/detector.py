@@ -347,22 +347,21 @@ def write_stop_events(events, path) -> None:
 
 
 def read_stop_events(path) -> list[StopEvent]:
+    """Read stop events from a JSONL file, one per line, as write_stop_events writes them.
+
+    A line that is not UTF-8 JSON, lacks a field or holds a value that does
+    not convert raises ParseError naming the file and line.
+    """
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in read_lines(path):
+        try:
             rec = json.loads(line)
-            out.append(StopEvent(
-                trajectory_id=str(rec["trajectory_id"]),
-                shelf_id=int(rec["shelf_id"]),
-                t_s=float(rec["t_s"]),
-                t_f=float(rec["t_f"]),
-                duration=float(rec["duration"]),
-                min_lambda=float(rec["min_lambda"]),
-                mean_speed=float(rec["mean_speed"]),
-            ))
+            fields = (str(rec["trajectory_id"]), int(rec["shelf_id"]), float(rec["t_s"]),
+                      float(rec["t_f"]), float(rec["duration"]), float(rec["min_lambda"]),
+                      float(rec["mean_speed"]))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ParseError(f"{path}:{lineno}: bad stop event: {exc!r}") from exc
+        out.append(StopEvent(*fields))
     return out
 
 

@@ -23,7 +23,7 @@ from .errors import (
     UnknownTrajectory,
     ValidationError,
 )
-from .kinematics import DT, Trajectory
+from .kinematics import DT, Trajectory, read_lines
 from .layout import StoreLayout
 
 
@@ -122,24 +122,20 @@ def labels_from_stop_events(events, reviewer_id: str = "r1"):
 
 
 def read_labels(path) -> list[ReviewerLabel]:
-    """Read reviewer labels from a JSONL file."""
+    """Read reviewer labels from a JSONL file, one per line.
+
+    A line that is not UTF-8 JSON, lacks a field or holds a value that does
+    not convert raises ParseError naming the file and line.
+    """
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(ReviewerLabel(
-                    reviewer_id=str(rec["reviewer_id"]),
-                    trajectory_id=str(rec["trajectory_id"]),
-                    shelf_id=int(rec["shelf_id"]),
-                    t_start=float(rec["t_start"]),
-                    t_end=float(rec["t_end"]),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad label record: {exc!r}") from exc
+    for lineno, line in read_lines(path):
+        try:
+            rec = json.loads(line)
+            fields = (str(rec["reviewer_id"]), str(rec["trajectory_id"]), int(rec["shelf_id"]),
+                      float(rec["t_start"]), float(rec["t_end"]))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ParseError(f"{path}:{lineno}: bad label record: {exc!r}") from exc
+        out.append(ReviewerLabel(*fields))
     return out
 
 

@@ -362,3 +362,35 @@ def test_cross_store_eval_fraction_bounds():
         cross_store_eval(dataset, layout, dataset, layout, PLANTED_GRID, p=1.5)
     with pytest.raises(EmptyDataset):
         cross_store_eval([], layout, dataset, layout, PLANTED_GRID)
+
+
+# misses the planted point on every axis, so the chosen points score below 1
+MISSING_GRID = ParamGrid(t_b=(1.0, 3.0, 0.7), delta_b=(0.6, 1.8, 0.35), v_b=(0.25, 0.85, 0.2))
+
+
+def test_same_store_eval_matches_independent_reconstruction():
+    dataset, layout = planted_dataset(seed=4, n=12, noise=0.05)
+    report = same_store_eval(dataset, layout, MISSING_GRID, p=0.4, repeats=3, seed=17)
+    n_cal = math.ceil(0.4 * len(dataset))
+    rng = np.random.default_rng(17)  # one generator, one permutation per repeat
+    for params, score in zip(report.params_per_repeat, report.scores, strict=True):
+        perm = rng.permutation(len(dataset))
+        cal = [dataset[i] for i in perm[:n_cal]]
+        held = [dataset[i] for i in perm[n_cal:]]
+        assert params == calibrate(cal, layout, MISSING_GRID).best_params
+        assert score == score_dataset(held, layout, params).f1
+    assert max(report.scores) < 1.0
+
+
+def test_cross_store_eval_matches_independent_reconstruction():
+    dataset_a, layout_a = planted_dataset(seed=5, n=10, noise=0.05)
+    dataset_b, layout_b = planted_dataset(seed=6, n=8, noise=0.05)
+    report = cross_store_eval(dataset_a, layout_a, dataset_b, layout_b, MISSING_GRID,
+                              p=0.5, seed=23, repeats=3)
+    n_cal = math.ceil(0.5 * len(dataset_a))
+    rng = np.random.default_rng(23)
+    for params, score in zip(report.params_per_repeat, report.scores, strict=True):
+        cal = [dataset_a[i] for i in rng.permutation(len(dataset_a))[:n_cal]]
+        assert params == calibrate(cal, layout_a, MISSING_GRID).best_params
+        assert score == score_dataset(dataset_b, layout_b, params).f1
+    assert max(report.scores) < 1.0

@@ -565,3 +565,105 @@ def test_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, faults, erro
     code, err = reports[0]
     record = json.loads(err)
     assert code == 1 and record["error"] == error and message in record["message"]
+
+
+def _set(key, value):
+    def edit(line):
+        rec = json.loads(line)
+        rec[key] = value
+        return json.dumps(rec).encode()
+    return edit
+
+
+def _drop(key):
+    def edit(line):
+        rec = json.loads(line)
+        del rec[key]
+        return json.dumps(rec).encode()
+    return edit
+
+
+# a bad line 2, and the error record it must give
+BAD_LINES = [
+    pytest.param(lambda line: b"{not json", "ParseError", id="not-json"),
+    pytest.param(lambda line: b'{"shelf_id": "\xff\xfe"}', "ParseError", id="not-utf8"),
+    pytest.param(_set("shelf_id", "x"), "ParseError", id="shelf-not-int"),
+    pytest.param(_set("shelf_id", [1]), "ParseError", id="shelf-a-list"),
+]
+
+
+def _with_bad_line_2(lines, edit):
+    lines = list(lines)
+    lines[1] = edit(lines[1])
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("edit, error", BAD_LINES + [
+    pytest.param(_drop("t_end"), "ParseError", id="no-t_end"),
+    # an empty interval is the label's own check
+    pytest.param(_set("t_end", 0.0), "ValidationError", id="empty-interval"),
+])
+def test_malformed_label_exits_1_with_record(synth_dir, tmp_path, capsys, edit, error):
+    labels = tmp_path / "labels.jsonl"
+    lines = (synth_dir / "labels.jsonl").read_bytes().splitlines()
+    labels.write_bytes(_with_bad_line_2(lines, edit))
+    (tmp_path / "labels.manifest.json").write_bytes((synth_dir / "labels.manifest.json").read_bytes())
+    code = run([
+        "calibrate", "--layout", str(synth_dir / "layout.json"),
+        "--trajectories", str(synth_dir / "trajectories.jsonl"),
+        "--labels", str(labels), *SMALL_GRID, "--out", str(tmp_path / "cal"),
+    ])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 1 and record["error"] == error
+    if error == "ParseError":
+        assert record["message"].startswith(f"{labels}:2: bad label record")
+
+
+@pytest.mark.parametrize("edit, error", BAD_LINES + [
+    pytest.param(_drop("t_s"), "ParseError", id="no-t_s"),
+    # an event must span time
+    pytest.param(_set("t_f", -1.0), "ValidationError", id="empty-span"),
+])
+def test_malformed_stop_event_exits_1_with_record(synth_dir, tmp_path, capsys, edit, error):
+    first_id = json.loads((synth_dir / "trajectories.jsonl").read_text().splitlines()[0])["trajectory_id"]
+    event = {"trajectory_id": first_id, "shelf_id": 1, "t_s": 1.0, "t_f": 3.0,
+             "duration": 2.0, "min_lambda": 0.5, "mean_speed": 0.1}
+    stops = tmp_path / "stops.jsonl"
+    stops.write_bytes(_with_bad_line_2([json.dumps(event).encode()] * 3, edit))
+    code = run([
+        "analyze", "--layout", str(synth_dir / "layout.json"),
+        "--trajectories", str(synth_dir / "trajectories.jsonl"),
+        "--stops", str(stops), "--out", str(tmp_path / "an"),
+    ])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 1 and record["error"] == error
+    if error == "ParseError":
+        assert record["message"].startswith(f"{stops}:2: bad stop event")
+
+
+def _artifacts(out):
+    """Every file in out, with the generated_at line of JSON reports left out."""
+    return {path.name: [line for line in path.read_text().splitlines() if '"generated_at"' not in line]
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command, key, extra, check", [
+    pytest.param("synth", "shelves", ["--population", "2"], lambda code, err, files: (
+        code == 1 and json.loads(err)["error"] == "InfeasibleScript"), id="shelves"),
+    pytest.param("synth", "population", [], lambda code, err, files: (
+        code == 0 and files["trajectories.jsonl"] == []), id="population"),
+    pytest.param("oracle-check", "scenarios", [], lambda code, err, files: (
+        code == 0 and '  "scenarios": 0,' in files["oracle_check.json"]), id="scenarios"),
+    pytest.param("oracle-check", "max_len", ["--scenarios", "2"], lambda code, err, files: (
+        code == 0 and '    "max_len": 0,' in files["oracle_check.json"]), id="max-len"),
+])
+def test_flag_zero_matches_config_zero(tmp_path, capsys, command, key, extra, check):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0}))
+    outcomes = []
+    for name, source in (("flag", ["--" + key.replace("_", "-"), "0"]), ("config", ["--config", str(cfg)])):
+        out = tmp_path / name
+        code = run([command, *source, *extra, "--seed", "3", "--out", str(out)])
+        outcomes.append((code, capsys.readouterr().err, _artifacts(out)))
+    assert outcomes[0] == outcomes[1]
+    assert check(*outcomes[0])
