@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import labeling
 from .detector import (
     DURATION_TOL,
     StopMatrix,
@@ -29,6 +30,7 @@ from .detector import (
     check_store,
     detect_stops,
     gaze_stream,
+    map_file,
     runs,
     stack_tracks,
 )
@@ -38,8 +40,10 @@ from .errors import (
     EmptyDataset,
     EmptyGrid,
     FractionOutOfRange,
+    UnknownTrajectory,
     ValidationError,
 )
+from .kinematics import DEFAULT_WINDOW, build_track
 from .labeling import VisitMatrix
 from .layout import StoreLayout
 
@@ -197,12 +201,26 @@ class _Prepared:
     speeds: np.ndarray          # (k,)
     visit_at_candidate: np.ndarray  # (k,) bool, visit truth at the candidate shelf
     visit_ones: int             # total truth ones across all shelves
+    store_id: str = ""          # the track's store, checked against the layout it is used with
+    cutoff: float = math.inf    # the gaze cutoff; the streams serve every delta_b up to it
 
 
 _GAZE_BATCH = 32  # trajectories per gaze_stream call; bounds the concatenated arrays
 
 
 def _prepare(dataset, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
+    """The dataset's (track, visits) pairs reduced to _Prepared streams, after their checks.
+
+    A dataset that prepare_file returned passes through unchanged once its
+    stores are checked, if its gaze cutoff is at least `cutoff`.
+    """
+    if all(isinstance(item, _Prepared) for item in dataset):
+        for prep in dataset:
+            check_store(prep, layout)
+            if prep.cutoff < cutoff:
+                raise ValidationError(f"streams prepared at gaze cutoff {prep.cutoff} "
+                                      f"cannot serve delta_b up to {cutoff}")
+        return dataset
     for track, visits in dataset:
         check_store(track, layout)
         if track.trajectory_id != visits.trajectory_id:
@@ -214,24 +232,85 @@ def _prepare(dataset, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
                 f"visit matrix shape {visits.values.shape} does not match "
                 f"{layout.n_shelves} shelves x {len(track)} samples"
             )
+    return [prep for lo in range(0, len(dataset), _GAZE_BATCH)
+            for prep in _gaze_batch(dataset[lo:lo + _GAZE_BATCH], layout, cutoff)]
+
+
+def _gaze_batch(batch, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
+    """_Prepared streams of checked (track, visits) pairs, from one gaze_stream call."""
+    positions, normals, cuts = stack_tracks([track for track, _ in batch])
+    candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff)
     prepared = []
-    for lo in range(0, len(dataset), _GAZE_BATCH):
-        batch = dataset[lo:lo + _GAZE_BATCH]
-        positions, normals, cuts = stack_tracks([track for track, _ in batch])
-        candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff)
-        for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
-            seen = np.flatnonzero(cand >= 0)
-            vac = np.zeros(len(track), dtype=bool)
-            vac[seen] = visits.values[cand[seen], seen]
-            prepared.append(_Prepared(
-                times=track.times,
-                candidates=cand,
-                lams=lam,
-                speeds=track.speeds,
-                visit_at_candidate=vac,
-                visit_ones=int(np.count_nonzero(visits.values)),
-            ))
+    for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
+        seen = np.flatnonzero(cand >= 0)
+        vac = np.zeros(len(track), dtype=bool)
+        vac[seen] = visits.values[cand[seen], seen]
+        prepared.append(_Prepared(
+            times=track.times,
+            candidates=cand,
+            lams=lam,
+            speeds=track.speeds,
+            visit_at_candidate=vac,
+            visit_ones=int(np.count_nonzero(visits.values)),
+            store_id=track.store_id,
+            cutoff=cutoff,
+        ))
     return prepared
+
+
+class _PrepareStage:
+    """Votes, builds and gazes the trajectories of one range of a file, _GAZE_BATCH at a time."""
+
+    def __init__(self, by_traj, n_reviewers: int, layout: StoreLayout, window: int, cutoff: float):
+        self.by_traj, self.n_reviewers, self.layout = by_traj, n_reviewers, layout
+        self.window, self.cutoff = window, cutoff
+        self.batch, self.prepared = [], []
+
+    def add(self, trajectories):
+        for traj in trajectories:
+            visits = labeling.majority_vote(self.by_traj.get(traj.trajectory_id, []), traj,
+                                            self.layout, self.n_reviewers)
+            self.batch.append((build_track(traj, self.window), visits))
+        if len(self.batch) >= _GAZE_BATCH:
+            self._flush()
+
+    def _flush(self):
+        self.prepared += _gaze_batch(self.batch, self.layout, self.cutoff)
+        self.batch = []
+
+    def finish(self):
+        if self.batch:
+            self._flush()
+        return self.prepared
+
+
+def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout,
+                 window: int = DEFAULT_WINDOW, cutoff: float = math.inf,
+                 jobs: int | None = None) -> list[_Prepared]:
+    """Every trajectory of a JSONL trajectory file, with its labels, reduced to _Prepared streams.
+
+    detector.map_file's range workers read, gap-split, vote, build and gaze
+    the file, so this process holds only the streams, never a track or a
+    visit matrix. The result serves calibrate, same_store_eval and
+    cross_store_eval for every grid whose largest delta_b is at most
+    `cutoff`, with the same `layout`; they check its stores.
+
+    The error raised does not depend on `jobs`: the read error on the
+    lowest line, else UnknownTrajectory for labels that name no trajectory
+    of the file, else the first vote or window error in file order.
+    """
+    by_traj = {}
+    for lab in labels:
+        by_traj.setdefault(lab.trajectory_id, []).append(lab)
+
+    def check(known):
+        stray = set(by_traj) - known
+        if stray:
+            raise UnknownTrajectory(f"labels reference unknown trajectories: {sorted(stray)[:5]}")
+
+    stage_args = (by_traj, n_reviewers, layout, window, cutoff)
+    return [prep for part in map_file(trajectories, _PrepareStage, stage_args, jobs, check)
+            for prep in part]
 
 
 _CHUNK = 4096  # samples per nearest-greater pass; bounds the sparse table's memory
@@ -243,12 +322,15 @@ def _sweep_counts(prepared, t_axis, d_axis, v_axis):
     One vectorized pass over all trajectories per delta_b, in chunks of at
     most _CHUNK samples cut between blocks. Fix delta_b and call a block a
     maximal stretch of consecutive samples, in one trajectory, that pass
-    the candidate and distance conditions with one candidate. Within a block the runs that exist at some v_b are exactly
-    the nodes of the block's max-Cartesian tree on speed (Vuillemin, "A
-    unifying look at data structures", CACM 1980): node k spans the
-    samples between its nearest left neighbour with speed >= s_k and its
-    nearest right neighbour with speed > s_k, and is a run for
-    s_k <= v_b < min(s_left, s_right), block ends counting as +inf. Those
+    the candidate and distance conditions with one candidate. A sample
+    meets the speed condition at v_axis[i] exactly when i >= its rank, the
+    number of v_axis values below its speed, so the sweep works on ranks.
+    Within a block the runs that exist at some v_b are exactly the nodes
+    of the block's max-Cartesian tree on rank (Vuillemin, "A unifying look
+    at data structures", CACM 1980): node k spans the samples between its
+    nearest left neighbour with rank >= r_k and its nearest right
+    neighbour with rank > r_k, and is a run for v_axis indices in
+    [r_k, min(r_left, r_right)), block ends counting as nV. Those
     all-nearest-greater-values (Berkman, Schieber & Vishkin, J. Algorithms
     1993) come from a sparse table by binary lifting. The >= / > split
     gives a node tied with its left neighbour an empty v_b range, so every
@@ -259,7 +341,7 @@ def _sweep_counts(prepared, t_axis, d_axis, v_axis):
     """
     n_t, n_d, n_v = len(t_axis), len(d_axis), len(v_axis)
     v_ones = sum(prep.visit_ones for prep in prepared)
-    speed, times, d_first, link, vac = _flatten(prepared, d_axis, v_axis)
+    rank, times, d_first, link, vac = _flatten(prepared, d_axis, v_axis)
     cum = np.concatenate([[0], np.cumsum(vac)])
     cells = (n_t + 1) * (n_v + 1)
     d_len = np.zeros((n_d, cells))
@@ -272,7 +354,7 @@ def _sweep_counts(prepared, t_axis, d_axis, v_axis):
                 continue
             new_block = np.ones(len(sel), dtype=bool)
             new_block[1:] = (sel[1:] != sel[:-1] + 1) | ~link[sel[1:]]
-            first, last, length, lo_v, hi_v = _tree_runs(speed[sel], new_block, v_axis)
+            first, last, length, lo_v, hi_v = _tree_runs(rank[sel], new_block, n_v)
             s, e = sel[first], sel[last]
             # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
             # the same float predicate the detector applies
@@ -295,7 +377,8 @@ def _sweep_counts(prepared, t_axis, d_axis, v_axis):
 def _flatten(prepared, d_axis, v_axis):
     """The samples that meet the conditions at some grid point, of all trajectories in order.
 
-    Returns their speeds, times, the first delta_b index whose distance
+    Returns their speed ranks in v_axis (the first v_b index whose speed
+    condition they meet), times, the first delta_b index whose distance
     condition they meet, whether each continues the previous one (next
     sample of the same trajectory, same candidate) and the visit truth.
     Filtering trip by trip keeps the unfiltered streams out of memory.
@@ -308,7 +391,8 @@ def _flatten(prepared, d_axis, v_axis):
         link = np.zeros(len(keep), dtype=bool)
         link[1:] = (keep[1:] == keep[:-1] + 1) & (cand[1:] == cand[:-1])
         d_first = np.searchsorted(d_axis, prep.lams[keep], side="left").astype(np.int32)
-        parts.append((prep.speeds[keep], prep.times[keep], d_first, link, prep.visit_at_candidate[keep]))
+        v_rank = np.searchsorted(v_axis, prep.speeds[keep], side="left").astype(np.int32)
+        parts.append((v_rank, prep.times[keep], d_first, link, prep.visit_at_candidate[keep]))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -330,38 +414,37 @@ def _chunks(starts, n, size=_CHUNK):
         lo = hi
 
 
-def _tree_runs(speed, new_block, v_axis):
-    """Runs of the blocks' max-Cartesian trees that exist at some v_b.
+def _tree_runs(rank, new_block, n_v):
+    """Runs of the blocks' max-Cartesian trees on rank that exist at some v_b.
 
     Returns first and last sample, length, and the v_axis index range
     [lo_v, hi_v) over which each run exists, for non-empty ranges only.
     """
-    n = len(speed)
+    n = len(rank)
     block = np.cumsum(new_block) - 1
     starts = np.flatnonzero(new_block)
     ends = np.append(starts[1:], n) - 1
     b_first, b_last = starts[block], ends[block]
     levels = int(np.max(ends - starts)).bit_length()
-    sparse = [speed]  # sparse[j][i] = max(speed[i:i + 2**j])
+    sparse = [rank]  # sparse[j][i] = max(rank[i:i + 2**j])
     for j in range(1, levels):
         prev, half = sparse[-1], 1 << (j - 1)
         sparse.append(np.maximum(prev[:-half], prev[half:]))
     left = np.arange(n)
-    right = left + 1  # node k: speeds in [left[k], k) are < speed[k], in (k, right[k]) <= speed[k]
+    right = left + 1  # node k: ranks in [left[k], k) are < rank[k], in (k, right[k]) <= rank[k]
     for j in range(levels - 1, -1, -1):
         step, top = 1 << j, len(sparse[j]) - 1
         cand = left - step
-        ok = (cand >= b_first) & (sparse[j][np.maximum(cand, 0)] < speed)
+        ok = (cand >= b_first) & (sparse[j][np.maximum(cand, 0)] < rank)
         left = np.where(ok, cand, left)
-        ok = (right + step - 1 <= b_last) & (sparse[j][np.minimum(right, top)] <= speed)
+        ok = (right + step - 1 <= b_last) & (sparse[j][np.minimum(right, top)] <= rank)
         right = np.where(ok, right + step, right)
-    s_left = np.where(left > b_first, speed[np.maximum(left - 1, 0)], np.inf)
-    s_right = np.where(right <= b_last, speed[np.minimum(right, n - 1)], np.inf)
-    lo_v = np.searchsorted(v_axis, speed, side="left")
-    hi_v = np.searchsorted(v_axis, np.minimum(s_left, s_right), side="left")
-    live = lo_v < hi_v
+    r_left = np.where(left > b_first, rank[np.maximum(left - 1, 0)], n_v)
+    r_right = np.where(right <= b_last, rank[np.minimum(right, n - 1)], n_v)
+    hi_v = np.minimum(r_left, r_right)
+    live = rank < hi_v
     left, right = left[live], right[live]
-    return left, right - 1, right - left, lo_v[live], hi_v[live]
+    return left, right - 1, right - left, rank[live], hi_v[live]
 
 
 def _f1_table(tp, s_ones, v_ones):

@@ -105,8 +105,8 @@ def _write_json(doc, path):
         fh.write("\n")
 
 
-def _load_labeled_dataset(trajectories_path, labels_path, layout, window):
-    """(track, visit matrix) pairs for every trajectory in the file.
+def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs):
+    """calibration.prepare_file on a trajectory file and its labels, for the grid's delta_b axis.
 
     The labels manifest is expected next to the labels file with the
     .manifest.json suffix replacing .jsonl.
@@ -115,19 +115,20 @@ def _load_labeled_dataset(trajectories_path, labels_path, layout, window):
     _require_paths(manifest_path)
     n_reviewers, _ = labeling.read_label_manifest(manifest_path)
     labels = labeling.read_labels(labels_path)
-    by_traj = {}
-    for lab in labels:
-        by_traj.setdefault(lab.trajectory_id, []).append(lab)
-    trajectories = read_trajectories(trajectories_path)
-    known = {t.trajectory_id for t in trajectories}
-    stray = set(by_traj) - known
-    if stray:
-        raise UnknownTrajectory(f"labels reference unknown trajectories: {sorted(stray)[:5]}")
-    dataset = []
-    for traj in trajectories:
-        visits = labeling.majority_vote(by_traj.get(traj.trajectory_id, []), traj, layout, n_reviewers)
-        dataset.append((build_track(traj, window), visits))
-    return dataset
+    return calibration.prepare_file(trajectories_path, labels, n_reviewers, layout, window,
+                                    cutoff=float(grid.axes()[1][-1]), jobs=jobs)
+
+
+def _jobs(args, cfg):
+    """Worker count: --jobs, else config `jobs`, else SHELFSCAN_JOBS, else all cores."""
+    jobs = _opt(args, cfg, "jobs")
+    try:
+        jobs = default_jobs() if jobs is None else int(jobs)
+    except ValueError as exc:
+        _usage_error(exc)
+    if jobs < 1:
+        _usage_error(f"--jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 def _manifest_path(labels_path):
@@ -144,14 +145,7 @@ def cmd_detect(args):
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     params = _params_from(args, cfg)
-    jobs = _opt(args, cfg, "jobs")
-    try:
-        jobs = default_jobs() if jobs is None else int(jobs)
-    except ValueError as exc:
-        _usage_error(exc)
-    if jobs < 1:
-        _usage_error(f"--jobs must be at least 1, got {jobs}")
-    n_tracks, events, stopped = detect_file(args.trajectories, layout, params, window, jobs)
+    n_tracks, events, stopped = detect_file(args.trajectories, layout, params, window, _jobs(args, cfg))
 
     write_stop_events(events, os.path.join(args.out, "stops.jsonl"))
     # sparse long form: rows only where S = 1
@@ -172,7 +166,7 @@ def cmd_calibrate(args):
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
-    dataset = _load_labeled_dataset(args.trajectories, args.labels, layout, window)
+    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg))
     result = calibration.calibrate(dataset, layout, grid)
     report = {
         "best_params": {
@@ -234,7 +228,7 @@ def cmd_eval_same(args):
     fractions = _opt(args, cfg, "p", [0.5])
     if not isinstance(fractions, list):
         fractions = [fractions]
-    dataset = _load_labeled_dataset(args.trajectories, args.labels, layout, window)
+    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg))
 
     reports = [
         calibration.same_store_eval(dataset, layout, grid, p=float(p), repeats=repeats, seed=seed)
@@ -262,10 +256,11 @@ def cmd_eval_cross(args):
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
     seed = int(_opt(args, cfg, "seed"))
+    jobs = _jobs(args, cfg)
     layout_a = load_layout(args.layout_a)
     layout_b = load_layout(args.layout_b)
-    dataset_a = _load_labeled_dataset(args.trajectories_a, args.labels_a, layout_a, window)
-    dataset_b = _load_labeled_dataset(args.trajectories_b, args.labels_b, layout_b, window)
+    dataset_a = _prepare_labeled(args.trajectories_a, args.labels_a, layout_a, window, grid, jobs)
+    dataset_b = _prepare_labeled(args.trajectories_b, args.labels_b, layout_b, window, grid, jobs)
     report = calibration.cross_store_eval(
         dataset_a, layout_a, dataset_b, layout_b, grid,
         p=float(_opt(args, cfg, "p", 1.0)),
@@ -383,7 +378,7 @@ def cmd_oracle_check(args):
     os.makedirs(args.out, exist_ok=True)
     seed = int(_opt(args, cfg, "seed"))
     scenarios = int(_opt(args, cfg, "scenarios", 100))
-    max_len = int(_opt(args, cfg, "max_len", 2000))
+    max_len = synth.check_max_len(int(_opt(args, cfg, "max_len", 2000)))
     window = int(_opt(args, cfg, "window"))
     checked = 0
     mismatch = None
@@ -449,7 +444,7 @@ def build_parser():
     p.add_argument("--t-b", dest="t_b", type=float, help="minimum browsing time, s")
     p.add_argument("--delta-b", dest="delta_b", type=float, help="maximum shelf distance, m")
     p.add_argument("--v-b", dest="v_b", type=float, help="maximum browsing speed, m/s")
-    p.add_argument("--jobs", type=int, help="worker processes (default: SHELFSCAN_JOBS or cores)")
+    _jobs_flag(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("calibrate", help="grid-search thresholds against labels, write calibration.json")
@@ -458,6 +453,7 @@ def build_parser():
     p.add_argument("--trajectories", required=True)
     p.add_argument("--labels", required=True, help="labels JSONL; manifest sits next to it")
     _grid_flags(p)
+    _jobs_flag(p)
     p.add_argument("--dump-grid", action="store_true", help="also write per-point scores to grid.csv")
     p.set_defaults(func=cmd_calibrate)
 
@@ -470,6 +466,7 @@ def build_parser():
     p.add_argument("--repeats", type=int)
     p.add_argument("--seed", type=int)
     _grid_flags(p)
+    _jobs_flag(p)
     p.set_defaults(func=cmd_eval_same)
 
     p = sub.add_parser("eval-cross", help="calibrate on store A, evaluate on all of store B")
@@ -483,6 +480,7 @@ def build_parser():
     p.add_argument("--p", type=float, help="fraction of store A used to calibrate (default 1.0)")
     p.add_argument("--seed", type=int)
     _grid_flags(p)
+    _jobs_flag(p)
     p.set_defaults(func=cmd_eval_cross)
 
     p = sub.add_parser("analyze", help="visit statistics and purchase conversion from stop events")
@@ -523,6 +521,10 @@ def _grid_flags(p):
                    metavar=("MIN", "MAX", "STEP"))
     p.add_argument("--v-b-range", dest="v_b_range", type=float, nargs=3,
                    metavar=("MIN", "MAX", "STEP"))
+
+
+def _jobs_flag(p):
+    p.add_argument("--jobs", type=int, help="worker processes (default: SHELFSCAN_JOBS or cores)")
 
 
 def main(argv=None):

@@ -39,6 +39,7 @@ from .kinematics import (
     KinematicTrack,
     build_track,
     claim_id,
+    json_int,
     parse_record,
     read_lines,
     split_on_gaps,
@@ -349,14 +350,15 @@ def write_stop_events(events, path) -> None:
 def read_stop_events(path) -> list[StopEvent]:
     """Read stop events from a JSONL file, one per line, as write_stop_events writes them.
 
-    A line that is not UTF-8 JSON, lacks a field or holds a value that does
-    not convert raises ParseError naming the file and line.
+    A line that is not UTF-8 JSON, lacks a field, holds a value that does
+    not convert or a shelf_id that is not a JSON integer raises ParseError
+    naming the file and line.
     """
     out = []
     for lineno, line in read_lines(path):
         try:
             rec = json.loads(line)
-            fields = (str(rec["trajectory_id"]), int(rec["shelf_id"]), float(rec["t_s"]),
+            fields = (str(rec["trajectory_id"]), json_int(rec, "shelf_id"), float(rec["t_s"]),
                       float(rec["t_f"]), float(rec["duration"]), float(rec["min_lambda"]),
                       float(rec["mean_speed"]))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -401,18 +403,25 @@ def detect_many(tracks, layout: StoreLayout, params: StopParams, jobs: int | Non
     return [events for chunk in _map(_detect_chunk, chunks, jobs) for events, _ in chunk]
 
 
+# bytes per range at least: a smaller file is read in one range, in process
+_MIN_RANGE = 4 << 20
+
+
 class _RangeResult(NamedTuple):
-    tracks: int      # trajectories built
-    events: list     # StopEvents in file order
-    stopped: list    # per event: (index of its first sample, times of its samples)
-    ids: list        # (trajectory_id, line) of every record parsed
+    output: object       # what the range's stage finished with; None after an error
+    ids: list            # (trajectory_id, line) of every record parsed
+    known: list          # trajectory_id of every trajectory gap-split from those records
     error: tuple | None  # (line, exc): the first read error, where reading stopped
-    late: tuple | None   # (line, exc): the first build or store error; detection stopped there
+    late: tuple | None   # (line, exc): the stage's first error; the range only read on past it
 
 
-def _byte_ranges(path, n: int):
-    """Up to n non-empty (start, stop) byte ranges that cover a file, cut just after newlines."""
+def _byte_ranges(path, jobs: int):
+    """Up to `jobs` non-empty (start, stop) byte ranges that cover a file, cut just after newlines.
+
+    A range is cut per _MIN_RANGE bytes at most, so a small file is one range.
+    """
     size = os.path.getsize(path)
+    n = min(jobs, max(size // _MIN_RANGE, 1))
     cuts = [0]
     with open(path, "rb") as fh:
         for i in range(1, n):
@@ -425,63 +434,47 @@ def _byte_ranges(path, n: int):
     return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
 
 
-def _detect_range(args):
-    """Read, gap-split, build and detect the records in one byte range of a trajectory file."""
-    path, start, stop, layout, params, window = args
-    n_tracks, events, stopped, ids, chunk, late = 0, [], [], [], [], None
-
-    def flush():
-        for track, (evs, spans) in zip(chunk, _detect_chunk((chunk, layout, params))):
-            events.extend(evs)
-            stopped.extend((s, track.times[s:e + 1].tolist()) for s, e, _ in spans)
-        chunk.clear()
-
+def _read_range(task):
+    """Read and gap-split the records in one byte range, and pass each record's trajectories to a stage."""
+    path, start, stop, stage_type, stage_args = task
+    stage = stage_type(*stage_args)
+    ids, known, late = [], [], None
     for lineno, line in read_lines(path, start, stop):
         try:
             trajectory_id, store_id, rows = parse_record(line, f"{path}:{lineno}")
             ids.append((trajectory_id, lineno))
             pieces = split_on_gaps(trajectory_id, store_id, rows)
         except ShelfScanError as exc:
-            return _RangeResult(n_tracks, events, stopped, ids, (lineno, exc), late)
+            return _RangeResult(None, ids, known, (lineno, exc), late)
+        known += [traj.trajectory_id for traj in pieces]
         if late:
-            continue  # nothing is detected past a later error; read on for read errors
+            continue  # the stage stops at its first error; read on for read errors
         try:
-            tracks = [build_track(traj, window) for traj in pieces]
-            for track in tracks:
-                check_store(track, layout)
+            stage.add(pieces)
         except ShelfScanError as exc:
             late = (lineno, exc)
-            continue
-        chunk += tracks
-        n_tracks += len(tracks)
-        if len(chunk) >= _CHUNK:
-            flush()
-    if chunk and not late:
-        flush()
-    return _RangeResult(n_tracks, events, stopped, ids, None, late)
+    return _RangeResult(None if late else stage.finish(), ids, known, None, late)
 
 
-def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEFAULT_WINDOW,
-                jobs: int | None = None):
-    """Stop events of every trajectory in a JSONL trajectory file.
+def map_file(path, stage_type, stage_args, jobs: int | None = None, check=None) -> list:
+    """Feed every record of a JSONL trajectory file to stages, one per byte range.
 
-    The file is cut into up to `jobs` byte ranges at newlines, and one
-    worker reads, gap-splits, builds and detects each range (in this
-    process when there is one range), so the caller parses nothing.
-    Returns (n_tracks, events, stopped): the number of trajectories, every
-    stop event in file order, and per event the index of its first sample
-    and the times of its samples.
+    The file is cut into up to `jobs` byte ranges at newlines (see
+    _byte_ranges). One worker per range reads and gap-splits its records
+    and passes each record's trajectories, in file order, to its own
+    `stage_type(*stage_args)`: `stage.add(trajectories)` builds what the
+    caller needs, and `stage.finish()` returns the range's output. With
+    one range this happens in process. Returns the outputs in file order.
 
-    The result and the error raised do not depend on `jobs`; the error is
-    the one read_trajectories, build_track and detect_many would raise in
-    turn on the whole file: the read error (ParseError, ValidationError,
-    a reused trajectory_id) on the lowest line, else the first later error
-    (InvalidWindow, FrameMismatch) in file order.
+    The error raised does not depend on `jobs`. It is the read error
+    (ParseError, ValidationError, a reused trajectory_id) on the lowest
+    line, else what `check` raises when given the set of trajectory ids
+    read, else the first error a stage raised, in file order.
     """
     if jobs is None:
         jobs = default_jobs()
-    tasks = [(path, start, stop, layout, params, window) for start, stop in _byte_ranges(path, jobs)]
-    results = _map(_detect_range, tasks, jobs)
+    tasks = [(path, start, stop, stage_type, stage_args) for start, stop in _byte_ranges(path, jobs)]
+    results = _map(_read_range, tasks, jobs)
     errors, first_line = [], {}
     for trajectory_id, lineno in (pair for r in results for pair in r.ids):
         try:
@@ -493,9 +486,59 @@ def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEF
     errors += [r.error for r in results if r.error]
     if errors:
         raise min(errors, key=lambda err: err[0])[1]
+    if check is not None:
+        check({trajectory_id for r in results for trajectory_id in r.known})
     late = [r.late for r in results if r.late]
     if late:
         raise late[0][1]
-    return (sum(r.tracks for r in results),
-            [ev for r in results for ev in r.events],
-            [st for r in results for st in r.stopped])
+    return [r.output for r in results]
+
+
+class _DetectStage:
+    """Builds, store-checks and detects the trajectories of one range, _CHUNK tracks at a time."""
+
+    def __init__(self, layout: StoreLayout, params: StopParams, window: int):
+        self.layout, self.params, self.window = layout, params, window
+        self.n_tracks, self.events, self.stopped, self.chunk = 0, [], [], []
+
+    def add(self, trajectories):
+        tracks = [build_track(traj, self.window) for traj in trajectories]
+        for track in tracks:
+            check_store(track, self.layout)
+        self.chunk += tracks
+        self.n_tracks += len(tracks)
+        if len(self.chunk) >= _CHUNK:
+            self._flush()
+
+    def _flush(self):
+        found = _detect_chunk((self.chunk, self.layout, self.params))
+        for track, (evs, spans) in zip(self.chunk, found):
+            self.events.extend(evs)
+            self.stopped.extend((s, track.times[s:e + 1].tolist()) for s, e, _ in spans)
+        self.chunk = []
+
+    def finish(self):
+        if self.chunk:
+            self._flush()
+        return self.n_tracks, self.events, self.stopped
+
+
+def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEFAULT_WINDOW,
+                jobs: int | None = None):
+    """Stop events of every trajectory in a JSONL trajectory file.
+
+    map_file's range workers read, gap-split, build and detect the file,
+    so the caller parses nothing. Returns (n_tracks, events, stopped): the
+    number of trajectories, every stop event in file order, and per event
+    the index of its first sample and the times of its samples.
+
+    The result and the error raised do not depend on `jobs`; the error is
+    the one read_trajectories, build_track and detect_many would raise in
+    turn on the whole file: the read error (ParseError, ValidationError,
+    a reused trajectory_id) on the lowest line, else the first later error
+    (InvalidWindow, FrameMismatch) in file order.
+    """
+    outputs = map_file(path, _DetectStage, (layout, params, window), jobs)
+    return (sum(n_tracks for n_tracks, _, _ in outputs),
+            [ev for _, events, _ in outputs for ev in events],
+            [st for _, _, stopped in outputs for st in stopped])

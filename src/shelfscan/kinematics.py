@@ -230,6 +230,14 @@ def read_lines(path, start: int = 0, stop: int | None = None):
                 yield lineno, line
 
 
+def json_int(rec: dict, key: str) -> int:
+    """rec[key], which must be a JSON integer: TypeError for a bool, float, string or other value."""
+    value = rec[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def parse_record(line: bytes, where: str):
     """(trajectory_id, store_id, (n, 4) sample rows) of one JSONL trajectory record.
 

@@ -23,7 +23,7 @@ from .errors import (
     UnknownTrajectory,
     ValidationError,
 )
-from .kinematics import DT, Trajectory, read_lines
+from .kinematics import DT, Trajectory, json_int, read_lines
 from .layout import StoreLayout
 
 
@@ -124,14 +124,15 @@ def labels_from_stop_events(events, reviewer_id: str = "r1"):
 def read_labels(path) -> list[ReviewerLabel]:
     """Read reviewer labels from a JSONL file, one per line.
 
-    A line that is not UTF-8 JSON, lacks a field or holds a value that does
-    not convert raises ParseError naming the file and line.
+    A line that is not UTF-8 JSON, lacks a field, holds a value that does
+    not convert or a shelf_id that is not a JSON integer raises ParseError
+    naming the file and line.
     """
     out = []
     for lineno, line in read_lines(path):
         try:
             rec = json.loads(line)
-            fields = (str(rec["reviewer_id"]), str(rec["trajectory_id"]), int(rec["shelf_id"]),
+            fields = (str(rec["reviewer_id"]), str(rec["trajectory_id"]), json_int(rec, "shelf_id"),
                       float(rec["t_start"]), float(rec["t_end"]))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"{path}:{lineno}: bad label record: {exc!r}") from exc

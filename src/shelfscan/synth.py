@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleScript, ParseError
+from .errors import InfeasibleScript, ParseError, ValidationError
 from .kinematics import DT, Trajectory, wrap_angle
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
@@ -333,12 +333,20 @@ def population_scenario(seed: int, n_trajectories: int, n_shelves: int = 19,
     )
 
 
+def check_max_len(max_len: int) -> int:
+    """Return `max_len`, or raise ValidationError below the 3 samples a trajectory needs."""
+    if max_len < 3:
+        raise ValidationError(f"max_len must be at least 3 samples, got {max_len}")
+    return max_len
+
+
 def random_scenario(seed: int, max_len: int = 2000) -> ScenarioSpec:
     """A randomized scenario for detector/oracle equivalence sweeps.
 
     Varies shelf count (1..50), store geometry, script shape, walk speed,
-    noise level and trajectory length (3..max_len samples).
+    noise level and trajectory length (3..max_len samples); see check_max_len.
     """
+    check_max_len(max_len)
     rng = np.random.default_rng(seed)
     n_shelves = int(rng.integers(1, 51))
     template = LayoutTemplate(

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from shelfscan import (
+    ParamGrid,
     Segment2D,
     Shelf,
     StopParams,
     StoreLayout,
     build_track,
+    calibrate,
     detect_stops,
     labels_from_stop_events,
     load_layout,
+    majority_vote,
     random_scenario,
     read_stop_events,
     read_trajectories,
@@ -22,8 +25,9 @@ from shelfscan import (
     write_scenario,
     write_stop_events,
 )
+from shelfscan import detector
 from shelfscan.cli import main
-from shelfscan.labeling import write_label_manifest
+from shelfscan.labeling import read_labels, write_label_manifest
 
 
 def run(argv):
@@ -418,12 +422,36 @@ def shelf_layout(tmp_path):
     return path
 
 
+@pytest.fixture
+def range_cuts(monkeypatch):
+    """Let map_file cut a range per byte, so small files reach the worker pool.
+
+    Returns the list of cuts made, one list of (start, stop) ranges per file read.
+    """
+    monkeypatch.setattr(detector, "_MIN_RANGE", 1)
+    cuts, byte_ranges = [], detector._byte_ranges
+
+    def spy(path, jobs):
+        cuts.append(byte_ranges(path, jobs))
+        return cuts[-1]
+
+    monkeypatch.setattr(detector, "_byte_ranges", spy)
+    return cuts
+
+
+def test_small_file_is_one_range(synth_dir):
+    path = synth_dir / "trajectories.jsonl"
+    assert path.stat().st_size < detector._MIN_RANGE
+    assert detector._byte_ranges(path, 8) == [(0, path.stat().st_size)]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2", "8"])  # 8: more workers asked for than records
-def test_fragment_shorter_than_window_is_smoothed_not_fatal(shelf_layout, tmp_path, jobs):
+def test_fragment_shorter_than_window_is_smoothed_not_fatal(shelf_layout, tmp_path, range_cuts, jobs):
     both, alone = tmp_path / "both.jsonl", tmp_path / "alone.jsonl"
     both.write_text(standing_record("long", 40) + "\n" + standing_record("short", 4) + "\n")
     alone.write_text(standing_record("long", 40) + "\n")
     assert detect(shelf_layout, both, tmp_path / "both", "--jobs", jobs) == 0
+    assert len(range_cuts[-1]) == min(int(jobs), 2)
     assert detect(shelf_layout, alone, tmp_path / "alone", "--jobs", jobs) == 0
     for name in ("stops.jsonl", "stop_matrix.csv"):
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
@@ -485,7 +513,7 @@ def test_file_without_records_detects_nothing(shelf_layout, tmp_path, content, j
     assert (tmp_path / "d" / "stop_matrix.csv").read_bytes() == b"trajectory_id,shelf_id,k,t,S\r\n"
 
 
-def test_detect_output_does_not_depend_on_jobs(synth_dir, tmp_path):
+def test_detect_output_does_not_depend_on_jobs(synth_dir, tmp_path, range_cuts):
     lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
     rec = json.loads(lines[4])
     del rec["samples"][20:25]  # a dropout: the record splits into two trajectories
@@ -515,6 +543,7 @@ def test_detect_output_does_not_depend_on_jobs(synth_dir, tmp_path):
     for jobs in ("1", "2", "3", "8"):
         out = tmp_path / f"j{jobs}"
         assert detect(synth_dir / "layout.json", path, out, "--jobs", jobs) == 0
+        assert len(range_cuts[-1]) == int(jobs)
         assert (out / "stops.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
         assert (out / "stop_matrix.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -548,7 +577,7 @@ FAULT_MIXES = [
 
 
 @pytest.mark.parametrize("faults, error, message", FAULT_MIXES)
-def test_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, faults, error, message):
+def test_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts, faults, error, message):
     lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
     for lineno, edits in faults.items():
         rec = json.loads(lines[lineno - 1])
@@ -560,6 +589,7 @@ def test_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, faults, erro
     reports = []
     for jobs in ("1", "2", "3"):
         code = detect(synth_dir / "layout.json", path, tmp_path / "d", "--jobs", jobs)
+        assert len(range_cuts[-1]) == int(jobs)
         reports.append((code, capsys.readouterr().err))
     assert reports[1:] == reports[:1] * 2
     code, err = reports[0]
@@ -589,6 +619,8 @@ BAD_LINES = [
     pytest.param(lambda line: b'{"shelf_id": "\xff\xfe"}', "ParseError", id="not-utf8"),
     pytest.param(_set("shelf_id", "x"), "ParseError", id="shelf-not-int"),
     pytest.param(_set("shelf_id", [1]), "ParseError", id="shelf-a-list"),
+    pytest.param(_set("shelf_id", 2.7), "ParseError", id="shelf-a-float"),
+    pytest.param(_set("shelf_id", True), "ParseError", id="shelf-a-bool"),
 ]
 
 
@@ -655,7 +687,7 @@ def _artifacts(out):
     pytest.param("oracle-check", "scenarios", [], lambda code, err, files: (
         code == 0 and '  "scenarios": 0,' in files["oracle_check.json"]), id="scenarios"),
     pytest.param("oracle-check", "max_len", ["--scenarios", "2"], lambda code, err, files: (
-        code == 0 and '    "max_len": 0,' in files["oracle_check.json"]), id="max-len"),
+        code == 1 and json.loads(err)["error"] == "ValidationError" and not files), id="max-len"),
 ])
 def test_flag_zero_matches_config_zero(tmp_path, capsys, command, key, extra, check):
     cfg = tmp_path / "cfg.json"
@@ -667,3 +699,150 @@ def test_flag_zero_matches_config_zero(tmp_path, capsys, command, key, extra, ch
         outcomes.append((code, capsys.readouterr().err, _artifacts(out)))
     assert outcomes[0] == outcomes[1]
     assert check(*outcomes[0])
+
+
+@pytest.mark.parametrize("scenarios", ["2", "0"])
+@pytest.mark.parametrize("max_len", ["2", "-1"])
+def test_oracle_check_max_len_below_three_exits_1(tmp_path, capsys, max_len, scenarios):
+    out = tmp_path / "o"
+    assert run(["oracle-check", "--scenarios", scenarios, "--max-len", max_len, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError" and f"got {max_len}" in record["message"]
+    assert not (out / "oracle_check.json").exists()
+
+
+def _split_store(synth_dir, tmp_path):
+    """The synth store with record 5 gap-split in two, relabeled by the detector's own stops.
+
+    Returns (trajectories, labels) paths; a label names the record's `~1` piece.
+    """
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    rec = json.loads(lines[4])
+    del rec["samples"][20:25]
+    lines[4] = json.dumps(rec)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    layout = load_layout(synth_dir / "layout.json")
+    labels = [lab for traj in read_trajectories(path)
+              for lab in labels_from_stop_events(
+                  detect_stops(build_track(traj, 5), layout, StopParams(2.0, 1.2, 0.55))[0], "auto")]
+    assert any(lab.trajectory_id == f"{rec['trajectory_id']}~1" for lab in labels)
+    write_labels(labels, tmp_path / "labels.jsonl")
+    write_label_manifest(1, ["auto"], tmp_path / "labels.manifest.json")
+    return path, tmp_path / "labels.jsonl"
+
+
+def test_labeled_commands_do_not_depend_on_jobs(synth_dir, tmp_path, range_cuts):
+    trajs, labels = _split_store(synth_dir, tmp_path)
+    layout = str(synth_dir / "layout.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cross_repeats": 2}))
+    outputs = []
+    for jobs in ("1", "2", "3", "8"):
+        out = tmp_path / f"j{jobs}"
+        assert run(["calibrate", "--layout", layout, "--trajectories", str(trajs), "--labels", str(labels),
+                    *SMALL_GRID, "--dump-grid", "--jobs", jobs, "--out", str(out / "cal")]) == 0
+        assert len(range_cuts[-1]) == int(jobs)
+        assert run(["eval-same", "--layout", layout, "--trajectories", str(trajs), "--labels", str(labels),
+                    "--p", "0.4", "0.6", "--repeats", "3", "--seed", "2", *SMALL_GRID,
+                    "--jobs", jobs, "--out", str(out / "same")]) == 0
+        assert run(["eval-cross", "--layout-a", layout, "--trajectories-a", str(trajs),
+                    "--labels-a", str(labels), "--layout-b", layout,
+                    "--trajectories-b", str(synth_dir / "trajectories.jsonl"),
+                    "--labels-b", str(synth_dir / "labels.jsonl"), "--p", "0.5", "--seed", "4",
+                    "--config", str(cfg), *SMALL_GRID, "--jobs", jobs, "--out", str(out / "cross")]) == 0
+        outputs.append({name: _artifacts(out / name) for name in ("cal", "same", "cross")})
+    assert outputs[1:] == outputs[:1] * 3
+    assert set(outputs[0]["cal"]) == {"calibration.json", "grid.csv"}
+    assert set(outputs[0]["same"]) == set(outputs[0]["cross"]) == {"eval.json", "eval_repeats.csv"}
+
+    # the streams the workers prepare score as the in-process (track, visits) pairs do
+    pairs_layout = load_layout(synth_dir / "layout.json")
+    by_traj = {}
+    for lab in read_labels(labels):
+        by_traj.setdefault(lab.trajectory_id, []).append(lab)
+    pairs = [(build_track(traj, 5), majority_vote(by_traj.get(traj.trajectory_id, []), traj, pairs_layout, 1))
+             for traj in read_trajectories(trajs)]
+    grid = ParamGrid(t_b=(1.0, 3.0, 0.5), delta_b=(0.6, 1.8, 0.3), v_b=(0.25, 0.85, 0.15))
+    want = calibrate(pairs, pairs_layout, grid)
+    got = read_json(tmp_path / "j2" / "cal" / "calibration.json")
+    assert got["n_trajectories"] == len(pairs)
+    assert (got["best_f1"], got["counts"]) == (want.best_f1, dict(
+        tp=want.metrics.counts.tp, fp=want.metrics.counts.fp, fn=want.metrics.counts.fn))
+
+
+def _label(trajectory_id, shelf_id=1, reviewer_id="auto"):
+    return json.dumps({"reviewer_id": reviewer_id, "trajectory_id": trajectory_id,
+                       "shelf_id": shelf_id, "t_start": 0.0, "t_end": 1.0})
+
+
+def _stray_label(lineno, lines, labels):
+    labels.append(_label("ghost"))
+
+
+def _unknown_shelf(lineno, lines, labels):
+    labels.append(_label(json.loads(lines[lineno - 1])["trajectory_id"], shelf_id=99))
+
+
+def _panel_mismatch(lineno, lines, labels):
+    labels.append(_label(json.loads(lines[lineno - 1])["trajectory_id"], reviewer_id="second"))
+
+
+def _labeled_fault(edit):
+    def fault(lineno, lines, labels):
+        rec = json.loads(lines[lineno - 1])
+        edit(rec, lines)
+        lines[lineno - 1] = json.dumps(rec)
+    return fault
+
+
+# faults by line of the 25 records, and the error every --jobs must report
+LABELED_FAULT_MIXES = [
+    ({2: [_labeled_fault(_wrong_store("a")), _stray_label], 23: [_labeled_fault(_malformed_row)]},
+     "ParseError", ":23: sample 3 "),
+    ({3: [_unknown_shelf], 20: [_panel_mismatch], 24: [_stray_label]},
+     "UnknownTrajectory", "['ghost']"),
+    ({2: [_labeled_fault(_wrong_store("a"))], 4: [_panel_mismatch], 22: [_unknown_shelf]},
+     "ReviewerCountMismatch", "2 reviewers"),
+    ({3: [_labeled_fault(_wrong_store("a"))], 20: [_unknown_shelf], 21: [_panel_mismatch]},
+     "UnknownShelf", "shelf 99"),
+    ({4: [_labeled_fault(_wrong_store("a"))], 20: [_labeled_fault(_wrong_store("b"))]},
+     "FrameMismatch", "store 'a'"),
+]
+
+
+@pytest.mark.parametrize("faults, error, message", LABELED_FAULT_MIXES)
+@pytest.mark.parametrize("command", ["calibrate", "eval-same"])
+def test_labeled_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts,
+                                               command, faults, error, message):
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    labels = (synth_dir / "labels.jsonl").read_text().splitlines()
+    for lineno, edits in faults.items():
+        for edit in edits:
+            edit(lineno, lines, labels)
+    (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "labels.jsonl").write_text("\n".join(labels) + "\n")
+    write_label_manifest(1, ["auto"], tmp_path / "labels.manifest.json")
+    extra = ["--p", "0.5", "--repeats", "2"] if command == "eval-same" else []
+    reports = []
+    for jobs in ("1", "2", "3"):
+        code = run([command, "--layout", str(synth_dir / "layout.json"),
+                    "--trajectories", str(tmp_path / "t.jsonl"), "--labels", str(tmp_path / "labels.jsonl"),
+                    *SMALL_GRID, *extra, "--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert len(range_cuts[-1]) == int(jobs)
+        reports.append((code, capsys.readouterr().err))
+    assert reports[1:] == reports[:1] * 2
+    code, err = reports[0]
+    record = json.loads(err)
+    assert code == 1 and record["error"] == error and message in record["message"]
+
+
+def test_store_is_checked_after_the_evaluation_arguments(synth_dir, tmp_path, capsys, range_cuts):
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    _labeled_fault(_wrong_store("a"))(2, lines, [])
+    (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+    for jobs in ("1", "2"):
+        code = run(["eval-same", "--layout", str(synth_dir / "layout.json"),
+                    "--trajectories", str(tmp_path / "t.jsonl"), "--labels", str(synth_dir / "labels.jsonl"),
+                    *SMALL_GRID, "--p", "1.5", "--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert code == 1 and json.loads(capsys.readouterr().err)["error"] == "FractionOutOfRange"

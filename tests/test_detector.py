@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -16,8 +17,8 @@ from shelfscan import (
     detect_stops,
     gaze_stream,
 )
-from shelfscan.detector import TIE_TOL
-from shelfscan.errors import FrameMismatch, ValidationError
+from shelfscan.detector import TIE_TOL, read_stop_events
+from shelfscan.errors import FrameMismatch, ParseError, ValidationError
 from shelfscan.oracle import _scan_ray
 from shelfscan.synth import generate, population_scenario, random_scenario
 from shelfscan.kinematics import fit_window
@@ -319,3 +320,15 @@ def test_detect_many_worker_pool_matches_detect_stops():
     assert any(singles[:256]) and any(singles[256:])
     assert detect_many(tracks, layout, params, jobs=1) == singles
     assert detect_many(tracks, layout, params, jobs=2) == singles
+
+
+@pytest.mark.parametrize("shelf_id", [2.7, 2.0, True, False, "2", None])
+def test_stop_event_shelf_id_must_be_json_integer(tmp_path, shelf_id):
+    path = tmp_path / "stops.jsonl"
+    good = {"trajectory_id": "t", "shelf_id": 2, "t_s": 1.0, "t_f": 3.0, "duration": 2.0,
+            "min_lambda": 0.5, "mean_speed": 0.1}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, shelf_id=shelf_id)) + "\n")
+    with pytest.raises(ParseError, match=f"^{path}:2: bad stop event: .*shelf_id must be a JSON integer"):
+        read_stop_events(path)
+    path.write_text(json.dumps(good) + "\n")
+    assert read_stop_events(path)[0].shelf_id == 2

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from shelfscan import (
     majority_vote,
 )
 from shelfscan.errors import (
+    ParseError,
     ReviewerCountMismatch,
     UnknownShelf,
     UnknownTrajectory,
@@ -171,3 +174,14 @@ def test_label_file_round_trip(tmp_path):
     path = tmp_path / "labels.jsonl"
     write_labels(labels, path)
     assert read_labels(path) == labels
+
+
+@pytest.mark.parametrize("shelf_id", [2.7, 2.0, True, False, "2", None])
+def test_shelf_id_must_be_json_integer(tmp_path, shelf_id):
+    path = tmp_path / "labels.jsonl"
+    good = {"reviewer_id": "a", "trajectory_id": "t", "shelf_id": 2, "t_start": 0.0, "t_end": 1.0}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, shelf_id=shelf_id)) + "\n")
+    with pytest.raises(ParseError, match=f"^{path}:2: bad label record: .*shelf_id must be a JSON integer"):
+        read_labels(path)
+    path.write_text(json.dumps(good) + "\n")
+    assert read_labels(path)[0].shelf_id == 2

@@ -20,7 +20,7 @@ from shelfscan import (
     random_scenario,
     stand_point,
 )
-from shelfscan.errors import InfeasibleScript
+from shelfscan.errors import InfeasibleScript, ValidationError
 from shelfscan.kinematics import fit_window
 from shelfscan.synth import (
     GroundTruth,
@@ -245,3 +245,10 @@ def test_oracle_agrees_on_standing_example(single_shelf_layout):
     slow = brute_force_stops(track, single_shelf_layout, PARAMS)
     assert np.array_equal(fast.values, slow.values)
     assert fast.values[0].all()
+
+
+@pytest.mark.parametrize("max_len", [2, 0, -5])
+def test_random_scenario_rejects_cap_below_three_samples(max_len):
+    with pytest.raises(ValidationError, match="max_len must be at least 3"):
+        random_scenario(0, max_len=max_len)
+    assert random_scenario(0, max_len=3).max_samples == 3
