@@ -30,7 +30,6 @@ from .detector import (
     check_store,
     detect_stops,
     gaze_stream,
-    map_file,
     runs,
     stack_tracks,
 )
@@ -43,7 +42,7 @@ from .errors import (
     UnknownTrajectory,
     ValidationError,
 )
-from .kinematics import DEFAULT_WINDOW, build_track
+from .kinematics import DEFAULT_WINDOW, batches, build_track, map_file
 from .labeling import VisitMatrix
 from .layout import StoreLayout
 
@@ -232,56 +231,47 @@ def _prepare(dataset, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
                 f"visit matrix shape {visits.values.shape} does not match "
                 f"{layout.n_shelves} shelves x {len(track)} samples"
             )
-    return [prep for lo in range(0, len(dataset), _GAZE_BATCH)
-            for prep in _gaze_batch(dataset[lo:lo + _GAZE_BATCH], layout, cutoff)]
+    return _gaze(dataset, layout, cutoff)
 
 
-def _gaze_batch(batch, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
-    """_Prepared streams of checked (track, visits) pairs, from one gaze_stream call."""
-    positions, normals, cuts = stack_tracks([track for track, _ in batch])
-    candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff)
+def _gaze(pairs, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
+    """_Prepared streams of checked (track, visits) pairs, one gaze_stream call per _GAZE_BATCH."""
     prepared = []
-    for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
-        seen = np.flatnonzero(cand >= 0)
-        vac = np.zeros(len(track), dtype=bool)
-        vac[seen] = visits.values[cand[seen], seen]
-        prepared.append(_Prepared(
-            times=track.times,
-            candidates=cand,
-            lams=lam,
-            speeds=track.speeds,
-            visit_at_candidate=vac,
-            visit_ones=int(np.count_nonzero(visits.values)),
-            store_id=track.store_id,
-            cutoff=cutoff,
-        ))
+    for batch in batches(pairs, _GAZE_BATCH):
+        positions, normals, cuts = stack_tracks([track for track, _ in batch])
+        candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff)
+        for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
+            seen = np.flatnonzero(cand >= 0)
+            vac = np.zeros(len(track), dtype=bool)
+            vac[seen] = visits.values[cand[seen], seen]
+            prepared.append(_Prepared(
+                times=track.times,
+                candidates=cand,
+                lams=lam,
+                speeds=track.speeds,
+                visit_at_candidate=vac,
+                visit_ones=int(np.count_nonzero(visits.values)),
+                store_id=track.store_id,
+                cutoff=cutoff,
+            ))
+        del batch  # before batches takes the next batch
     return prepared
 
 
-class _PrepareStage:
-    """Votes, builds and gazes the trajectories of one range of a file, _GAZE_BATCH at a time."""
+def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout, window: int,
+                   cutoff: float) -> list[_Prepared]:
+    """prepare_file's stage: the _Prepared streams of the trajectories of one range.
 
-    def __init__(self, by_traj, n_reviewers: int, layout: StoreLayout, window: int, cutoff: float):
-        self.by_traj, self.n_reviewers, self.layout = by_traj, n_reviewers, layout
-        self.window, self.cutoff = window, cutoff
-        self.batch, self.prepared = [], []
-
-    def add(self, trajectories):
+    Each trajectory is voted and built as it is taken, so the error raised
+    is the one of the first trajectory that fails.
+    """
+    def pairs():
         for traj in trajectories:
-            visits = labeling.majority_vote(self.by_traj.get(traj.trajectory_id, []), traj,
-                                            self.layout, self.n_reviewers)
-            self.batch.append((build_track(traj, self.window), visits))
-        if len(self.batch) >= _GAZE_BATCH:
-            self._flush()
+            visits = labeling.majority_vote(by_traj.get(traj.trajectory_id, []), traj, layout,
+                                            n_reviewers)
+            yield build_track(traj, window), visits
 
-    def _flush(self):
-        self.prepared += _gaze_batch(self.batch, self.layout, self.cutoff)
-        self.batch = []
-
-    def finish(self):
-        if self.batch:
-            self._flush()
-        return self.prepared
+    return _gaze(pairs(), layout, cutoff)
 
 
 def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout,
@@ -289,7 +279,7 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout,
                  jobs: int | None = None) -> list[_Prepared]:
     """Every trajectory of a JSONL trajectory file, with its labels, reduced to _Prepared streams.
 
-    detector.map_file's range workers read, gap-split, vote, build and gaze
+    kinematics.map_file's range workers read, gap-split, vote, build and gaze
     the file, so this process holds only the streams, never a track or a
     visit matrix. The result serves calibrate, same_store_eval and
     cross_store_eval for every grid whose largest delta_b is at most
@@ -309,8 +299,7 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout,
             raise UnknownTrajectory(f"labels reference unknown trajectories: {sorted(stray)[:5]}")
 
     stage_args = (by_traj, n_reviewers, layout, window, cutoff)
-    return [prep for part in map_file(trajectories, _PrepareStage, stage_args, jobs, check)
-            for prep in part]
+    return map_file(trajectories, _prepare_range, stage_args, jobs, check)
 
 
 _CHUNK = 4096  # samples per nearest-greater pass; bounds the sparse table's memory

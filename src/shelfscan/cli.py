@@ -20,7 +20,6 @@ import numpy as np
 from . import analytics, calibration, labeling, synth
 from .detector import (
     StopParams,
-    default_jobs,
     detect_file,
     detect_many,
     detect_stops,
@@ -32,6 +31,7 @@ from .kinematics import (
     DEFAULT_WINDOW,
     build_track,
     check_window,
+    default_jobs,
     read_trajectories,
     write_trajectories,
 )

@@ -25,24 +25,22 @@ Numeric conventions (shared by the brute-force cross-check in oracle.py):
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import get_context
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FrameMismatch, ParseError, ShelfScanError, ValidationError
+from .errors import FrameMismatch, ParseError, ValidationError
 from .kinematics import (
     DEFAULT_WINDOW,
     KinematicTrack,
+    _map,
+    batches,
     build_track,
-    claim_id,
+    default_jobs,
     json_int,
-    parse_record,
+    map_file,
     read_lines,
-    split_on_gaps,
 )
 from .layout import StoreLayout
 
@@ -86,8 +84,9 @@ class StopEvent:
     mean_speed: float
 
     def __post_init__(self):
-        if not self.t_s < self.t_f:
-            raise ValidationError(f"stop event must span time, got [{self.t_s}, {self.t_f}]")
+        # t_s == t_f is a one-sample stop, which a t_b <= DURATION_TOL admits
+        if not self.t_s <= self.t_f:
+            raise ValidationError(f"stop event ends before it starts: [{self.t_s}, {self.t_f}]")
 
 
 @dataclass(frozen=True)
@@ -269,12 +268,13 @@ def runs(cond: np.ndarray, candidates: np.ndarray):
     return starts[keep], ends[keep], key[starts[keep]]
 
 
-def check_store(track: KinematicTrack, layout: StoreLayout) -> None:
-    """Raise FrameMismatch unless the track was recorded in the layout's store."""
+def check_store(track, layout: StoreLayout):
+    """Return the track, or raise FrameMismatch unless it was recorded in the layout's store."""
     if track.store_id != layout.store_id:
         raise FrameMismatch(
             f"track belongs to store {track.store_id!r}, layout to {layout.store_id!r}"
         )
+    return track
 
 
 def stack_tracks(tracks):
@@ -291,45 +291,40 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
     (n_shelves, n_samples) Boolean StopMatrix marking every sample of
     every qualifying run.
     """
-    check_store(track, layout)
-    candidates, lams = gaze_stream(track.positions, track.normals, layout, cutoff=params.delta_b)
-    events, spans = _extract(track, candidates, lams, params)
+    [(events, spans)] = _detect_chunk([check_store(track, layout)], layout, params)
     values = np.zeros((layout.n_shelves, len(track)), dtype=bool)
     for (s, e, shelf0) in spans:
         values[shelf0, s:e + 1] = True
     return events, StopMatrix(trajectory_id=track.trajectory_id, times=track.times, values=values)
 
 
-def _extract(track, candidates, lams, params):
-    times = track.times
-    starts, ends, shelves = runs((lams <= params.delta_b) & (track.speeds <= params.v_b), candidates)
-    qual = times[ends] - times[starts] + DURATION_TOL >= params.t_b
-    spans = list(zip(starts[qual].tolist(), ends[qual].tolist(), shelves[qual].tolist()))
-    events = [
-        StopEvent(
-            trajectory_id=track.trajectory_id,
-            shelf_id=shelf0 + 1,
-            t_s=float(times[s]),
-            t_f=float(times[e]),
-            duration=float(times[e] - times[s]),
-            min_lambda=float(lams[s:e + 1].min()),
-            mean_speed=float(track.speeds[s:e + 1].mean()),
-        )
-        for s, e, shelf0 in spans
-    ]
-    return events, spans
+def _detect_chunk(tracks, layout: StoreLayout, params: StopParams):
+    """(events, spans) of every track of a chunk, from one shared gaze pass; callers check stores.
 
-
-def _detect_chunk(args):
-    """(events, spans) of every track of a chunk, from one shared gaze pass; callers check stores."""
-    tracks, layout, params = args
+    spans lists each event's first and last sample and 0-based shelf.
+    """
     # one shared gaze pass over the whole chunk amortizes the numpy overhead
     positions, normals, cuts = stack_tracks(tracks)
     candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b)
-    return [
-        _extract(track, cand, lam, params)
-        for track, cand, lam in zip(tracks, np.split(candidates, cuts), np.split(lams, cuts))
-    ]
+    found = []
+    for track, cand, lam in zip(tracks, np.split(candidates, cuts), np.split(lams, cuts)):
+        times = track.times
+        starts, ends, shelves = runs((lam <= params.delta_b) & (track.speeds <= params.v_b), cand)
+        qual = times[ends] - times[starts] + DURATION_TOL >= params.t_b
+        spans = list(zip(starts[qual].tolist(), ends[qual].tolist(), shelves[qual].tolist()))
+        found.append(([
+            StopEvent(
+                trajectory_id=track.trajectory_id,
+                shelf_id=shelf0 + 1,
+                t_s=float(times[s]),
+                t_f=float(times[e]),
+                duration=float(times[e] - times[s]),
+                min_lambda=float(lam[s:e + 1].min()),
+                mean_speed=float(track.speeds[s:e + 1].mean()),
+            )
+            for s, e, shelf0 in spans
+        ], spans))
+    return found
 
 
 def write_stop_events(events, path) -> None:
@@ -367,170 +362,44 @@ def read_stop_events(path) -> list[StopEvent]:
     return out
 
 
-def default_jobs() -> int:
-    env = os.environ.get("SHELFSCAN_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"SHELFSCAN_JOBS must be an integer, got {env!r}") from None
-        if jobs < 1:
-            raise ValueError(f"SHELFSCAN_JOBS must be at least 1, got {jobs}")
-        return jobs
-    return os.cpu_count() or 1
-
-
-def _map(fn, tasks, jobs: int):
-    """[fn(task) for task in tasks], in a pool of forked workers when jobs > 1 and tasks > 1."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(fn, tasks)
-
-
 def detect_many(tracks, layout: StoreLayout, params: StopParams, jobs: int | None = None):
     """Detect stops on many tracks, optionally in parallel.
 
     Returns one event list per input track, in input order; the result
     does not depend on the worker count.
     """
-    tracks = list(tracks)
-    for track in tracks:
-        check_store(track, layout)
+    tracks = [check_store(track, layout) for track in tracks]
     if jobs is None:
         jobs = default_jobs()
-    chunks = [(tracks[i:i + _CHUNK], layout, params) for i in range(0, len(tracks), _CHUNK)]
+    chunks = [(chunk, layout, params) for chunk in batches(tracks, _CHUNK)]
     return [events for chunk in _map(_detect_chunk, chunks, jobs) for events, _ in chunk]
 
 
-# bytes per range at least: a smaller file is read in one range, in process
-_MIN_RANGE = 4 << 20
+def _detect_range(trajectories, layout: StoreLayout, params: StopParams, window: int):
+    """detect_file's stage: (events, stopped) per trajectory of one range.
 
-
-class _RangeResult(NamedTuple):
-    output: object       # what the range's stage finished with; None after an error
-    ids: list            # (trajectory_id, line) of every record parsed
-    known: list          # trajectory_id of every trajectory gap-split from those records
-    error: tuple | None  # (line, exc): the first read error, where reading stopped
-    late: tuple | None   # (line, exc): the stage's first error; the range only read on past it
-
-
-def _byte_ranges(path, jobs: int):
-    """Up to `jobs` non-empty (start, stop) byte ranges that cover a file, cut just after newlines.
-
-    A range is cut per _MIN_RANGE bytes at most, so a small file is one range.
+    Each trajectory is built and store-checked as it is taken, so the
+    error raised is the one of the first trajectory that fails; detection
+    runs _CHUNK tracks at a time.
     """
-    size = os.path.getsize(path)
-    n = min(jobs, max(size // _MIN_RANGE, 1))
-    cuts = [0]
-    with open(path, "rb") as fh:
-        for i in range(1, n):
-            target = i * size // n
-            if target > cuts[-1]:
-                fh.seek(target - 1)
-                fh.readline()  # the cut lands just after the first newline at or past target - 1
-                cuts.append(fh.tell())
-    cuts.append(size)
-    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-
-
-def _read_range(task):
-    """Read and gap-split the records in one byte range, and pass each record's trajectories to a stage."""
-    path, start, stop, stage_type, stage_args = task
-    stage = stage_type(*stage_args)
-    ids, known, late = [], [], None
-    for lineno, line in read_lines(path, start, stop):
-        try:
-            trajectory_id, store_id, rows = parse_record(line, f"{path}:{lineno}")
-            ids.append((trajectory_id, lineno))
-            pieces = split_on_gaps(trajectory_id, store_id, rows)
-        except ShelfScanError as exc:
-            return _RangeResult(None, ids, known, (lineno, exc), late)
-        known += [traj.trajectory_id for traj in pieces]
-        if late:
-            continue  # the stage stops at its first error; read on for read errors
-        try:
-            stage.add(pieces)
-        except ShelfScanError as exc:
-            late = (lineno, exc)
-    return _RangeResult(None if late else stage.finish(), ids, known, None, late)
-
-
-def map_file(path, stage_type, stage_args, jobs: int | None = None, check=None) -> list:
-    """Feed every record of a JSONL trajectory file to stages, one per byte range.
-
-    The file is cut into up to `jobs` byte ranges at newlines (see
-    _byte_ranges). One worker per range reads and gap-splits its records
-    and passes each record's trajectories, in file order, to its own
-    `stage_type(*stage_args)`: `stage.add(trajectories)` builds what the
-    caller needs, and `stage.finish()` returns the range's output. With
-    one range this happens in process. Returns the outputs in file order.
-
-    The error raised does not depend on `jobs`. It is the read error
-    (ParseError, ValidationError, a reused trajectory_id) on the lowest
-    line, else what `check` raises when given the set of trajectory ids
-    read, else the first error a stage raised, in file order.
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    tasks = [(path, start, stop, stage_type, stage_args) for start, stop in _byte_ranges(path, jobs)]
-    results = _map(_read_range, tasks, jobs)
-    errors, first_line = [], {}
-    for trajectory_id, lineno in (pair for r in results for pair in r.ids):
-        try:
-            claim_id(first_line, trajectory_id, lineno, path)
-        except ParseError as exc:
-            # first in the list, so it wins a tie: it is checked before its record is split
-            errors.append((lineno, exc))
-            break
-    errors += [r.error for r in results if r.error]
-    if errors:
-        raise min(errors, key=lambda err: err[0])[1]
-    if check is not None:
-        check({trajectory_id for r in results for trajectory_id in r.known})
-    late = [r.late for r in results if r.late]
-    if late:
-        raise late[0][1]
-    return [r.output for r in results]
-
-
-class _DetectStage:
-    """Builds, store-checks and detects the trajectories of one range, _CHUNK tracks at a time."""
-
-    def __init__(self, layout: StoreLayout, params: StopParams, window: int):
-        self.layout, self.params, self.window = layout, params, window
-        self.n_tracks, self.events, self.stopped, self.chunk = 0, [], [], []
-
-    def add(self, trajectories):
-        tracks = [build_track(traj, self.window) for traj in trajectories]
-        for track in tracks:
-            check_store(track, self.layout)
-        self.chunk += tracks
-        self.n_tracks += len(tracks)
-        if len(self.chunk) >= _CHUNK:
-            self._flush()
-
-    def _flush(self):
-        found = _detect_chunk((self.chunk, self.layout, self.params))
-        for track, (evs, spans) in zip(self.chunk, found):
-            self.events.extend(evs)
-            self.stopped.extend((s, track.times[s:e + 1].tolist()) for s, e, _ in spans)
-        self.chunk = []
-
-    def finish(self):
-        if self.chunk:
-            self._flush()
-        return self.n_tracks, self.events, self.stopped
+    tracks = (check_store(build_track(traj, window), layout) for traj in trajectories)
+    found = []
+    for chunk in batches(tracks, _CHUNK):
+        for track, (events, spans) in zip(chunk, _detect_chunk(chunk, layout, params)):
+            found.append((events, [(s, track.times[s:e + 1].tolist()) for s, e, _ in spans]))
+        del chunk  # before batches takes the next chunk
+    return found
 
 
 def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEFAULT_WINDOW,
                 jobs: int | None = None):
     """Stop events of every trajectory in a JSONL trajectory file.
 
-    map_file's range workers read, gap-split, build and detect the file,
-    so the caller parses nothing. Returns (n_tracks, events, stopped): the
-    number of trajectories, every stop event in file order, and per event
-    the index of its first sample and the times of its samples.
+    kinematics.map_file's range workers read, gap-split, build and detect
+    the file, so the caller parses nothing. Returns (n_tracks, events,
+    stopped): the number of trajectories, every stop event in file order,
+    and per event the index of its first sample and the times of its
+    samples.
 
     The result and the error raised do not depend on `jobs`; the error is
     the one read_trajectories, build_track and detect_many would raise in
@@ -538,7 +407,6 @@ def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEF
     a reused trajectory_id) on the lowest line, else the first later error
     (InvalidWindow, FrameMismatch) in file order.
     """
-    outputs = map_file(path, _DetectStage, (layout, params, window), jobs)
-    return (sum(n_tracks for n_tracks, _, _ in outputs),
-            [ev for _, events, _ in outputs for ev in events],
-            [st for _, _, stopped in outputs for st in stopped])
+    found = map_file(path, _detect_range, (layout, params, window), jobs)
+    return (len(found), [ev for events, _ in found for ev in events],
+            [st for _, stopped in found for st in stopped])

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from itertools import islice
+from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidWindow, ParseError, TooShort, ValidationError
+from .errors import InvalidWindow, ParseError, ShelfScanError, TooShort, ValidationError
 
 DT = 0.1  # tracking time step, seconds
 DT_TOL = 1e-6
@@ -254,13 +258,130 @@ def parse_record(line: bytes, where: str):
     return trajectory_id, store_id, rows
 
 
-def claim_id(first_line: dict, trajectory_id: str, lineno: int, path) -> None:
-    """Note the line trajectory_id first appears on; ParseError if an earlier line used it."""
-    first = first_line.setdefault(trajectory_id, lineno)
-    if first != lineno:
-        raise ParseError(
-            f"{path}:{lineno}: trajectory_id {trajectory_id!r} already used on line {first}"
-        )
+def default_jobs() -> int:
+    env = os.environ.get("SHELFSCAN_JOBS")
+    if env:
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"SHELFSCAN_JOBS must be an integer, got {env!r}") from None
+        if jobs < 1:
+            raise ValueError(f"SHELFSCAN_JOBS must be at least 1, got {jobs}")
+        return jobs
+    return os.cpu_count() or 1
+
+
+def _map(fn, tasks, jobs: int):
+    """[fn(*task) for task in tasks], in a pool of forked workers when jobs > 1 and tasks > 1."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    with get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
+        return pool.starmap(fn, tasks)
+
+
+def batches(items, size: int):
+    """Lists of `size` consecutive items of an iterable, taken as they come; the last may be shorter.
+
+    A caller that keeps a batch while the next one is taken holds two at once.
+    """
+    items = iter(items)
+    while batch := list(islice(items, size)):
+        yield batch
+        del batch
+
+
+# bytes per range at least: a smaller file is read in one range, in process
+_MIN_RANGE = 4 << 20
+
+
+class _RangeResult(NamedTuple):
+    output: list            # what the range's stage returned
+    ids: list               # (trajectory_id, line) of every record parsed
+    known: list             # trajectory_id of every trajectory gap-split from those records
+    error: tuple | None     # (line, exc): the first read error, where reading stopped
+    late: Exception | None  # the stage's error; the range only read on past it
+
+
+def _byte_ranges(path, jobs: int):
+    """Up to `jobs` non-empty (start, stop) byte ranges that cover a file, cut just after newlines.
+
+    A range is cut per _MIN_RANGE bytes at most, so a small file is one range.
+    """
+    size = os.path.getsize(path)
+    n = min(jobs, max(size // _MIN_RANGE, 1))
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, n):
+            target = i * size // n
+            if target > cuts[-1]:
+                fh.seek(target - 1)
+                fh.readline()  # the cut lands just after the first newline at or past target - 1
+                cuts.append(fh.tell())
+    cuts.append(size)
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+
+
+def _read_range(path, start: int, stop: int, stage, stage_args):
+    """Run a stage on the trajectories read and gap-split from one byte range, as it takes them."""
+    ids, known, errors = [], [], []
+
+    def trajectories():
+        for lineno, line in read_lines(path, start, stop):
+            try:
+                trajectory_id, store_id, rows = parse_record(line, f"{path}:{lineno}")
+                ids.append((trajectory_id, lineno))
+                pieces = split_on_gaps(trajectory_id, store_id, rows)
+            except ShelfScanError as exc:
+                errors.append((lineno, exc))
+                return
+            known.extend(traj.trajectory_id for traj in pieces)
+            yield from pieces
+
+    reader = trajectories()
+    try:
+        output, late = stage(reader, *stage_args), None
+    except ShelfScanError as exc:
+        output, late = None, exc
+    for _ in reader:  # after a stage error, read on for read errors
+        pass
+    return _RangeResult(output, ids, known, errors[0] if errors else None, late)
+
+
+def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> list:
+    """Run `stage(trajectories, *stage_args)` on each byte range of a JSONL trajectory file.
+
+    The file is cut into up to `jobs` ranges at newlines (_byte_ranges),
+    each read by its own forked worker, or in process if there is one.
+    `trajectories` yields a range's gap-split trajectories in file order
+    as the stage takes them, and the stage returns a list. Returns the
+    lists joined in file order.
+
+    The error raised does not depend on `jobs`. It is the read error
+    (ParseError, ValidationError, a trajectory_id that an earlier record
+    used) on the lowest line, else what `check` raises when given the set
+    of trajectory ids read, else the first error a stage raised, in file
+    order.
+    """
+    if jobs is None:
+        jobs = default_jobs()
+    tasks = [(path, start, stop, stage, stage_args) for start, stop in _byte_ranges(path, jobs)]
+    results = _map(_read_range, tasks, jobs)
+    errors, first_line = [r.error for r in results if r.error], {}
+    for trajectory_id, lineno in (pair for r in results for pair in r.ids):
+        first = first_line.setdefault(trajectory_id, lineno)
+        if first != lineno:
+            # first in the list, so it wins a tie: it is checked before its record is split
+            errors.insert(0, (lineno, ParseError(
+                f"{path}:{lineno}: trajectory_id {trajectory_id!r} already used on line {first}")))
+            break
+    if errors:
+        raise min(errors, key=lambda err: err[0])[1]
+    if check is not None:
+        check({trajectory_id for r in results for trajectory_id in r.known})
+    late = [r.late for r in results if r.late]
+    if late:
+        raise late[0]
+    return [item for r in results for item in r.output]
 
 
 def read_trajectories(path) -> list[Trajectory]:
@@ -270,12 +391,7 @@ def read_trajectories(path) -> list[Trajectory]:
     record used, raises ParseError. Records are gap-split (non-finite rows
     count as dropouts); sub-minimum fragments are silently discarded.
     """
-    out, first_line = [], {}
-    for lineno, line in read_lines(path):
-        trajectory_id, store_id, rows = parse_record(line, f"{path}:{lineno}")
-        claim_id(first_line, trajectory_id, lineno, path)
-        out.extend(split_on_gaps(trajectory_id, store_id, rows))
-    return out
+    return map_file(path, list, (), jobs=1)
 
 
 def write_trajectories(trajectories, path) -> None:

@@ -75,6 +75,13 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "scripts", tuple(self.scripts))
+        # a non-positive walk speed is generate's InfeasibleScript; NaN would get past that check
+        if not math.isfinite(self.walk_speed):
+            raise ValidationError(f"walk_speed must be finite, got {self.walk_speed}")
+        for name in ("position_noise", "heading_noise"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # False for NaN too
+                raise ValidationError(f"{name} must be a finite std >= 0, got {value}")
 
 
 @dataclass(frozen=True)

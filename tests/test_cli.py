@@ -25,7 +25,7 @@ from shelfscan import (
     write_scenario,
     write_stop_events,
 )
-from shelfscan import detector
+from shelfscan import calibration, detector, kinematics
 from shelfscan.cli import main
 from shelfscan.labeling import read_labels, write_label_manifest
 
@@ -426,23 +426,27 @@ def shelf_layout(tmp_path):
 def range_cuts(monkeypatch):
     """Let map_file cut a range per byte, so small files reach the worker pool.
 
-    Returns the list of cuts made, one list of (start, stop) ranges per file read.
+    Detection and calibration also batch 2 tracks at a time, so a range
+    fills several batches. Returns the list of cuts made, one list of
+    (start, stop) ranges per file read.
     """
-    monkeypatch.setattr(detector, "_MIN_RANGE", 1)
-    cuts, byte_ranges = [], detector._byte_ranges
+    monkeypatch.setattr(kinematics, "_MIN_RANGE", 1)
+    monkeypatch.setattr(detector, "_CHUNK", 2)
+    monkeypatch.setattr(calibration, "_GAZE_BATCH", 2)
+    cuts, byte_ranges = [], kinematics._byte_ranges
 
     def spy(path, jobs):
         cuts.append(byte_ranges(path, jobs))
         return cuts[-1]
 
-    monkeypatch.setattr(detector, "_byte_ranges", spy)
+    monkeypatch.setattr(kinematics, "_byte_ranges", spy)
     return cuts
 
 
 def test_small_file_is_one_range(synth_dir):
     path = synth_dir / "trajectories.jsonl"
-    assert path.stat().st_size < detector._MIN_RANGE
-    assert detector._byte_ranges(path, 8) == [(0, path.stat().st_size)]
+    assert path.stat().st_size < kinematics._MIN_RANGE
+    assert kinematics._byte_ranges(path, 8) == [(0, path.stat().st_size)]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "8"])  # 8: more workers asked for than records
@@ -463,6 +467,36 @@ def test_fragment_shorter_than_window_is_smoothed_not_fatal(shelf_layout, tmp_pa
     write_label_manifest(1, ["r"], tmp_path / "labels.manifest.json")
     assert run(["calibrate", "--layout", str(shelf_layout), "--trajectories", str(both),
                 "--labels", str(labels), *SMALL_GRID, "--out", str(tmp_path / "cal")]) == 0
+
+
+def test_zero_duration_stop_threshold_is_detected(synth_dir, tmp_path, capsys):
+    # a calibration sweep may pick t_b <= DURATION_TOL; detect must run at it
+    out = tmp_path / "d"
+    assert run(["detect", "--layout", str(synth_dir / "layout.json"),
+                "--trajectories", str(synth_dir / "trajectories.jsonl"),
+                "--t-b", "1e-9", "--delta-b", "1.2", "--v-b", "0.55", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert any(ev.t_s == ev.t_f for ev in read_stop_events(out / "stops.jsonl"))
+
+
+@pytest.mark.parametrize("how, error, message", [
+    (["--noise", "-0.5"], "ValidationError", "position_noise must be a finite std >= 0, got -0.5"),
+    (["--noise", "nan"], "ValidationError", "position_noise must be a finite std >= 0, got nan"),
+    ("spec", "ParseError", "walk_speed must be finite, got nan"),
+])
+def test_bad_noise_or_walk_speed_exits_1_before_writing(tmp_path, capsys, how, error, message):
+    if how == "spec":
+        spec = tmp_path / "spec.json"
+        write_scenario(random_scenario(6), spec)
+        doc = read_json(spec)
+        doc["walk_speed"] = math.nan
+        spec.write_text(json.dumps(doc))
+        how = ["--spec", str(spec)]
+    out = tmp_path / "s"
+    assert run(["synth", "--population", "2", *how, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == error and message in record["message"]
+    assert not any(out.iterdir())
 
 
 def test_plant_on_fragments_shorter_than_window(tmp_path):
@@ -653,7 +687,7 @@ def test_malformed_label_exits_1_with_record(synth_dir, tmp_path, capsys, edit, 
 
 @pytest.mark.parametrize("edit, error", BAD_LINES + [
     pytest.param(_drop("t_s"), "ParseError", id="no-t_s"),
-    # an event must span time
+    # an event must not end before it starts
     pytest.param(_set("t_f", -1.0), "ValidationError", id="empty-span"),
 ])
 def test_malformed_stop_event_exits_1_with_record(synth_dir, tmp_path, capsys, edit, error):

@@ -17,7 +17,7 @@ from shelfscan import (
     detect_stops,
     gaze_stream,
 )
-from shelfscan.detector import TIE_TOL, read_stop_events
+from shelfscan.detector import TIE_TOL, read_stop_events, write_stop_events
 from shelfscan.errors import FrameMismatch, ParseError, ValidationError
 from shelfscan.oracle import _scan_ray
 from shelfscan.synth import generate, population_scenario, random_scenario
@@ -205,6 +205,24 @@ def test_candidate_change_splits_run(single_shelf_layout):
     oracle = brute_force_stops(track, layout, PARAMS)
     assert np.array_equal(matrix.values, oracle.values)
     assert not oracle.values.any()
+
+
+def test_one_sample_stop_matches_oracle_and_round_trips(single_shelf_layout, tmp_path):
+    from shelfscan.oracle import brute_force_stops
+
+    # standing still, facing the shelf at sample 5 alone and at samples 12 to 14
+    thetas = [math.pi / 2] * 20
+    for k in (5, 12, 13, 14):
+        thetas[k] = -math.pi / 2
+    track = build_track(make_trajectory([(1.0, 1.0)] * 20, thetas), window=5)
+    params = StopParams(t_b=1e-9, delta_b=1.2, v_b=0.55)
+    events, matrix = detect_stops(track, single_shelf_layout, params)
+    assert [(ev.t_s, ev.t_f) for ev in events] == [(track.times[5], track.times[5]),
+                                                   (track.times[12], track.times[14])]
+    assert events[0].duration == 0.0
+    assert np.array_equal(matrix.values, brute_force_stops(track, single_shelf_layout, params).values)
+    write_stop_events(events, tmp_path / "stops.jsonl")
+    assert read_stop_events(tmp_path / "stops.jsonl") == events
 
 
 def test_walking_past_is_no_stop(single_shelf_layout):

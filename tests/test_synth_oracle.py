@@ -108,6 +108,16 @@ def test_noise_levels_change_samples_not_shape():
     assert not np.array_equal(clean[0].thetas, noisy[0].thetas)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("position_noise", -0.5), ("position_noise", math.nan), ("position_noise", math.inf),
+    ("heading_noise", -0.5), ("heading_noise", math.nan), ("heading_noise", math.inf),
+    ("walk_speed", math.nan), ("walk_speed", math.inf),
+])
+def test_non_finite_or_negative_noise_and_speed_rejected(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        one_visit_spec(dwell=1.0, **{field: value})
+
+
 def test_max_samples_truncates_and_clips_truth():
     spec = one_visit_spec(dwell=3.0)
     spec = ScenarioSpec(
