@@ -13,6 +13,15 @@ value: every run that exists at some v_b is found at once, with the v_b
 range it exists over, and the minimum-duration and speed axes are filled
 from those runs by cumulative sums. A sweep costs O(n log n) per delta_b
 for n samples, whatever the sizes of the t_b and v_b axes.
+
+The runs are enumerated once per calibration or evaluation, each kept as
+five int32 values (about 20 B): trip, two difference-table cells, length
+and hits. Tables come from them by bincounts, so an evaluation repeat
+reweights the same runs by trip, with no new tree pass: it tabulates the
+runs of its calibration subset, and the held-out trips' counts at the
+chosen point are every trip's counts less the subset's. That complement is
+exact, because runs never cross trajectories and the counts are integers.
+A plain calibration folds the runs into its tables as they are found.
 """
 
 from __future__ import annotations
@@ -59,6 +68,9 @@ class ConfusionCounts:
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
+
+    def __sub__(self, other: "ConfusionCounts") -> "ConfusionCounts":
+        return ConfusionCounts(self.tp - other.tp, self.fp - other.fp, self.fn - other.fn)
 
 
 @dataclass(frozen=True)
@@ -302,11 +314,18 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout,
     return map_file(trajectories, _prepare_range, stage_args, jobs, check)
 
 
-_CHUNK = 4096  # samples per nearest-greater pass; bounds the sparse table's memory
+_CHUNK = 8192  # samples per nearest-greater pass; bounds the sparse table's memory
 
 
-def _sweep_counts(prepared, t_axis, d_axis, v_axis):
-    """Pooled tp / predicted-ones per grid point; shape (nT, nD, nV).
+def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
+    """Every run of the trajectories at some grid point, yielded one delta_b of one chunk at a time.
+
+    Each batch is a (5, k) int32 array with one column per run: its trip
+    (index into prepared), its two cells of the flattened (nD, nT+1, nV+1)
+    difference table of _count_tables, its length and its hit count (samples
+    whose candidate shelf has a visit). A run adds at (delta_b index, upto,
+    lo_v) and subtracts at (delta_b index, upto, hi_v), where upto is the
+    number of t_axis values its duration qualifies at.
 
     One vectorized pass over all trajectories per delta_b, in chunks of at
     most _CHUNK samples cut between blocks. Fix delta_b and call a block a
@@ -323,21 +342,14 @@ def _sweep_counts(prepared, t_axis, d_axis, v_axis):
     all-nearest-greater-values (Berkman, Schieber & Vishkin, J. Algorithms
     1993) come from a sparse table by binary lifting. The >= / > split
     gives a node tied with its left neighbour an empty v_b range, so every
-    run is counted once. Each run is scattered into an (nT+1) x (nV+1)
-    difference table over (t_b qualification bound, v_b range), which a
-    cumulative sum over v_b and a reverse one over t_b turn into the
-    counts.
+    run is counted once.
     """
-    n_t, n_d, n_v = len(t_axis), len(d_axis), len(v_axis)
-    v_ones = sum(prep.visit_ones for prep in prepared)
-    rank, times, d_first, link, vac = _flatten(prepared, d_axis, v_axis)
+    n_t, n_v = len(t_axis), len(v_axis)
+    trip, rank, times, d_first, link, vac = _flatten(prepared, d_axis, v_axis)
     cum = np.concatenate([[0], np.cumsum(vac)])
-    cells = (n_t + 1) * (n_v + 1)
-    d_len = np.zeros((n_d, cells))
-    d_hit = np.zeros((n_d, cells))
     # blocks only split as delta_b shrinks, so chunks cut at the widest blocks serve every delta_b
     for lo, hi in _chunks(np.flatnonzero(~link), len(link)):
-        for di in range(n_d):
+        for di in range(len(d_axis)):
             sel = lo + np.flatnonzero(d_first[lo:hi] <= di)
             if len(sel) == 0:
                 continue
@@ -348,10 +360,36 @@ def _sweep_counts(prepared, t_axis, d_axis, v_axis):
             # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
             # the same float predicate the detector applies
             upto = np.searchsorted(t_axis, times[e] - times[s] + DURATION_TOL, side="right")
-            hit = cum[e + 1] - cum[s]
-            cell = np.concatenate([upto * (n_v + 1) + lo_v, upto * (n_v + 1) + hi_v])
-            d_len[di] += np.bincount(cell, weights=np.concatenate([length, -length]), minlength=cells)
-            d_hit[di] += np.bincount(cell, weights=np.concatenate([hit, -hit]), minlength=cells)
+            row = (di * (n_t + 1) + upto) * (n_v + 1)
+            yield np.stack([trip[s], row + lo_v, row + hi_v, length, cum[e + 1] - cum[s]],
+                           dtype=np.int32)
+
+
+def _count_tables(runs, prepared, axes, mask=None):
+    """Pooled (tp, predicted ones, truth ones) of the trips in mask, every trip when None.
+
+    `runs` is an iterable of _enumerate_runs batches of `prepared` on the
+    grid `axes`. Each run is scattered into the difference table over
+    (delta_b, t_b qualification bound, v_b range), which a cumulative sum
+    over v_b and a reverse one over t_b turn into the counts, of shape
+    (nT, nD, nV). Runs never cross trips, so the counts of a trip subset
+    are those of its runs alone.
+    """
+    n_t, n_d, n_v = (len(axis) for axis in axes)
+    cells = n_d * (n_t + 1) * (n_v + 1)
+    d_hit, d_len = np.zeros(cells), np.zeros(cells)
+    for batch in runs:
+        if mask is not None:
+            batch = batch[:, mask[batch[0]]]
+        _, start, stop, length, hit = batch
+        if len(start) == 0:
+            continue
+        # only the cells the batch touches, so a batch of one delta_b costs no whole-table work
+        base = int(start.min())
+        span = int(stop.max()) + 1 - base
+        start, stop = start - base, stop - base
+        for diff, weights in ((d_hit, hit), (d_len, length)):
+            diff[base:base + span] += np.bincount(start, weights, span) - np.bincount(stop, weights, span)
 
     def table(diff):
         diff = diff.astype(np.int64).reshape(n_d, n_t + 1, n_v + 1)  # integer-valued sums, exact
@@ -360,20 +398,21 @@ def _sweep_counts(prepared, t_axis, d_axis, v_axis):
         by_t = np.cumsum(by_v[:, :0:-1], axis=1)[:, ::-1]
         return np.ascontiguousarray(by_t.transpose(1, 0, 2))
 
+    v_ones = sum(prep.visit_ones for i, prep in enumerate(prepared) if mask is None or mask[i])
     return table(d_hit), table(d_len), v_ones
 
 
 def _flatten(prepared, d_axis, v_axis):
     """The samples that meet the conditions at some grid point, of all trajectories in order.
 
-    Returns their speed ranks in v_axis (the first v_b index whose speed
-    condition they meet), times, the first delta_b index whose distance
-    condition they meet, whether each continues the previous one (next
-    sample of the same trajectory, same candidate) and the visit truth.
-    Filtering trip by trip keeps the unfiltered streams out of memory.
+    Returns their trip indices, speed ranks in v_axis (the first v_b index
+    whose speed condition they meet), times, the first delta_b index whose
+    distance condition they meet, whether each continues the previous one
+    (next sample of the same trajectory, same candidate) and the visit
+    truth. Filtering trip by trip keeps the unfiltered streams out of memory.
     """
     parts = []
-    for prep in prepared:
+    for i, prep in enumerate(prepared):
         keep = np.flatnonzero(
             (prep.candidates >= 0) & (prep.lams <= d_axis[-1]) & (prep.speeds <= v_axis[-1]))
         cand = prep.candidates[keep]
@@ -381,7 +420,8 @@ def _flatten(prepared, d_axis, v_axis):
         link[1:] = (keep[1:] == keep[:-1] + 1) & (cand[1:] == cand[:-1])
         d_first = np.searchsorted(d_axis, prep.lams[keep], side="left").astype(np.int32)
         v_rank = np.searchsorted(v_axis, prep.speeds[keep], side="left").astype(np.int32)
-        parts.append((v_rank, prep.times[keep], d_first, link, prep.visit_at_candidate[keep]))
+        parts.append((np.full(len(keep), i, dtype=np.int32), v_rank, prep.times[keep], d_first,
+                      link, prep.visit_at_candidate[keep]))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -488,20 +528,34 @@ def calibrate(dataset, layout: StoreLayout, grid: ParamGrid) -> CalibrationResul
 
 
 def _calibrate_prepared(prepared, t_axis, d_axis, v_axis) -> CalibrationResult:
-    tp, s_ones, v_ones = _sweep_counts(prepared, t_axis, d_axis, v_axis)
+    axes = (t_axis, d_axis, v_axis)
+    return _best(_count_tables(_enumerate_runs(prepared, *axes), prepared, axes), axes)[1]
+
+
+def _best(tables, axes):
+    """The F1-maximizing grid point of _count_tables tables: (its index, the CalibrationResult)."""
+    tp, s_ones, v_ones = tables
     f1, fp, fn = _f1_table(tp, s_ones, v_ones)
-    flat = int(np.argmax(f1))  # C order: first max is lexicographically smallest point
-    ti, di, vi = np.unravel_index(flat, f1.shape)
+    # C order: the first max is the lexicographically smallest point
+    index = np.unravel_index(int(np.argmax(f1)), f1.shape)
+    t_axis, d_axis, v_axis = axes
+    ti, di, vi = index
     best = StopParams(t_b=float(t_axis[ti]), delta_b=float(d_axis[di]), v_b=float(v_axis[vi]))
-    counts = ConfusionCounts(int(tp[ti, di, vi]), int(fp[ti, di, vi]), int(fn[ti, di, vi]))
-    return CalibrationResult(
+    return index, CalibrationResult(
         best_params=best,
-        best_f1=float(f1[ti, di, vi]),
-        metrics=precision_recall_f1(counts),
-        grid_axes=(t_axis, d_axis, v_axis),
+        best_f1=float(f1[index]),
+        metrics=precision_recall_f1(_counts(tables, index)),
+        grid_axes=axes,
         f1_table=f1,
         count_tables=(tp, fp, fn),
     )
+
+
+def _counts(tables, index) -> ConfusionCounts:
+    """The confusion counts of _count_tables tables at one grid index."""
+    tp, s_ones, v_ones = tables
+    hits = int(tp[index])
+    return ConfusionCounts(hits, int(s_ones[index]) - hits, int(v_ones) - hits)
 
 
 def same_store_eval(dataset, layout: StoreLayout, grid: ParamGrid, p: float,
@@ -541,19 +595,29 @@ def _evaluate(protocol, sides, grid, p, repeats, seed) -> EvalReport:
     sides = [(list(dataset), layout) for dataset, layout in sides]
     if not all(dataset for dataset, _ in sides):
         raise EmptyDataset("evaluation requires at least one trajectory in every dataset")
-    t_axis, d_axis, v_axis = _grid_axes(grid)
-    cal, *test = [_prepare(dataset, layout, cutoff=float(d_axis[-1])) for dataset, layout in sides]
+    axes = _grid_axes(grid)
+    cal, *test = [_prepare(dataset, layout, cutoff=float(axes[1][-1])) for dataset, layout in sides]
     n = len(cal)
     n_cal = math.ceil(p * n)
     if not test and n_cal == n:
         raise DegenerateSplit(f"p={p} with {n} trajectories leaves an empty side")
+    # the calibration side's runs, found once; each repeat tabulates those of its subset
+    runs = [np.concatenate([np.zeros((5, 0), np.int32), *_enumerate_runs(cal, *axes)], axis=1)]
+    if test:
+        scored = _count_tables(_enumerate_runs(test[0], *axes), test[0], axes)
+    else:  # every trip's, less the calibration subset's in each repeat
+        scored = _count_tables(runs, cal, axes)
     rng = np.random.default_rng(seed)
     scores, chosen = [], []
     for _ in range(repeats):
         order = rng.permutation(n) if n_cal < n else range(n)
-        result = _calibrate_prepared([cal[i] for i in order[:n_cal]], t_axis, d_axis, v_axis)
-        held = test[0] if test else [cal[i] for i in order[n_cal:]]
-        scores.append(precision_recall_f1(counts_at(held, result.best_params)).f1)
+        mask = np.zeros(n, dtype=bool)
+        mask[order[:n_cal]] = True
+        index, result = _best(_count_tables(runs, cal, axes, mask), axes)
+        counts = _counts(scored, index)
+        if not test:
+            counts = counts - result.metrics.counts
+        scores.append(precision_recall_f1(counts).f1)
         chosen.append(result.best_params)
     return EvalReport(
         protocol=protocol,

@@ -345,7 +345,6 @@ def cmd_synth(args):
             _usage_error(f"--plant takes three comma-separated numbers T,D,V, got {args.plant!r}")
         params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)  # rejects bad values before any write
         window = check_window(int(_opt(args, cfg, "window")))
-    os.makedirs(args.out, exist_ok=True)
     if args.spec:
         _require_paths(args.spec)
         spec = synth.read_scenario(args.spec)
@@ -357,6 +356,7 @@ def cmd_synth(args):
             noise=float(_opt(args, cfg, "noise", 0.0)),
         )
     trajectories, truth, layout = synth.generate(spec)
+    os.makedirs(args.out, exist_ok=True)
     save_layout(layout, os.path.join(args.out, "layout.json"))
     write_trajectories(trajectories, os.path.join(args.out, "trajectories.jsonl"))
     synth.write_ground_truth(truth, os.path.join(args.out, "ground_truth.json"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleScript, ParseError, ValidationError
+from .errors import InfeasibleScript, ParseError, ShelfScanError, ValidationError
 from .kinematics import DT, Trajectory, wrap_angle
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
@@ -470,6 +470,8 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
             seed=int(doc.get("seed", 0)),
             max_samples=doc.get("max_samples"),
         )
+    except ShelfScanError:
+        raise  # a value the scenario types reject keeps its own error
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed scenario document: {exc!r}") from exc
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from shelfscan import (
     same_store_eval,
     score_dataset,
 )
-from shelfscan.calibration import _calibrate_prepared, _Prepared, counts_at
+from shelfscan.calibration import (
+    _calibrate_prepared,
+    _count_tables,
+    _counts,
+    _enumerate_runs,
+    _Prepared,
+    counts_at,
+)
 from shelfscan.detector import DURATION_TOL, StopMatrix
 from shelfscan.errors import (
     AxisMismatch,
@@ -254,6 +262,79 @@ def test_sweep_tables_match_pointwise_counts(streams):
                 want = counts_at(prepared, StopParams(float(t_b), float(delta_b), float(v_b)))
                 got = (tp[ti, di, vi], fp[ti, di, vi], fn[ti, di, vi])
                 assert got == (want.tp, want.fp, want.fn)
+
+
+def _trip_mask(data, prepared):
+    return np.array(data.draw(st.lists(st.booleans(), min_size=len(prepared), max_size=len(prepared))),
+                    dtype=bool)
+
+
+@given(prepared_streams(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_masked_tables_match_subset_sweep(streams, data):
+    prepared, *axes = streams
+    mask = _trip_mask(data, prepared)
+    tp, s_ones, v_ones = _count_tables(list(_enumerate_runs(prepared, *axes)), prepared, axes, mask)
+    subset = [prep for prep, keep in zip(prepared, mask) if keep]
+    if subset:
+        want_tp, want_fp, want_fn = _calibrate_prepared(subset, *axes).count_tables
+    else:
+        want_tp = want_fp = want_fn = np.zeros(tuple(len(axis) for axis in axes), dtype=np.int64)
+    assert np.array_equal(tp, want_tp)
+    assert np.array_equal(s_ones - tp, want_fp)
+    assert np.array_equal(v_ones - tp, want_fn)
+
+
+@given(prepared_streams(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_held_out_counts_by_complement_match_pointwise_counts(streams, data):
+    prepared, *axes = streams
+    mask = _trip_mask(data, prepared)
+    runs = list(_enumerate_runs(prepared, *axes))
+    every, subset = _count_tables(runs, prepared, axes), _count_tables(runs, prepared, axes, mask)
+    held = [prep for prep, keep in zip(prepared, mask) if not keep]
+    for _ in range(5):
+        index = tuple(data.draw(st.integers(0, len(axis) - 1)) for axis in axes)
+        params = StopParams(*(float(axis[i]) for axis, i in zip(axes, index)))
+        assert _counts(every, index) - _counts(subset, index) == counts_at(held, params)
+
+
+@given(prepared_streams(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_subset_without_candidates_gives_zero_tables(streams, data):
+    prepared, *axes = streams
+    mask = _trip_mask(data, prepared)
+    # the masked trips see no shelf; the others keep theirs, so the enumeration is not empty
+    prepared = [dataclasses.replace(prep, candidates=np.full(len(prep.times), -1)) if keep else prep
+                for prep, keep in zip(prepared, mask)]
+    tp, s_ones, v_ones = _count_tables(_enumerate_runs(prepared, *axes), prepared, axes, mask)
+    assert tp.shape == s_ones.shape == tuple(len(axis) for axis in axes)
+    assert not tp.any() and not s_ones.any()
+    assert v_ones == sum(prep.visit_ones for prep, keep in zip(prepared, mask) if keep)
+
+
+_ANY_STORE = SimpleNamespace(store_id="")  # prepared_streams carry the empty store id
+
+
+@given(prepared_streams(), prepared_streams(), st.integers(0, 1000))
+@settings(max_examples=50, deadline=None)
+def test_eval_repeats_match_subset_sweeps_and_pointwise_counts(streams, others, seed):
+    """Each repeat picks what a sweep of its subset picks and scores what counts_at scores."""
+    prepared, *axes = streams
+    test_side = others[0]
+    n = len(prepared)
+    n_cal = math.ceil(0.5 * n)
+    reports = [cross_store_eval(prepared, _ANY_STORE, test_side, _ANY_STORE, _FixedGrid(*axes),
+                                p=0.5, seed=seed, repeats=3)]
+    if n_cal < n:
+        reports.append(same_store_eval(prepared, _ANY_STORE, _FixedGrid(*axes), p=0.5, repeats=3, seed=seed))
+    for report in reports:
+        rng = np.random.default_rng(seed)
+        for params, score in zip(report.params_per_repeat, report.scores, strict=True):
+            order = rng.permutation(n) if n_cal < n else range(n)
+            held = test_side if report.protocol == "cross-store" else [prepared[i] for i in order[n_cal:]]
+            assert params == _calibrate_prepared([prepared[i] for i in order[:n_cal]], *axes).best_params
+            assert score == precision_recall_f1(counts_at(held, params)).f1
 
 
 def test_empty_dataset_rejected():

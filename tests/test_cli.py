@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,39 @@ def test_eval_cross_runs(synth_dir, tmp_path):
     with open(out / "eval_repeats.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["f1"] == "1.0"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["eval-same", "eval-cross"])
+def test_eval_artifacts_match_golden(tmp_path, command):
+    """eval.json (generated_at line left out) and eval_repeats.csv, byte for byte.
+
+    The labels are planted off the grid, so the scores fall below 1 and the
+    chosen parameters differ between repeats.
+    """
+    stores = {}
+    for name, population, seed in (("a", "25", "5"), ("b", "20", "6")):
+        stores[name] = tmp_path / name
+        assert run(["synth", "--population", population, "--shelves", "9", "--seed", seed,
+                    "--plant", "2.2,1.1,0.5", "--out", str(stores[name])]) == 0
+    if command == "eval-same":
+        inputs = [f"--{key}={stores['a'] / name}" for key, name in (
+            ("layout", "layout.json"), ("trajectories", "trajectories.jsonl"), ("labels", "labels.jsonl"))]
+        extra = ["--p", "0.2", "0.5", "0.8", "--repeats", "4"]
+    else:
+        inputs = [f"--{key}-{side}={stores[side] / name}" for side in "ab" for key, name in (
+            ("layout", "layout.json"), ("trajectories", "trajectories.jsonl"), ("labels", "labels.jsonl"))]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cross_repeats": 3}))
+        extra = ["--p", "0.5", "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run([command, *inputs, *extra, "--seed", "3", *SMALL_GRID, "--out", str(out)]) == 0
+    for name in ("eval.json", "eval_repeats.csv"):
+        got = "".join(line for line in (out / name).read_text().splitlines(keepends=True)
+                      if '"generated_at"' not in line)
+        assert got == (GOLDEN / command / name).read_text(), name
 
 
 def test_analyze_outputs(synth_dir, tmp_path):
@@ -482,7 +516,7 @@ def test_zero_duration_stop_threshold_is_detected(synth_dir, tmp_path, capsys):
 @pytest.mark.parametrize("how, error, message", [
     (["--noise", "-0.5"], "ValidationError", "position_noise must be a finite std >= 0, got -0.5"),
     (["--noise", "nan"], "ValidationError", "position_noise must be a finite std >= 0, got nan"),
-    ("spec", "ParseError", "walk_speed must be finite, got nan"),
+    pytest.param("spec", "ValidationError", "walk_speed must be finite, got nan", id="spec-walk_speed-nan"),
 ])
 def test_bad_noise_or_walk_speed_exits_1_before_writing(tmp_path, capsys, how, error, message):
     if how == "spec":
@@ -496,7 +530,7 @@ def test_bad_noise_or_walk_speed_exits_1_before_writing(tmp_path, capsys, how, e
     assert run(["synth", "--population", "2", *how, "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == error and message in record["message"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_plant_on_fragments_shorter_than_window(tmp_path):
@@ -708,9 +742,9 @@ def test_malformed_stop_event_exits_1_with_record(synth_dir, tmp_path, capsys, e
 
 
 def _artifacts(out):
-    """Every file in out, with the generated_at line of JSON reports left out."""
+    """Every file in out, with the generated_at line of JSON reports left out; none if out is missing."""
     return {path.name: [line for line in path.read_text().splitlines() if '"generated_at"' not in line]
-            for path in sorted(out.iterdir())}
+            for path in sorted(out.iterdir() if out.exists() else [])}
 
 
 @pytest.mark.parametrize("command, key, extra, check", [
