@@ -14,20 +14,26 @@ range it exists over, and the minimum-duration and speed axes are filled
 from those runs by cumulative sums. A sweep costs O(n log n) per delta_b
 for n samples, whatever the sizes of the t_b and v_b axes.
 
-The runs are enumerated once per calibration or evaluation, each kept as
-five int32 values (about 20 B): trip, two difference-table cells, length
-and hits. Tables come from them by bincounts, so an evaluation repeat
+The runs are enumerated once per dataset and grid, each kept as five
+int32 values (about 20 B): trip, two difference-table cells, length and
+hits. Tables come from them by bincounts, so an evaluation repeat
 reweights the same runs by trip, with no new tree pass: it tabulates the
 runs of its calibration subset, and the held-out trips' counts at the
 chosen point are every trip's counts less the subset's. That complement is
 exact, because runs never cross trajectories and the counts are integers.
 A plain calibration folds the runs into its tables as they are found.
+
+For a trajectory file, prepare_file's range workers gaze and enumerate
+their own trajectories, or fold them for a calibration, and the streams
+never leave the worker: the parent only renumbers the trips and joins the
+runs, or sums the integer tables, which is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +54,7 @@ from .errors import (
     EmptyDataset,
     EmptyGrid,
     FractionOutOfRange,
+    ShelfScanError,
     UnknownTrajectory,
     ValidationError,
 )
@@ -213,24 +220,49 @@ class _Prepared:
     visit_at_candidate: np.ndarray  # (k,) bool, visit truth at the candidate shelf
     visit_ones: int             # total truth ones across all shelves
     store_id: str = ""          # the track's store, checked against the layout it is used with
-    cutoff: float = math.inf    # the gaze cutoff; the streams serve every delta_b up to it
+
+
+@dataclass(frozen=True)
+class Runs:
+    """A dataset's runs on one grid, enumerated once; what calibrate and the evaluations consume.
+
+    `runs` holds the columns of _enumerate_runs, its trips numbered in
+    dataset order. A calibration may instead fold them into `folded`, its
+    (tp, predicted ones) tables over every trip, as they are found.
+    """
+
+    axes: tuple | None          # the grid axes enumerated on; None for a grid _grid_axes rejects
+    visit_ones: np.ndarray      # (n,) int64, each trip's truth ones
+    store_ids: tuple            # each trip's store, checked against the layout it is used with
+    runs: np.ndarray | None = None
+    folded: tuple | None = None
+
+    def __len__(self):
+        return len(self.visit_ones)
+
+    def count_tables(self, mask=None):
+        """The _count_tables tables of the trips in mask, every trip when None."""
+        if self.runs is None:
+            return (*self.folded, int(self.visit_ones.sum()))
+        return _count_tables([self.runs], self.visit_ones, self.axes, mask)
 
 
 _GAZE_BATCH = 32  # trajectories per gaze_stream call; bounds the concatenated arrays
 
 
-def _prepare(dataset, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
-    """The dataset's (track, visits) pairs reduced to _Prepared streams, after their checks.
+def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
+    """The dataset's Runs on the grid axes, after its checks.
 
-    A dataset that prepare_file returned passes through unchanged once its
-    stores are checked, if its gaze cutoff is at least `cutoff`.
+    The dataset is the Runs that prepare_file returned, or (track, visits)
+    pairs, enumerated here as prepare_file's range stage enumerates them.
     """
-    if all(isinstance(item, _Prepared) for item in dataset):
-        for prep in dataset:
-            check_store(prep, layout)
-            if prep.cutoff < cutoff:
-                raise ValidationError(f"streams prepared at gaze cutoff {prep.cutoff} "
-                                      f"cannot serve delta_b up to {cutoff}")
+    if isinstance(dataset, Runs):
+        if dataset.axes is None or not all(map(np.array_equal, dataset.axes, axes)):
+            raise ValidationError("runs were enumerated on other grid axes than the grid given")
+        if dataset.runs is None and not fold:
+            raise ValidationError("runs folded into tables serve calibrate only")
+        for store_id in dict.fromkeys(dataset.store_ids):
+            check_store(SimpleNamespace(store_id=store_id), layout)
         return dataset
     for track, visits in dataset:
         check_store(track, layout)
@@ -243,7 +275,7 @@ def _prepare(dataset, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
                 f"visit matrix shape {visits.values.shape} does not match "
                 f"{layout.n_shelves} shelves x {len(track)} samples"
             )
-    return _gaze(dataset, layout, cutoff)
+    return _runs_of(_gaze(dataset, layout, float(axes[1][-1])), axes, fold)
 
 
 def _gaze(pairs, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
@@ -264,18 +296,46 @@ def _gaze(pairs, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
                 visit_at_candidate=vac,
                 visit_ones=int(np.count_nonzero(visits.values)),
                 store_id=track.store_id,
-                cutoff=cutoff,
             ))
         del batch  # before batches takes the next batch
     return prepared
 
 
+def _runs_of(prepared, axes, fold: bool) -> Runs:
+    """The Runs of _Prepared streams, enumerated in one pass; folded into tables as found when fold."""
+    visit_ones = np.array([prep.visit_ones for prep in prepared], dtype=np.int64)
+    runs = folded = None
+    if axes is not None:  # else there is nothing to enumerate on, and the grid is reported where used
+        batches = _enumerate_runs(prepared, *axes) if prepared else ()
+        if fold:
+            folded = _count_tables(batches, visit_ones, axes)[:2]
+        else:
+            runs = np.concatenate([np.zeros((5, 0), np.int32), *batches], axis=1)
+    return Runs(axes, visit_ones, tuple(prep.store_id for prep in prepared), runs, folded)
+
+
+def _merge(parts) -> Runs:
+    """One Runs of consecutive ranges' Runs: trips renumbered in order, runs joined, tables summed."""
+    if len(parts) == 1:
+        return parts[0]
+    first, runs, folded = parts[0], None, None
+    if first.runs is not None:
+        runs = np.concatenate([part.runs for part in parts], axis=1)
+        offsets = np.cumsum([0] + [len(part) for part in parts[:-1]], dtype=np.int32)
+        runs[0] += np.repeat(offsets, [part.runs.shape[1] for part in parts])
+    if first.folded is not None:  # int64 sums of integer counts, exact
+        folded = tuple(sum(tables) for tables in zip(*(part.folded for part in parts)))
+    return Runs(first.axes, np.concatenate([part.visit_ones for part in parts]),
+                tuple(store_id for part in parts for store_id in part.store_ids), runs, folded)
+
+
 def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout, window: int,
-                   cutoff: float) -> list[_Prepared]:
-    """prepare_file's stage: the _Prepared streams of the trajectories of one range.
+                   axes, fold: bool) -> list[Runs]:
+    """prepare_file's stage: the Runs of the trajectories of one range, in a one-item list.
 
     Each trajectory is voted and built as it is taken, so the error raised
-    is the one of the first trajectory that fails.
+    is the one of the first trajectory that fails. The range's streams are
+    enumerated together once gazed, and dropped with the stage's return.
     """
     def pairs():
         for traj in trajectories:
@@ -283,23 +343,28 @@ def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout,
                                             n_reviewers)
             yield build_track(traj, window), visits
 
-    return _gaze(pairs(), layout, cutoff)
+    # the gaze cutoff is the largest delta_b; without axes no candidate is needed
+    cutoff = float(axes[1][-1]) if axes is not None else 0.0
+    return [_runs_of(_gaze(pairs(), layout, cutoff), axes, fold)]
 
 
-def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout,
-                 window: int = DEFAULT_WINDOW, cutoff: float = math.inf,
-                 jobs: int | None = None) -> list[_Prepared]:
-    """Every trajectory of a JSONL trajectory file, with its labels, reduced to _Prepared streams.
+def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, grid,
+                 window: int = DEFAULT_WINDOW, jobs: int | None = None, fold: bool = False) -> Runs:
+    """The Runs of every trajectory of a JSONL trajectory file, with its labels, on the grid.
 
-    kinematics.map_file's range workers read, gap-split, vote, build and gaze
-    the file, so this process holds only the streams, never a track or a
-    visit matrix. The result serves calibrate, same_store_eval and
-    cross_store_eval for every grid whose largest delta_b is at most
-    `cutoff`, with the same `layout`; they check its stores.
+    kinematics.map_file's range workers read, gap-split, vote, build, gaze
+    and enumerate the file, each range at once, so this process holds only
+    the runs (about 20 B each), never a track, a visit matrix or a
+    per-sample stream. The result serves calibrate, same_store_eval and
+    cross_store_eval with the same grid and `layout`; they check its
+    stores. With `fold`, each range folds its runs into its count tables
+    instead and this process sums them, for calibrate only.
 
     The error raised does not depend on `jobs`: the read error on the
     lowest line, else UnknownTrajectory for labels that name no trajectory
-    of the file, else the first vote or window error in file order.
+    of the file, else the first vote or window error in file order. A grid
+    that _grid_axes rejects is reported by the function given the result,
+    after its own argument checks, as for an in-memory dataset.
     """
     by_traj = {}
     for lab in labels:
@@ -310,8 +375,13 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout,
         if stray:
             raise UnknownTrajectory(f"labels reference unknown trajectories: {sorted(stray)[:5]}")
 
-    stage_args = (by_traj, n_reviewers, layout, window, cutoff)
-    return map_file(trajectories, _prepare_range, stage_args, jobs, check)
+    try:
+        axes = _grid_axes(grid)
+    except ShelfScanError:
+        axes = None
+    stage_args = (by_traj, n_reviewers, layout, window, axes, fold)
+    return _merge(map_file(trajectories, _prepare_range, stage_args, jobs, check)
+                  or [_runs_of([], axes, fold)])
 
 
 _CHUNK = 8192  # samples per nearest-greater pass; bounds the sparse table's memory
@@ -365,11 +435,11 @@ def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
                            dtype=np.int32)
 
 
-def _count_tables(runs, prepared, axes, mask=None):
+def _count_tables(runs, visit_ones, axes, mask=None):
     """Pooled (tp, predicted ones, truth ones) of the trips in mask, every trip when None.
 
-    `runs` is an iterable of _enumerate_runs batches of `prepared` on the
-    grid `axes`. Each run is scattered into the difference table over
+    `runs` is an iterable of _enumerate_runs batches on the grid `axes`, and
+    `visit_ones` each trip's truth ones. Each run is scattered into the difference table over
     (delta_b, t_b qualification bound, v_b range), which a cumulative sum
     over v_b and a reverse one over t_b turn into the counts, of shape
     (nT, nD, nV). Runs never cross trips, so the counts of a trip subset
@@ -398,7 +468,7 @@ def _count_tables(runs, prepared, axes, mask=None):
         by_t = np.cumsum(by_v[:, :0:-1], axis=1)[:, ::-1]
         return np.ascontiguousarray(by_t.transpose(1, 0, 2))
 
-    v_ones = sum(prep.visit_ones for i, prep in enumerate(prepared) if mask is None or mask[i])
+    v_ones = int(visit_ones.sum() if mask is None else visit_ones[mask].sum())
     return table(d_hit), table(d_len), v_ones
 
 
@@ -519,17 +589,16 @@ def calibrate(dataset, layout: StoreLayout, grid: ParamGrid) -> CalibrationResul
     Ties are broken toward the lexicographically smallest
     (t_b, delta_b, v_b).
     """
-    dataset = list(dataset)
-    if not dataset:
+    dataset = _listed(dataset)
+    if not len(dataset):
         raise EmptyDataset("calibration requires at least one trajectory")
-    t_axis, d_axis, v_axis = _grid_axes(grid)
-    prepared = _prepare(dataset, layout, cutoff=float(d_axis[-1]))
-    return _calibrate_prepared(prepared, t_axis, d_axis, v_axis)
+    axes = _grid_axes(grid)
+    return _best(_prepare(dataset, layout, axes, fold=True).count_tables(), axes)[1]
 
 
-def _calibrate_prepared(prepared, t_axis, d_axis, v_axis) -> CalibrationResult:
-    axes = (t_axis, d_axis, v_axis)
-    return _best(_count_tables(_enumerate_runs(prepared, *axes), prepared, axes), axes)[1]
+def _listed(dataset):
+    """A Runs as it is, else the dataset's (track, visits) pairs in a list."""
+    return dataset if isinstance(dataset, Runs) else list(dataset)
 
 
 def _best(tables, axes):
@@ -592,28 +661,25 @@ def _evaluate(protocol, sides, grid, p, repeats, seed) -> EvalReport:
     """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    sides = [(list(dataset), layout) for dataset, layout in sides]
-    if not all(dataset for dataset, _ in sides):
+    sides = [(_listed(dataset), layout) for dataset, layout in sides]
+    if not all(len(dataset) for dataset, _ in sides):
         raise EmptyDataset("evaluation requires at least one trajectory in every dataset")
     axes = _grid_axes(grid)
-    cal, *test = [_prepare(dataset, layout, cutoff=float(axes[1][-1])) for dataset, layout in sides]
+    cal, *test = [_prepare(dataset, layout, axes) for dataset, layout in sides]
     n = len(cal)
     n_cal = math.ceil(p * n)
     if not test and n_cal == n:
         raise DegenerateSplit(f"p={p} with {n} trajectories leaves an empty side")
-    # the calibration side's runs, found once; each repeat tabulates those of its subset
-    runs = [np.concatenate([np.zeros((5, 0), np.int32), *_enumerate_runs(cal, *axes)], axis=1)]
-    if test:
-        scored = _count_tables(_enumerate_runs(test[0], *axes), test[0], axes)
-    else:  # every trip's, less the calibration subset's in each repeat
-        scored = _count_tables(runs, cal, axes)
+    # each repeat tabulates the runs of its calibration subset; same-store scores every
+    # trip's counts less the subset's
+    scored = (test[0] if test else cal).count_tables()
     rng = np.random.default_rng(seed)
     scores, chosen = [], []
     for _ in range(repeats):
         order = rng.permutation(n) if n_cal < n else range(n)
         mask = np.zeros(n, dtype=bool)
         mask[order[:n_cal]] = True
-        index, result = _best(_count_tables(runs, cal, axes, mask), axes)
+        index, result = _best(cal.count_tables(mask), axes)
         counts = _counts(scored, index)
         if not test:
             counts = counts - result.metrics.counts

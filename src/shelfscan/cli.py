@@ -105,8 +105,8 @@ def _write_json(doc, path):
         fh.write("\n")
 
 
-def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs):
-    """calibration.prepare_file on a trajectory file and its labels, for the grid's delta_b axis.
+def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs, fold=False):
+    """calibration.prepare_file on a trajectory file and its labels, on the grid.
 
     The labels manifest is expected next to the labels file with the
     .manifest.json suffix replacing .jsonl.
@@ -115,8 +115,8 @@ def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs)
     _require_paths(manifest_path)
     n_reviewers, _ = labeling.read_label_manifest(manifest_path)
     labels = labeling.read_labels(labels_path)
-    return calibration.prepare_file(trajectories_path, labels, n_reviewers, layout, window,
-                                    cutoff=float(grid.axes()[1][-1]), jobs=jobs)
+    return calibration.prepare_file(trajectories_path, labels, n_reviewers, layout, grid, window,
+                                    jobs=jobs, fold=fold)
 
 
 def _jobs(args, cfg):
@@ -166,7 +166,8 @@ def cmd_calibrate(args):
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
-    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg))
+    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg),
+                               fold=True)
     result = calibration.calibrate(dataset, layout, grid)
     report = {
         "best_params": {

@@ -26,12 +26,15 @@ from shelfscan import (
     same_store_eval,
     score_dataset,
 )
+from shelfscan import calibration
 from shelfscan.calibration import (
-    _calibrate_prepared,
+    _best,
     _count_tables,
     _counts,
     _enumerate_runs,
+    _merge,
     _Prepared,
+    _runs_of,
     counts_at,
 )
 from shelfscan.detector import DURATION_TOL, StopMatrix
@@ -250,11 +253,20 @@ def prepared_streams(draw):
     return trips, axis(_T_VALUES), axis(_D_AXIS), axis(_V_AXIS)
 
 
+def sweep(prepared, *axes):
+    """The CalibrationResult of the trips' streams, folded as calibrate folds a range's."""
+    return _best(_runs_of(prepared, axes, fold=True).count_tables(), axes)[1]
+
+
+def ones(prepared):
+    return np.array([prep.visit_ones for prep in prepared], dtype=np.int64)
+
+
 @given(prepared_streams())
 @settings(max_examples=100, deadline=None)
 def test_sweep_tables_match_pointwise_counts(streams):
     prepared, t_axis, d_axis, v_axis = streams
-    result = _calibrate_prepared(prepared, t_axis, d_axis, v_axis)
+    result = sweep(prepared, t_axis, d_axis, v_axis)
     tp, fp, fn = result.count_tables
     for ti, t_b in enumerate(t_axis):
         for di, delta_b in enumerate(d_axis):
@@ -274,10 +286,10 @@ def _trip_mask(data, prepared):
 def test_masked_tables_match_subset_sweep(streams, data):
     prepared, *axes = streams
     mask = _trip_mask(data, prepared)
-    tp, s_ones, v_ones = _count_tables(list(_enumerate_runs(prepared, *axes)), prepared, axes, mask)
+    tp, s_ones, v_ones = _count_tables(list(_enumerate_runs(prepared, *axes)), ones(prepared), axes, mask)
     subset = [prep for prep, keep in zip(prepared, mask) if keep]
     if subset:
-        want_tp, want_fp, want_fn = _calibrate_prepared(subset, *axes).count_tables
+        want_tp, want_fp, want_fn = sweep(subset, *axes).count_tables
     else:
         want_tp = want_fp = want_fn = np.zeros(tuple(len(axis) for axis in axes), dtype=np.int64)
     assert np.array_equal(tp, want_tp)
@@ -291,12 +303,45 @@ def test_held_out_counts_by_complement_match_pointwise_counts(streams, data):
     prepared, *axes = streams
     mask = _trip_mask(data, prepared)
     runs = list(_enumerate_runs(prepared, *axes))
-    every, subset = _count_tables(runs, prepared, axes), _count_tables(runs, prepared, axes, mask)
+    every, subset = _count_tables(runs, ones(prepared), axes), _count_tables(runs, ones(prepared), axes, mask)
     held = [prep for prep, keep in zip(prepared, mask) if not keep]
     for _ in range(5):
         index = tuple(data.draw(st.integers(0, len(axis) - 1)) for axis in axes)
         params = StopParams(*(float(axis[i]) for axis, i in zip(axes, index)))
         assert _counts(every, index) - _counts(subset, index) == counts_at(held, params)
+
+
+@given(prepared_streams(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_runs_of_contiguous_ranges_merge_to_one_enumeration(streams, data):
+    """Ranges enumerated apart, some of them empty, count as the whole list enumerated at once."""
+    prepared, *axes = streams
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(prepared)), max_size=3)))
+    ranges = [prepared[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(prepared)])]
+    whole = _runs_of(prepared, axes, fold=False)
+    split = _merge([_runs_of(trips, axes, fold=False) for trips in ranges])
+    mask = _trip_mask(data, prepared)
+    for got, want in ((split.count_tables(), whole.count_tables()),
+                      (split.count_tables(mask), whole.count_tables(mask)),
+                      (_merge([_runs_of(trips, axes, fold=True) for trips in ranges]).count_tables(),
+                       whole.count_tables())):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert np.array_equal(split.visit_ones, ones(prepared))
+
+
+def test_runs_serve_only_their_own_grid_and_use():
+    dataset, layout = planted_dataset(n=4)
+    runs = calibration._prepare(dataset, layout, PLANTED_GRID.axes())
+    assert same_store_eval(runs, layout, PLANTED_GRID, p=0.5, repeats=2, seed=1) == \
+        same_store_eval(dataset, layout, PLANTED_GRID, p=0.5, repeats=2, seed=1)
+    with pytest.raises(ValidationError, match="other grid axes"):
+        calibrate(runs, layout, MISSING_GRID)
+    folded = calibration._prepare(dataset, layout, PLANTED_GRID.axes(), fold=True)
+    got, want = calibrate(folded, layout, PLANTED_GRID), calibrate(runs, layout, PLANTED_GRID)
+    assert (got.best_params, got.metrics) == (want.best_params, want.metrics)
+    assert all(np.array_equal(a, b) for a, b in zip(got.count_tables, want.count_tables, strict=True))
+    with pytest.raises(ValidationError, match="calibrate only"):
+        same_store_eval(folded, layout, PLANTED_GRID, p=0.5, repeats=1, seed=0)
 
 
 @given(prepared_streams(), st.data())
@@ -307,7 +352,7 @@ def test_subset_without_candidates_gives_zero_tables(streams, data):
     # the masked trips see no shelf; the others keep theirs, so the enumeration is not empty
     prepared = [dataclasses.replace(prep, candidates=np.full(len(prep.times), -1)) if keep else prep
                 for prep, keep in zip(prepared, mask)]
-    tp, s_ones, v_ones = _count_tables(_enumerate_runs(prepared, *axes), prepared, axes, mask)
+    tp, s_ones, v_ones = _count_tables(_enumerate_runs(prepared, *axes), ones(prepared), axes, mask)
     assert tp.shape == s_ones.shape == tuple(len(axis) for axis in axes)
     assert not tp.any() and not s_ones.any()
     assert v_ones == sum(prep.visit_ones for prep, keep in zip(prepared, mask) if keep)
@@ -324,16 +369,18 @@ def test_eval_repeats_match_subset_sweeps_and_pointwise_counts(streams, others, 
     test_side = others[0]
     n = len(prepared)
     n_cal = math.ceil(0.5 * n)
-    reports = [cross_store_eval(prepared, _ANY_STORE, test_side, _ANY_STORE, _FixedGrid(*axes),
+    # the Runs prepare_file's range stage makes of the streams
+    cal_runs, test_runs = (_runs_of(trips, axes, fold=False) for trips in (prepared, test_side))
+    reports = [cross_store_eval(cal_runs, _ANY_STORE, test_runs, _ANY_STORE, _FixedGrid(*axes),
                                 p=0.5, seed=seed, repeats=3)]
     if n_cal < n:
-        reports.append(same_store_eval(prepared, _ANY_STORE, _FixedGrid(*axes), p=0.5, repeats=3, seed=seed))
+        reports.append(same_store_eval(cal_runs, _ANY_STORE, _FixedGrid(*axes), p=0.5, repeats=3, seed=seed))
     for report in reports:
         rng = np.random.default_rng(seed)
         for params, score in zip(report.params_per_repeat, report.scores, strict=True):
             order = rng.permutation(n) if n_cal < n else range(n)
             held = test_side if report.protocol == "cross-store" else [prepared[i] for i in order[n_cal:]]
-            assert params == _calibrate_prepared([prepared[i] for i in order[:n_cal]], *axes).best_params
+            assert params == sweep([prepared[i] for i in order[:n_cal]], *axes).best_params
             assert score == precision_recall_f1(counts_at(held, params)).f1
 
 

@@ -21,6 +21,7 @@ from shelfscan import (
     random_scenario,
     read_stop_events,
     read_trajectories,
+    same_store_eval,
     save_layout,
     write_labels,
     write_scenario,
@@ -213,10 +214,30 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("command", ["eval-same", "eval-cross"])
 def test_eval_artifacts_match_golden(tmp_path, command):
-    """eval.json (generated_at line left out) and eval_repeats.csv, byte for byte.
+    _assert_golden(tmp_path, command)
 
-    The labels are planted off the grid, so the scores fall below 1 and the
-    chosen parameters differ between repeats.
+
+def test_eval_same_enumerates_once_per_range(tmp_path, monkeypatch, range_cuts):
+    """Every --p reuses the runs that each range enumerated, and the artifacts stay golden."""
+    calls, enumerate_runs = tmp_path / "calls", calibration._enumerate_runs
+
+    def counted(*args):
+        with open(calls, "a") as fh:  # a file, so that calls in forked workers count too
+            fh.write("call\n")
+        return enumerate_runs(*args)
+
+    monkeypatch.setattr(calibration, "_enumerate_runs", counted)
+    _assert_golden(tmp_path, "eval-same", "--jobs", "2")
+    assert len(range_cuts[-1]) == 2
+    assert calls.read_text().count("call") == 2
+
+
+def _assert_golden(tmp_path, command, *flags):
+    """Run command on the golden inputs and check its artifacts against tests/golden.
+
+    eval.json (generated_at line left out) and eval_repeats.csv, byte for
+    byte. The labels are planted off the grid, so the scores fall below 1
+    and the chosen parameters differ between repeats.
     """
     stores = {}
     for name, population, seed in (("a", "25", "5"), ("b", "20", "6")):
@@ -234,7 +255,7 @@ def test_eval_artifacts_match_golden(tmp_path, command):
         cfg.write_text(json.dumps({"cross_repeats": 3}))
         extra = ["--p", "0.5", "--config", str(cfg)]
     out = tmp_path / "out"
-    assert run([command, *inputs, *extra, "--seed", "3", *SMALL_GRID, "--out", str(out)]) == 0
+    assert run([command, *inputs, *extra, "--seed", "3", *SMALL_GRID, *flags, "--out", str(out)]) == 0
     for name in ("eval.json", "eval_repeats.csv"):
         got = "".join(line for line in (out / name).read_text().splitlines(keepends=True)
                       if '"generated_at"' not in line)
@@ -824,7 +845,7 @@ def test_labeled_commands_do_not_depend_on_jobs(synth_dir, tmp_path, range_cuts)
     assert set(outputs[0]["cal"]) == {"calibration.json", "grid.csv"}
     assert set(outputs[0]["same"]) == set(outputs[0]["cross"]) == {"eval.json", "eval_repeats.csv"}
 
-    # the streams the workers prepare score as the in-process (track, visits) pairs do
+    # the runs the workers enumerate score as the in-process (track, visits) pairs do
     pairs_layout = load_layout(synth_dir / "layout.json")
     by_traj = {}
     for lab in read_labels(labels):
@@ -837,6 +858,8 @@ def test_labeled_commands_do_not_depend_on_jobs(synth_dir, tmp_path, range_cuts)
     assert got["n_trajectories"] == len(pairs)
     assert (got["best_f1"], got["counts"]) == (want.best_f1, dict(
         tp=want.metrics.counts.tp, fp=want.metrics.counts.fp, fn=want.metrics.counts.fn))
+    assert read_json(tmp_path / "j2" / "same" / "eval.json")["reports"] == [
+        same_store_eval(pairs, pairs_layout, grid, p=p, repeats=3, seed=2).to_dict() for p in (0.4, 0.6)]
 
 
 def _label(trajectory_id, shelf_id=1, reviewer_id="auto"):
@@ -905,12 +928,44 @@ def test_labeled_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, rang
     assert code == 1 and record["error"] == error and message in record["message"]
 
 
-def test_store_is_checked_after_the_evaluation_arguments(synth_dir, tmp_path, capsys, range_cuts):
+def _eval_flags(*flags):
+    def fault(lineno, lines, labels):
+        return list(flags)
+    return fault
+
+
+# the documented order, first to last: (name, line, fault, error, message); a fault that
+# comes later sits earlier in the file, and the three argument checks go in the order given
+ERROR_ORDER = [
+    ("read", 23, _labeled_fault(_malformed_row), "ParseError", ":23: sample 3 "),
+    ("unknown", 24, _stray_label, "UnknownTrajectory", "['ghost']"),
+    ("vote", 10, _unknown_shelf, "UnknownShelf", "shelf 99"),
+    ("p", 0, _eval_flags("--p", "1.5"), "FractionOutOfRange", "got 1.5"),
+    ("repeats", 0, _eval_flags("--repeats", "0"), "ValidationError", "repeats must be >= 1"),
+    # 1e-17 is below the float spacing at 1.0, so the t_b axis repeats values
+    ("grid", 0, _eval_flags("--t-b-range", "1.0", "1.0000000000000002", "1e-17"),
+     "ValidationError", "t_b axis must be finite and strictly increasing"),
+    ("store", 2, _labeled_fault(_wrong_store("a")), "FrameMismatch", "store 'a'"),
+]
+
+
+@pytest.mark.parametrize("first, second", [
+    pytest.param(a, b, id=f"{a[0]}-{b[0]}") for i, a in enumerate(ERROR_ORDER) for b in ERROR_ORDER[i + 1:]])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_error_order_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts, jobs,
+                                                  first, second):
     lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
-    _labeled_fault(_wrong_store("a"))(2, lines, [])
+    labels = (synth_dir / "labels.jsonl").read_text().splitlines()
+    flags = ["--p", "0.5", "--repeats", "2", *SMALL_GRID]
+    for _, lineno, fault, _, _ in (first, second):
+        flags += fault(lineno, lines, labels) or []
     (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
-    for jobs in ("1", "2"):
-        code = run(["eval-same", "--layout", str(synth_dir / "layout.json"),
-                    "--trajectories", str(tmp_path / "t.jsonl"), "--labels", str(synth_dir / "labels.jsonl"),
-                    *SMALL_GRID, "--p", "1.5", "--jobs", jobs, "--out", str(tmp_path / "out")])
-        assert code == 1 and json.loads(capsys.readouterr().err)["error"] == "FractionOutOfRange"
+    (tmp_path / "labels.jsonl").write_text("\n".join(labels) + "\n")
+    write_label_manifest(1, ["auto"], tmp_path / "labels.manifest.json")
+    code = run(["eval-same", "--layout", str(synth_dir / "layout.json"),
+                "--trajectories", str(tmp_path / "t.jsonl"), "--labels", str(tmp_path / "labels.jsonl"),
+                *flags, "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert len(range_cuts[-1]) == int(jobs)
+    record = json.loads(capsys.readouterr().err)
+    _, _, _, error, message = first
+    assert code == 1 and record["error"] == error and message in record["message"]
