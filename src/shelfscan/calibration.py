@@ -7,12 +7,13 @@ pooled F1.
 
 The expensive part of evaluating a grid point is the geometry, and the
 geometry does not depend on the thresholds. Each trajectory is therefore
-reduced once to its per-sample candidate/distance/speed streams. The
-sweep then makes one vectorized pass over all trajectories per delta_b
-value: every run that exists at some v_b is found at once, with the v_b
-range it exists over, and the minimum-duration and speed axes are filled
-from those runs by cumulative sums. A sweep costs O(n log n) per delta_b
-for n samples, whatever the sizes of the t_b and v_b axes.
+reduced once to its per-sample candidate/distance/speed streams, in gaze
+batches of _GAZE_BATCH trajectories. The sweep then makes one vectorized
+pass over each batch per delta_b value: every run that exists at some v_b
+is found at once, with the v_b range it exists over, and the
+minimum-duration and speed axes are filled from those runs by cumulative
+sums. A sweep costs O(n log n) per delta_b for n samples, whatever the
+sizes of the t_b and v_b axes.
 
 The runs are enumerated once per dataset and grid, each kept as five
 int32 values (about 20 B): trip, two difference-table cells, length and
@@ -23,10 +24,12 @@ chosen point are every trip's counts less the subset's. That complement is
 exact, because runs never cross trajectories and the counts are integers.
 A plain calibration folds the runs into its tables as they are found.
 
-For a trajectory file, prepare_file's range workers gaze and enumerate
-their own trajectories, or fold them for a calibration, and the streams
-never leave the worker: the parent only renumbers the trips and joins the
-runs, or sums the integer tables, which is exact.
+The gaze batch is the one unit of work: each batch's streams are
+enumerated as soon as they are gazed, its trips numbered after the earlier
+batches'. For a trajectory file, prepare_file's range workers do this for
+their own trajectories, or fold the runs for a calibration, and the
+streams never leave the worker: the parent only renumbers the trips and
+joins the runs, or sums the integer tables, which is exact.
 """
 
 from __future__ import annotations
@@ -278,10 +281,10 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
     return _runs_of(_gaze(dataset, layout, float(axes[1][-1])), axes, fold)
 
 
-def _gaze(pairs, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
-    """_Prepared streams of checked (track, visits) pairs, one gaze_stream call per _GAZE_BATCH."""
-    prepared = []
+def _gaze(pairs, layout: StoreLayout, cutoff: float):
+    """Yield a list of _Prepared streams per _GAZE_BATCH checked (track, visits) pairs, gazed at once."""
     for batch in batches(pairs, _GAZE_BATCH):
+        prepared = []
         positions, normals, cuts = stack_tracks([track for track, _ in batch])
         candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff)
         for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
@@ -297,21 +300,36 @@ def _gaze(pairs, layout: StoreLayout, cutoff: float) -> list[_Prepared]:
                 visit_ones=int(np.count_nonzero(visits.values)),
                 store_id=track.store_id,
             ))
+        yield prepared
         del batch  # before batches takes the next batch
-    return prepared
 
 
-def _runs_of(prepared, axes, fold: bool) -> Runs:
-    """The Runs of _Prepared streams, enumerated in one pass; folded into tables as found when fold."""
-    visit_ones = np.array([prep.visit_ones for prep in prepared], dtype=np.int64)
+def _runs_of(gazed, axes, fold: bool) -> Runs:
+    """The Runs of lists of _Prepared streams, such as _gaze yields, each enumerated as it arrives.
+
+    A list's trips are numbered after the earlier lists', as _merge numbers
+    ranges. With fold, the runs are folded into the tables as they are
+    found, and none is kept. Without axes there is nothing to enumerate on,
+    and the grid is reported where the result is used.
+    """
+    visit_ones, store_ids = [], []
+
+    def found():
+        for prepared in gazed:
+            offset = len(visit_ones)
+            visit_ones.extend(prep.visit_ones for prep in prepared)
+            store_ids.extend(prep.store_id for prep in prepared)
+            if axes is not None and prepared:
+                for batch in _enumerate_runs(prepared, *axes):
+                    batch[0] += offset
+                    yield batch
+
     runs = folded = None
-    if axes is not None:  # else there is nothing to enumerate on, and the grid is reported where used
-        batches = _enumerate_runs(prepared, *axes) if prepared else ()
-        if fold:
-            folded = _count_tables(batches, visit_ones, axes)[:2]
-        else:
-            runs = np.concatenate([np.zeros((5, 0), np.int32), *batches], axis=1)
-    return Runs(axes, visit_ones, tuple(prep.store_id for prep in prepared), runs, folded)
+    if fold and axes is not None:  # the truth ones are summed from visit_ones where the tables are used
+        folded = _count_tables(found(), np.zeros(0, np.int64), axes)[:2]
+    else:
+        runs = np.concatenate([np.zeros((5, 0), np.int32), *found()], axis=1)
+    return Runs(axes, np.array(visit_ones, dtype=np.int64), tuple(store_ids), runs, folded)
 
 
 def _merge(parts) -> Runs:
@@ -334,8 +352,9 @@ def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout,
     """prepare_file's stage: the Runs of the trajectories of one range, in a one-item list.
 
     Each trajectory is voted and built as it is taken, so the error raised
-    is the one of the first trajectory that fails. The range's streams are
-    enumerated together once gazed, and dropped with the stage's return.
+    is the one of the first trajectory that fails. Each gaze batch's
+    streams are enumerated as soon as they are gazed, so the worker never
+    holds the whole range's streams.
     """
     def pairs():
         for traj in trajectories:
@@ -353,9 +372,10 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
     """The Runs of every trajectory of a JSONL trajectory file, with its labels, on the grid.
 
     kinematics.map_file's range workers read, gap-split, vote, build, gaze
-    and enumerate the file, each range at once, so this process holds only
-    the runs (about 20 B each), never a track, a visit matrix or a
-    per-sample stream. The result serves calibrate, same_store_eval and
+    and enumerate the file, one gaze batch of _GAZE_BATCH trajectories at a
+    time, so this process holds only the runs (about 20 B each), never a
+    track, a visit matrix or a per-sample stream, and a worker the streams
+    of a batch or two. The result serves calibrate, same_store_eval and
     cross_store_eval with the same grid and `layout`; they check its
     stores. With `fold`, each range folds its runs into its count tables
     instead and this process sums them, for calibrate only.
@@ -384,11 +404,8 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
                   or [_runs_of([], axes, fold)])
 
 
-_CHUNK = 8192  # samples per nearest-greater pass; bounds the sparse table's memory
-
-
 def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
-    """Every run of the trajectories at some grid point, yielded one delta_b of one chunk at a time.
+    """Every run of the trajectories at some grid point, yielded one delta_b at a time.
 
     Each batch is a (5, k) int32 array with one column per run: its trip
     (index into prepared), its two cells of the flattened (nD, nT+1, nV+1)
@@ -397,8 +414,9 @@ def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
     lo_v) and subtracts at (delta_b index, upto, hi_v), where upto is the
     number of t_axis values its duration qualifies at.
 
-    One vectorized pass over all trajectories per delta_b, in chunks of at
-    most _CHUNK samples cut between blocks. Fix delta_b and call a block a
+    One vectorized pass over the trajectories per delta_b; callers bound
+    the memory it takes by the trajectories they pass, a gaze batch at a
+    time. Fix delta_b and call a block a
     maximal stretch of consecutive samples, in one trajectory, that pass
     the candidate and distance conditions with one candidate. A sample
     meets the speed condition at v_axis[i] exactly when i >= its rank, the
@@ -417,22 +435,20 @@ def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
     n_t, n_v = len(t_axis), len(v_axis)
     trip, rank, times, d_first, link, vac = _flatten(prepared, d_axis, v_axis)
     cum = np.concatenate([[0], np.cumsum(vac)])
-    # blocks only split as delta_b shrinks, so chunks cut at the widest blocks serve every delta_b
-    for lo, hi in _chunks(np.flatnonzero(~link), len(link)):
-        for di in range(len(d_axis)):
-            sel = lo + np.flatnonzero(d_first[lo:hi] <= di)
-            if len(sel) == 0:
-                continue
-            new_block = np.ones(len(sel), dtype=bool)
-            new_block[1:] = (sel[1:] != sel[:-1] + 1) | ~link[sel[1:]]
-            first, last, length, lo_v, hi_v = _tree_runs(rank[sel], new_block, n_v)
-            s, e = sel[first], sel[last]
-            # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
-            # the same float predicate the detector applies
-            upto = np.searchsorted(t_axis, times[e] - times[s] + DURATION_TOL, side="right")
-            row = (di * (n_t + 1) + upto) * (n_v + 1)
-            yield np.stack([trip[s], row + lo_v, row + hi_v, length, cum[e + 1] - cum[s]],
-                           dtype=np.int32)
+    for di in range(len(d_axis)):
+        sel = np.flatnonzero(d_first <= di)
+        if len(sel) == 0:
+            continue
+        new_block = np.ones(len(sel), dtype=bool)
+        new_block[1:] = (sel[1:] != sel[:-1] + 1) | ~link[sel[1:]]
+        first, last, length, lo_v, hi_v = _tree_runs(rank[sel], new_block, n_v)
+        s, e = sel[first], sel[last]
+        # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
+        # the same float predicate the detector applies
+        upto = np.searchsorted(t_axis, times[e] - times[s] + DURATION_TOL, side="right")
+        row = (di * (n_t + 1) + upto) * (n_v + 1)
+        yield np.stack([trip[s], row + lo_v, row + hi_v, length, cum[e + 1] - cum[s]],
+                       dtype=np.int32)
 
 
 def _count_tables(runs, visit_ones, axes, mask=None):
@@ -493,24 +509,6 @@ def _flatten(prepared, d_axis, v_axis):
         parts.append((np.full(len(keep), i, dtype=np.int32), v_rank, prep.times[keep], d_first,
                       link, prep.visit_at_candidate[keep]))
     return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _chunks(starts, n, size=_CHUNK):
-    """Cut range(n) at block starts into pieces of at most size samples.
-
-    A block longer than size becomes a piece of its own.
-    """
-    lo = 0
-    while lo < n:
-        hi = n
-        if lo + size < n:
-            k = int(np.searchsorted(starts, lo + size, side="right")) - 1
-            if starts[k] > lo:
-                hi = int(starts[k])
-            elif k + 1 < len(starts):
-                hi = int(starts[k + 1])
-        yield lo, hi
-        lo = hi
 
 
 def _tree_runs(rank, new_block, n_v):

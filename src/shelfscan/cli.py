@@ -363,8 +363,7 @@ def cmd_synth(args):
     synth.write_ground_truth(truth, os.path.join(args.out, "ground_truth.json"))
     if args.plant:
         tracks = [build_track(traj, window) for traj in trajectories]
-        # one worker: a pool costs more than the batched pass it would split
-        labels = [lab for events in detect_many(tracks, layout, params, jobs=1)
+        labels = [lab for events in detect_many(tracks, layout, params)
                   for lab in labeling.labels_from_stop_events(events, reviewer_id="auto")]
         labels_path = os.path.join(args.out, "labels.jsonl")
         labeling.write_labels(labels, labels_path)

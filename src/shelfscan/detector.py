@@ -34,10 +34,8 @@ from .errors import FrameMismatch, ParseError, ValidationError
 from .kinematics import (
     DEFAULT_WINDOW,
     KinematicTrack,
-    _map,
     batches,
     build_track,
-    default_jobs,
     json_int,
     map_file,
     read_lines,
@@ -362,17 +360,15 @@ def read_stop_events(path) -> list[StopEvent]:
     return out
 
 
-def detect_many(tracks, layout: StoreLayout, params: StopParams, jobs: int | None = None):
-    """Detect stops on many tracks, optionally in parallel.
+def detect_many(tracks, layout: StoreLayout, params: StopParams):
+    """Detect stops on many tracks, one shared gaze pass per _CHUNK tracks.
 
-    Returns one event list per input track, in input order; the result
-    does not depend on the worker count.
+    Returns one event list per input track, in input order. Every track is
+    store-checked before any is detected.
     """
     tracks = [check_store(track, layout) for track in tracks]
-    if jobs is None:
-        jobs = default_jobs()
-    chunks = [(chunk, layout, params) for chunk in batches(tracks, _CHUNK)]
-    return [events for chunk in _map(_detect_chunk, chunks, jobs) for events, _ in chunk]
+    return [events for chunk in batches(tracks, _CHUNK)
+            for events, _ in _detect_chunk(chunk, layout, params)]
 
 
 def _detect_range(trajectories, layout: StoreLayout, params: StopParams, window: int):

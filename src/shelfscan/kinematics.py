@@ -271,14 +271,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _map(fn, tasks, jobs: int):
-    """[fn(*task) for task in tasks], in a pool of forked workers when jobs > 1 and tasks > 1."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
-    with get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.starmap(fn, tasks)
-
-
 def batches(items, size: int):
     """Lists of `size` consecutive items of an iterable, taken as they come; the last may be shorter.
 
@@ -365,7 +357,11 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
     if jobs is None:
         jobs = default_jobs()
     tasks = [(path, start, stop, stage, stage_args) for start, stop in _byte_ranges(path, jobs)]
-    results = _map(_read_range, tasks, jobs)
+    if len(tasks) <= 1:  # an empty file has no range
+        results = [_read_range(*task) for task in tasks]
+    else:
+        with get_context("fork").Pool(processes=len(tasks)) as pool:
+            results = pool.starmap(_read_range, tasks)
     errors, first_line = [r.error for r in results if r.error], {}
     for trajectory_id, lineno in (pair for r in results for pair in r.ids):
         first = first_line.setdefault(trajectory_id, lineno)

@@ -153,13 +153,17 @@ def write_labels(labels, path) -> None:
 
 
 def read_label_manifest(path) -> tuple[int, list[str]]:
-    """Read the sidecar manifest: panel size and reviewer roster."""
+    """Read the sidecar manifest: panel size and reviewer roster.
+
+    An n_reviewers that is not a JSON integer (2.7, 2.0, true, "3") raises
+    ParseError naming the file, as does a file that is not a JSON object.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
         roster = [str(r) for r in doc.get("reviewers", [])]
-        n = int(doc["n_reviewers"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        n = json_int(doc, "n_reviewers")
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"cannot parse label manifest {path}: {exc!r}") from exc
     return n, roster
 

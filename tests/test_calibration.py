@@ -38,6 +38,7 @@ from shelfscan.calibration import (
     counts_at,
 )
 from shelfscan.detector import DURATION_TOL, StopMatrix
+from conftest import make_trajectory
 from shelfscan.errors import (
     AxisMismatch,
     DegenerateSplit,
@@ -255,7 +256,7 @@ def prepared_streams(draw):
 
 def sweep(prepared, *axes):
     """The CalibrationResult of the trips' streams, folded as calibrate folds a range's."""
-    return _best(_runs_of(prepared, axes, fold=True).count_tables(), axes)[1]
+    return _best(_runs_of([prepared], axes, fold=True).count_tables(), axes)[1]
 
 
 def ones(prepared):
@@ -314,19 +315,42 @@ def test_held_out_counts_by_complement_match_pointwise_counts(streams, data):
 @given(prepared_streams(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_runs_of_contiguous_ranges_merge_to_one_enumeration(streams, data):
-    """Ranges enumerated apart, some of them empty, count as the whole list enumerated at once."""
+    """Ranges or gaze batches enumerated apart, some of them empty, count as one batch."""
     prepared, *axes = streams
     cuts = sorted(data.draw(st.lists(st.integers(0, len(prepared)), max_size=3)))
     ranges = [prepared[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(prepared)])]
-    whole = _runs_of(prepared, axes, fold=False)
-    split = _merge([_runs_of(trips, axes, fold=False) for trips in ranges])
+    whole = _runs_of([prepared], axes, fold=False)
+    split = _merge([_runs_of([trips], axes, fold=False) for trips in ranges])
+    batched = _runs_of(ranges, axes, fold=False)
     mask = _trip_mask(data, prepared)
     for got, want in ((split.count_tables(), whole.count_tables()),
                       (split.count_tables(mask), whole.count_tables(mask)),
-                      (_merge([_runs_of(trips, axes, fold=True) for trips in ranges]).count_tables(),
-                       whole.count_tables())):
+                      (batched.count_tables(), whole.count_tables()),
+                      (batched.count_tables(mask), whole.count_tables(mask)),
+                      (_merge([_runs_of([trips], axes, fold=True) for trips in ranges]).count_tables(),
+                       whole.count_tables()),
+                      (_runs_of(ranges, axes, fold=True).count_tables(), whole.count_tables())):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert np.array_equal(split.visit_ones, ones(prepared))
+    for runs in (split, batched):
+        assert np.array_equal(runs.visit_ones, ones(prepared))
+        assert runs.store_ids == whole.store_ids
+
+
+def test_sweep_of_a_block_longer_than_8192_samples_matches_pointwise_counts(single_shelf_layout):
+    """A 10,000-sample stand facing a shelf is one block at the widest point, enumerated whole."""
+    rng = np.random.default_rng(4)
+    n = 10_000
+    # jitter around (1, 1), facing the shelf 1 m away, so the speeds and distances vary
+    traj = make_trajectory(np.array([1.0, 1.0]) + rng.normal(0.0, 0.01, (n, 2)), np.full(n, -math.pi / 2))
+    visits = VisitMatrix(traj.trajectory_id, traj.times, rng.random((1, n)) < 0.5, n_reviewers=1)
+    axes = (np.array([0.5, 30.0, 999.0]), np.array([0.995, 1.005, 2.0]), np.array([0.03, 0.06, 1.0]))
+    [prepared] = calibration._gaze([(build_track(traj, window=5), visits)], single_shelf_layout,
+                                   float(axes[1][-1]))
+    tp, fp, fn = sweep(prepared, *axes).count_tables
+    assert tp[-1, -1, -1] + fp[-1, -1, -1] == n  # one run of every sample
+    for index in np.ndindex(tp.shape):
+        want = counts_at(prepared, StopParams(*(float(axis[i]) for axis, i in zip(axes, index))))
+        assert (tp[index], fp[index], fn[index]) == (want.tp, want.fp, want.fn)
 
 
 def test_runs_serve_only_their_own_grid_and_use():
@@ -370,7 +394,7 @@ def test_eval_repeats_match_subset_sweeps_and_pointwise_counts(streams, others, 
     n = len(prepared)
     n_cal = math.ceil(0.5 * n)
     # the Runs prepare_file's range stage makes of the streams
-    cal_runs, test_runs = (_runs_of(trips, axes, fold=False) for trips in (prepared, test_side))
+    cal_runs, test_runs = (_runs_of([trips], axes, fold=False) for trips in (prepared, test_side))
     reports = [cross_store_eval(cal_runs, _ANY_STORE, test_runs, _ANY_STORE, _FixedGrid(*axes),
                                 p=0.5, seed=seed, repeats=3)]
     if n_cal < n:

@@ -218,7 +218,10 @@ def test_eval_artifacts_match_golden(tmp_path, command):
 
 
 def test_eval_same_enumerates_once_per_range(tmp_path, monkeypatch, range_cuts):
-    """Every --p reuses the runs that each range enumerated, and the artifacts stay golden."""
+    """Every --p reuses the runs that each gaze batch of each range enumerated once.
+
+    The artifacts stay golden, and three --p enumerate no more than one.
+    """
     calls, enumerate_runs = tmp_path / "calls", calibration._enumerate_runs
 
     def counted(*args):
@@ -228,8 +231,18 @@ def test_eval_same_enumerates_once_per_range(tmp_path, monkeypatch, range_cuts):
 
     monkeypatch.setattr(calibration, "_enumerate_runs", counted)
     _assert_golden(tmp_path, "eval-same", "--jobs", "2")
-    assert len(range_cuts[-1]) == 2
-    assert calls.read_text().count("call") == 2
+    store = tmp_path / "a"
+    records = (store / "trajectories.jsonl").read_bytes()
+    # range_cuts batches 2 trajectories per gaze_stream call
+    batches = sum(math.ceil(records[lo:hi].count(b"\n") / 2) for lo, hi in range_cuts[-1])
+    assert len(range_cuts[-1]) == 2 and batches == 13
+    assert calls.read_text().count("call") == batches
+    calls.unlink()
+    assert run(["eval-same", *(f"--{key}={store / name}" for key, name in (
+        ("layout", "layout.json"), ("trajectories", "trajectories.jsonl"), ("labels", "labels.jsonl"))),
+        "--p", "0.5", "--repeats", "4", "--seed", "3", *SMALL_GRID, "--jobs", "2",
+        "--out", str(tmp_path / "one_p")]) == 0
+    assert calls.read_text().count("call") == batches
 
 
 def _assert_golden(tmp_path, command, *flags):

@@ -246,7 +246,7 @@ def test_detect_many_store_mismatch_rejected(single_shelf_layout):
         for tid, store in (("here", "unit"), ("there", "elsewhere"))
     ]
     with pytest.raises(FrameMismatch):
-        detect_many(tracks, single_shelf_layout, PARAMS, jobs=1)
+        detect_many(tracks, single_shelf_layout, PARAMS)
 
 
 def test_params_must_be_positive():
@@ -323,21 +323,16 @@ def test_detect_many_matches_detect_stops_and_ignores_jobs():
     trajs, _, layout = generate(random_scenario(13, max_len=300))
     params = StopParams(1.5, 1.4, 0.6)
     tracks = [build_track(t, window=fit_window(5, len(t))) for t in trajs]
-    singles = [detect_stops(t, layout, params)[0] for t in tracks]
-    assert detect_many(tracks, layout, params, jobs=1) == singles
-    assert detect_many(tracks, layout, params, jobs=3) == singles
+    assert detect_many(tracks, layout, params) == [detect_stops(t, layout, params)[0] for t in tracks]
 
-
-def test_detect_many_worker_pool_matches_detect_stops():
     spec = population_scenario(4, n_trajectories=300, n_shelves=6, noise=0.05)
     trajs, _, layout = generate(replace(spec, max_samples=150))
     params = StopParams(1.0, 1.4, 0.6)
     tracks = [build_track(t, window=5) for t in trajs]
     singles = [detect_stops(t, layout, params)[0] for t in tracks]
-    # 300 tracks make two chunks of the batched pass, so jobs=2 forks a pool
+    # 300 tracks make two chunks of the batched pass
     assert any(singles[:256]) and any(singles[256:])
-    assert detect_many(tracks, layout, params, jobs=1) == singles
-    assert detect_many(tracks, layout, params, jobs=2) == singles
+    assert detect_many(tracks, layout, params) == singles
 
 
 @pytest.mark.parametrize("shelf_id", [2.7, 2.0, True, False, "2", None])

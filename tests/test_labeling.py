@@ -21,7 +21,7 @@ from shelfscan.errors import (
     UnknownTrajectory,
     ValidationError,
 )
-from shelfscan.labeling import read_labels, write_labels
+from shelfscan.labeling import read_label_manifest, read_labels, write_label_manifest, write_labels
 
 from conftest import standing_trajectory
 from shelfscan import Segment2D, Shelf, StoreLayout
@@ -185,3 +185,20 @@ def test_shelf_id_must_be_json_integer(tmp_path, shelf_id):
         read_labels(path)
     path.write_text(json.dumps(good) + "\n")
     assert read_labels(path)[0].shelf_id == 2
+
+
+@pytest.mark.parametrize("n_reviewers", [2.7, 2.0, True, "3", None])
+def test_manifest_n_reviewers_must_be_json_integer(tmp_path, n_reviewers):
+    path = tmp_path / "labels.manifest.json"
+    path.write_text(json.dumps({"n_reviewers": n_reviewers, "reviewers": ["a"]}))
+    with pytest.raises(ParseError, match=f"^cannot parse label manifest {path}: .*n_reviewers must be a JSON integer"):
+        read_label_manifest(path)
+    write_label_manifest(2, ["a"], path)
+    assert read_label_manifest(path) == (2, ["a"])
+
+
+def test_manifest_that_is_not_an_object_is_a_parse_error(tmp_path):
+    path = tmp_path / "labels.manifest.json"
+    path.write_text("[2]")
+    with pytest.raises(ParseError, match=f"^cannot parse label manifest {path}"):
+        read_label_manifest(path)
