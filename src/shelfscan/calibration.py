@@ -124,18 +124,20 @@ class CalibrationResult:
     count_tables: tuple | None = field(repr=False, default=None)          # (tp, fp, fn) arrays
 
     def score_rows(self):
-        """Yield (t_b, delta_b, v_b, tp, fp, fn, precision, recall, f1) per grid point."""
+        """Yield (t_b, delta_b, v_b, tp, fp, fn, precision, recall, f1) per grid point.
+
+        The count tables are scored by _scores one t_b row at a time, and
+        each (t_b, delta_b) line becomes Python values only as it is yielded.
+        """
         if self.f1_table is None:
             return
-        t_axis, d_axis, v_axis = self.grid_axes
-        tp, fp, fn = self.count_tables
+        t_axis, d_axis, v_axis = ([float(x) for x in axis] for axis in self.grid_axes)
         for ti, tv in enumerate(t_axis):
+            row = tuple(table[ti] for table in self.count_tables)
+            columns = (*row, *_scores(*row))
             for di, dv in enumerate(d_axis):
-                for vi, vv in enumerate(v_axis):
-                    counts = ConfusionCounts(int(tp[ti, di, vi]), int(fp[ti, di, vi]), int(fn[ti, di, vi]))
-                    rep = precision_recall_f1(counts)
-                    yield (float(tv), float(dv), float(vv), counts.tp, counts.fp, counts.fn,
-                           rep.precision, rep.recall, rep.f1)
+                for vv, *values in zip(v_axis, *(column[di].tolist() for column in columns)):
+                    yield (tv, dv, vv, *values)
 
 
 @dataclass(frozen=True)
@@ -190,16 +192,22 @@ def confusion_counts_total(pairs) -> ConfusionCounts:
     return total
 
 
-def precision_recall_f1(counts: ConfusionCounts) -> MetricsReport:
-    """Precision, recall and F1 with the usual zero-denominator conventions.
+def _scores(tp, fp, fn):
+    """Precision, recall and F1 arrays of confusion count arrays, the one F1 formula.
 
     Empty prediction sets give precision 0, empty truth sets give recall
     0, and F1 is 0 whenever precision + recall is.
     """
-    tp, fp, fn = counts.tp, counts.fp, counts.fn
-    p = tp / (tp + fp) if tp + fp > 0 else 0.0
-    r = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+    tp, fp, fn = np.asarray(tp), np.asarray(fp), np.asarray(fn)
+    p = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
+    r = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
+    f1 = np.where(p + r > 0, 2.0 * p * r / np.maximum(p + r, 1e-300), 0.0)
+    return p, r, f1
+
+
+def precision_recall_f1(counts: ConfusionCounts) -> MetricsReport:
+    """Precision, recall and F1 of one set of counts: the scalar view of _scores."""
+    p, r, f1 = (float(x) for x in _scores(counts.tp, counts.fp, counts.fn))
     return MetricsReport(precision=p, recall=r, f1=f1, counts=counts)
 
 
@@ -544,23 +552,11 @@ def _tree_runs(rank, new_block, n_v):
     return left, right - 1, right - left, rank[live], hi_v[live]
 
 
-def _f1_table(tp, s_ones, v_ones):
-    fp = s_ones - tp
-    fn = v_ones - tp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-        r = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
-        f1 = np.where(p + r > 0, 2.0 * p * r / np.maximum(p + r, 1e-300), 0.0)
-    return f1, fp, fn
-
-
 def counts_at(prepared, params: StopParams) -> ConfusionCounts:
     """Pooled confusion counts of prepared trajectories at one grid point."""
     tp = fp = fn = 0
     for prep in prepared:
-        s, e, _ = runs((prep.lams <= params.delta_b) & (prep.speeds <= params.v_b), prep.candidates)
-        qual = prep.times[e] - prep.times[s] + DURATION_TOL >= params.t_b
-        s, e = s[qual], e[qual]
+        s, e, _ = runs(prep.times, prep.candidates, prep.lams, prep.speeds, params)
         hits = np.concatenate([[0], np.cumsum(prep.visit_at_candidate)])
         run_tp = int((hits[e + 1] - hits[s]).sum())
         tp += run_tp
@@ -602,7 +598,8 @@ def _listed(dataset):
 def _best(tables, axes):
     """The F1-maximizing grid point of _count_tables tables: (its index, the CalibrationResult)."""
     tp, s_ones, v_ones = tables
-    f1, fp, fn = _f1_table(tp, s_ones, v_ones)
+    fp, fn = s_ones - tp, v_ones - tp
+    f1 = _scores(tp, fp, fn)[2]
     # C order: the first max is the lexicographically smallest point
     index = np.unravel_index(int(np.argmax(f1)), f1.shape)
     t_axis, d_axis, v_axis = axes

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,10 +43,14 @@ _DEFAULTS = {
     "window": DEFAULT_WINDOW,
     "seed": 0,
     "repeats": 10,
-    "t_b_range": [0.5, 4.0, 0.1],
-    "delta_b_range": [0.3, 3.0, 0.05],
-    "v_b_range": [0.1, 1.5, 0.01],
+    **{f"{name}_range": list(rng) for name, rng in asdict(calibration.ParamGrid()).items()},
 }
+
+# config keys by the JSON type their flags take; other keys are ignored
+_INT_KEYS = {"window", "seed", "repeats", "jobs", "population", "shelves", "scenarios", "max_len",
+             "cross_repeats"}
+_NUMBER_KEYS = {"t_b", "delta_b", "v_b", "noise", "p"}
+_RANGE_KEYS = {"t_b_range", "delta_b_range", "v_b_range"}
 
 
 def _timestamp():
@@ -53,20 +58,42 @@ def _timestamp():
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return json.load(fh)
-    return {}
+    """The --config file's JSON object, {} without one; a value its flag would refuse is a usage error."""
+    path = getattr(args, "config", None)
+    if not path:
+        return {}
+    try:
+        with open(path, "rb") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
+        _usage_error(f"config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        _usage_error(f"config {path}: must be a JSON object, got {json.dumps(cfg):.60}")
+
+    def number(value):
+        return type(value) in (int, float)  # a bool is neither
+
+    for key, value in cfg.items():
+        if key == "p" and args.command == "eval-same" and isinstance(value, list):
+            kind, ok = "a JSON number or a list of them", value and all(map(number, value))
+        elif key in _INT_KEYS:
+            kind, ok = "a JSON integer", type(value) is int
+        elif key in _NUMBER_KEYS:
+            kind, ok = "a JSON number", number(value)
+        elif key in _RANGE_KEYS:
+            kind, ok = "three JSON numbers", (isinstance(value, list) and len(value) == 3
+                                              and all(map(number, value)))
+        else:
+            continue
+        if not ok:
+            _usage_error(f"config {path}: {key} must be {kind}, got {json.dumps(value)}")
+    return cfg
 
 
 def _opt(args, cfg, key, default=None):
     """Flag value if given, else config-file value, else default."""
     val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return _DEFAULTS.get(key, default)
+    return val if val is not None else cfg.get(key, _DEFAULTS.get(key, default))
 
 
 def _usage_error(message):
@@ -83,10 +110,8 @@ def _require_paths(*paths):
 
 
 def _grid_from(args, cfg) -> calibration.ParamGrid:
-    def rng(key):
-        v = _opt(args, cfg, key)
-        return (float(v[0]), float(v[1]), float(v[2]))
-    return calibration.ParamGrid(t_b=rng("t_b_range"), delta_b=rng("delta_b_range"), v_b=rng("v_b_range"))
+    return calibration.ParamGrid(*(tuple(map(float, _opt(args, cfg, f"{name}_range")))
+                                   for name in ("t_b", "delta_b", "v_b")))
 
 
 def _params_from(args, cfg) -> StopParams:
@@ -95,8 +120,7 @@ def _params_from(args, cfg) -> StopParams:
     if missing:
         _usage_error(f"missing detector parameters: {', '.join(missing)} "
                      f"(pass --t-b/--delta-b/--v-b or a config file)")
-    return StopParams(t_b=float(values["t_b"]), delta_b=float(values["delta_b"]),
-                      v_b=float(values["v_b"]))
+    return StopParams(**{key: float(value) for key, value in values.items()})
 
 
 def _write_json(doc, path):
@@ -201,10 +225,7 @@ def cmd_calibrate(args):
 
 
 def _resolved_config(args, cfg, keys):
-    out = {}
-    for key in keys:
-        out[key] = _opt(args, cfg, key)
-    return out
+    return {key: _opt(args, cfg, key) for key in keys}
 
 
 def _write_repeats(reports, path):

@@ -8,7 +8,8 @@ distance stays within delta_b, and the speed stays within v_b, lasting at
 least t_b seconds. The detector emits stop events plus the per-timestamp
 Boolean matrix downstream metrics count on. Two kernels do the work, here
 and in calibration: gaze_stream casts the rays of many samples at once,
-and runs cuts the samples that meet the conditions into runs.
+and runs applies the stop rule to one track's streams, the duration
+condition included.
 
 Numeric conventions (shared by the brute-force cross-check in oracle.py):
 - a hit counts only if its ray parameter exceeds EPS_LAMBDA, so an origin
@@ -193,51 +194,43 @@ def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = 
     distance (inf where nothing was hit).
 
     With a finite `cutoff`, rays whose nearest hit would be farther than
-    the cutoff report no candidate; callers that only ever compare the
-    distance against thresholds <= cutoff get identical downstream
-    results at a fraction of the cost.
+    the cutoff report no candidate, and each grid cell's samples are one
+    group, solved against the segments near the cell; callers that only
+    ever compare the distance against thresholds <= cutoff get identical
+    downstream results at a fraction of the cost. With cutoff=None (or
+    inf), every sample is one group, solved against every segment.
     """
     positions = np.asarray(positions, dtype=float)
     normals = np.asarray(normals, dtype=float)
     n = len(positions)
     pts = layout.segment_points
-    m = len(pts)
-    seg_idx = np.arange(m, dtype=np.intp)
     lam_out = np.full(n, np.inf)
     win_out = np.full(n, -1, dtype=np.intp)
 
     if n == 0:
         return win_out.astype(np.int32), lam_out
-    if cutoff is None or not np.isfinite(cutoff):
-        rows = max(_BLOCK_ELEMS // max(m, 1), 1)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            lam_out[lo:hi], win_out[lo:hi] = _solve_block(
-                positions[lo:hi, 0], positions[lo:hi, 1],
-                normals[lo:hi, 0], normals[lo:hi, 1], pts, seg_idx,
-            )
-    else:
+    bounded = cutoff is not None and np.isfinite(cutoff)
+    if bounded:
         grid = _segment_grid(layout, cutoff)
         keys = grid.keys_for(positions[:, 0], positions[:, 1])
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        group_starts = np.flatnonzero(np.diff(sorted_keys)) + 1
-        group_starts = np.concatenate([[0], group_starts, [n]])
-        for gi in range(len(group_starts) - 1):
-            sel = order[group_starts[gi]:group_starts[gi + 1]]
-            key = int(sorted_keys[group_starts[gi]])
-            sub = grid.buckets.get(key)
-            if key < 0 or sub is None:
-                continue  # nothing within the cutoff
-            rows = max(_BLOCK_ELEMS // max(len(sub), 1), 1)
-            for lo in range(0, len(sel), rows):
-                part = sel[lo:lo + rows]
-                lam, win = _solve_block(
-                    positions[part, 0], positions[part, 1],
-                    normals[part, 0], normals[part, 1], pts[sub], sub,
-                )
-                lam_out[part] = lam
-                win_out[part] = win
+        cuts = np.flatnonzero(np.diff(sorted_keys)) + 1
+        groups = ((order[lo:hi], grid.buckets.get(int(sorted_keys[lo])))
+                  for lo, hi in zip([0, *cuts], [*cuts, n]))
+    else:
+        groups = [(np.arange(n), np.arange(len(pts), dtype=np.intp))]
+    for sel, sub in groups:
+        if sub is None:
+            continue  # outside the grid, or no segment within the cutoff
+        rows = max(_BLOCK_ELEMS // max(len(sub), 1), 1)
+        for lo in range(0, len(sel), rows):
+            part = sel[lo:lo + rows]
+            lam_out[part], win_out[part] = _solve_block(
+                positions[part, 0], positions[part, 1],
+                normals[part, 0], normals[part, 1], pts[sub], sub,
+            )
+    if bounded:
         beyond = lam_out > cutoff
         lam_out[beyond] = np.inf
         win_out[beyond] = -1
@@ -251,18 +244,18 @@ def _segment_grid(layout: StoreLayout, cutoff: float) -> _SegmentGrid:
     return _SegmentGrid(layout, cutoff)
 
 
-def runs(cond: np.ndarray, candidates: np.ndarray):
-    """Maximal runs of consecutive samples that meet cond with one candidate.
+def runs(times, candidates, lams, speeds, params: StopParams):
+    """The stop rule on one track's streams: maximal runs of consecutive samples
+    with one candidate (-1 is none), lams <= delta_b and speeds <= v_b, lasting t_b.
 
-    Samples without a candidate (-1) belong to no run. Returns (starts,
-    ends, shelf0) arrays: each run's first and last sample (inclusive)
-    and its 0-based shelf.
+    Returns (starts, ends, shelf0) arrays: each stop's first and last
+    sample (inclusive) and its 0-based shelf.
     """
-    key = np.where(cond, candidates, -1)
+    key = np.where((lams <= params.delta_b) & (speeds <= params.v_b), candidates, -1)
     # the key changes at every run boundary; the -2 pads (no key is -2) add both ends
     edges = np.flatnonzero(np.diff(key, prepend=-2, append=-2))
     starts, ends = edges[:-1], edges[1:] - 1
-    keep = key[starts] >= 0
+    keep = (key[starts] >= 0) & (times[ends] - times[starts] + DURATION_TOL >= params.t_b)
     return starts[keep], ends[keep], key[starts[keep]]
 
 
@@ -289,40 +282,33 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
     (n_shelves, n_samples) Boolean StopMatrix marking every sample of
     every qualifying run.
     """
-    [(events, spans)] = _detect_chunk([check_store(track, layout)], layout, params)
+    [(_, events, spans)] = _detect_chunks([check_store(track, layout)], layout, params)
     values = np.zeros((layout.n_shelves, len(track)), dtype=bool)
     for (s, e, shelf0) in spans:
         values[shelf0, s:e + 1] = True
     return events, StopMatrix(trajectory_id=track.trajectory_id, times=track.times, values=values)
 
 
-def _detect_chunk(tracks, layout: StoreLayout, params: StopParams):
-    """(events, spans) of every track of a chunk, from one shared gaze pass; callers check stores.
+def _detect_chunks(tracks, layout: StoreLayout, params: StopParams):
+    """Yield (track, events, spans) per track, one shared gaze pass per _CHUNK tracks taken.
 
-    spans lists each event's first and last sample and 0-based shelf.
+    spans lists each event's first and last sample and 0-based shelf. Callers check stores.
     """
-    # one shared gaze pass over the whole chunk amortizes the numpy overhead
-    positions, normals, cuts = stack_tracks(tracks)
-    candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b)
-    found = []
-    for track, cand, lam in zip(tracks, np.split(candidates, cuts), np.split(lams, cuts)):
-        times = track.times
-        starts, ends, shelves = runs((lam <= params.delta_b) & (track.speeds <= params.v_b), cand)
-        qual = times[ends] - times[starts] + DURATION_TOL >= params.t_b
-        spans = list(zip(starts[qual].tolist(), ends[qual].tolist(), shelves[qual].tolist()))
-        found.append(([
-            StopEvent(
-                trajectory_id=track.trajectory_id,
-                shelf_id=shelf0 + 1,
-                t_s=float(times[s]),
-                t_f=float(times[e]),
-                duration=float(times[e] - times[s]),
-                min_lambda=float(lam[s:e + 1].min()),
-                mean_speed=float(track.speeds[s:e + 1].mean()),
-            )
-            for s, e, shelf0 in spans
-        ], spans))
-    return found
+    for chunk in batches(tracks, _CHUNK):
+        # one shared gaze pass over the whole chunk amortizes the numpy overhead
+        positions, normals, cuts = stack_tracks(chunk)
+        candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b)
+        del positions, normals
+        for track, cand, lam in zip(chunk, np.split(candidates, cuts), np.split(lams, cuts)):
+            times = track.times
+            starts, ends, shelves = runs(times, cand, lam, track.speeds, params)
+            spans = list(zip(starts.tolist(), ends.tolist(), shelves.tolist()))
+            yield track, [StopEvent(track.trajectory_id, shelf0 + 1, t_s=float(times[s]),
+                                    t_f=float(times[e]), duration=float(times[e] - times[s]),
+                                    min_lambda=float(lam[s:e + 1].min()),
+                                    mean_speed=float(track.speeds[s:e + 1].mean()))
+                          for s, e, shelf0 in spans], spans
+        del chunk, track, cand, lam, candidates, lams  # hold nothing of it as batches takes the next
 
 
 def write_stop_events(events, path) -> None:
@@ -367,24 +353,18 @@ def detect_many(tracks, layout: StoreLayout, params: StopParams):
     store-checked before any is detected.
     """
     tracks = [check_store(track, layout) for track in tracks]
-    return [events for chunk in batches(tracks, _CHUNK)
-            for events, _ in _detect_chunk(chunk, layout, params)]
+    return [events for _, events, _ in _detect_chunks(tracks, layout, params)]
 
 
 def _detect_range(trajectories, layout: StoreLayout, params: StopParams, window: int):
     """detect_file's stage: (events, stopped) per trajectory of one range.
 
-    Each trajectory is built and store-checked as it is taken, so the
-    error raised is the one of the first trajectory that fails; detection
-    runs _CHUNK tracks at a time.
+    Each trajectory is built and store-checked as _detect_chunks takes it,
+    so the error raised is the one of the first trajectory that fails.
     """
     tracks = (check_store(build_track(traj, window), layout) for traj in trajectories)
-    found = []
-    for chunk in batches(tracks, _CHUNK):
-        for track, (events, spans) in zip(chunk, _detect_chunk(chunk, layout, params)):
-            found.append((events, [(s, track.times[s:e + 1].tolist()) for s, e, _ in spans]))
-        del chunk  # before batches takes the next chunk
-    return found
+    return [(events, [(s, track.times[s:e + 1].tolist()) for s, e, _ in spans])
+            for track, events, spans in _detect_chunks(tracks, layout, params)]
 
 
 def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEFAULT_WINDOW,

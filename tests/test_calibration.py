@@ -186,15 +186,21 @@ def test_planted_parameters_recovered():
 
 def test_grid_table_matches_independent_rescoring():
     dataset, layout = planted_dataset(n=8)
-    grid = ParamGrid(t_b=(1.0, 2.5, 0.75), delta_b=(0.8, 1.6, 0.4), v_b=(0.3, 0.7, 0.2))
+    # the longest stop at any of these points lasts 6.4 s, so the t_b = 7.0 row predicts nothing
+    grid = ParamGrid(t_b=(1.0, 7.0, 0.75), delta_b=(0.8, 1.6, 0.4), v_b=(0.3, 0.7, 0.2))
     result = calibrate(dataset, layout, grid)
     best_seen = -1.0
-    for t_b, delta_b, v_b, tp, fp, fn, precision, recall, f1 in result.score_rows():
+    rows = list(result.score_rows())
+    assert len(rows) == 9 * 3 * 3
+    for t_b, delta_b, v_b, tp, fp, fn, precision, recall, f1 in rows:
         rep = score_dataset(dataset, layout, StopParams(t_b, delta_b, v_b))
         assert (rep.counts.tp, rep.counts.fp, rep.counts.fn) == (tp, fp, fn)
-        assert rep.f1 == f1
+        assert (rep.precision, rep.recall, rep.f1) == (precision, recall, f1)
         best_seen = max(best_seen, f1)
     assert result.best_f1 == best_seen
+    empty = [row for row in rows if row[0] == 7.0]
+    assert empty and all(row[3:5] == (0, 0) and row[5] > 0 and row[6:] == (0.0, 0.0, 0.0)
+                         for row in empty)
 
 
 def test_tie_break_is_lexicographic():

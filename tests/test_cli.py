@@ -469,6 +469,62 @@ def test_config_file_supplies_values(synth_dir, tmp_path):
     assert (out / "stops.jsonl").exists()
 
 
+@pytest.mark.parametrize("command, content, key", [
+    ("detect", None, None),  # a directory
+    ("detect", "nope", None),
+    ("detect", "[1]", None),
+    ("detect", '"t_b"', None),
+    ("detect", '{"window": 5.9}', "window"),
+    ("eval-same", '{"repeats": 2.7}', "repeats"),
+    ("eval-same", '{"seed": true}', "seed"),
+    ("detect", '{"jobs": 1.5}', "jobs"),
+    ("detect", '{"jobs": "2"}', "jobs"),
+    ("synth", '{"population": 2.0}', "population"),
+    ("detect", '{"t_b": "2.0"}', "t_b"),
+    ("detect", '{"v_b": false}', "v_b"),
+    ("synth", '{"noise": null}', "noise"),
+    ("eval-cross", '{"p": [0.5]}', "p"),
+    ("eval-same", '{"p": []}', "p"),
+    ("eval-same", '{"p": [0.5, "0.8"]}', "p"),
+    ("calibrate", '{"t_b_range": [0.5, 4.0]}', "t_b_range"),
+    ("calibrate", '{"t_b_range": "abc"}', "t_b_range"),
+    ("calibrate", '{"v_b_range": [0.1, true, 0.01]}', "v_b_range"),
+])
+def test_config_value_its_flag_refuses_is_a_usage_error(synth_dir, tmp_path, capsys, command, content,
+                                                        key):
+    cfg = tmp_path / "cfg.json"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_text(content)
+    inputs = {name: str(synth_dir / f"{name}.{ext}")
+              for name, ext in (("layout", "json"), ("trajectories", "jsonl"), ("labels", "jsonl"))}
+    flags = {
+        "detect": ["--layout", inputs["layout"], "--trajectories", inputs["trajectories"]],
+        "calibrate": [f"--{name}={path}" for name, path in inputs.items()],
+        "eval-same": [f"--{name}={path}" for name, path in inputs.items()],
+        "eval-cross": [f"--{name}-{side}={path}" for side in "ab" for name, path in inputs.items()],
+        "synth": [],
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config {cfg}: ")
+    if key is not None:
+        assert err[0].startswith(f"error: config {cfg}: {key} must be ")
+    assert not out.exists()
+
+
+def test_config_list_of_fractions_and_unknown_keys_are_accepted(synth_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": [0.4, 0.6], "repeats": 2, "comment": ["any", 1]}))
+    out = tmp_path / "out"
+    assert run(["eval-same", "--config", str(cfg), "--layout", str(synth_dir / "layout.json"),
+                "--trajectories", str(synth_dir / "trajectories.jsonl"),
+                "--labels", str(synth_dir / "labels.jsonl"), *SMALL_GRID, "--out", str(out)]) == 0
+    assert [rep["p"] for rep in read_json(out / "eval.json")["reports"]] == [0.4, 0.6]
+
+
 def detect(layout, trajectories, out, *extra):
     return run([
         "detect", "--layout", str(layout), "--trajectories", str(trajectories),
