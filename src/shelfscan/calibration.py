@@ -35,7 +35,7 @@ joins the runs, or sums the integer tables, which is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,6 +60,7 @@ from .errors import (
     ShelfScanError,
     UnknownTrajectory,
     ValidationError,
+    non_negative,
 )
 from .kinematics import DEFAULT_WINDOW, batches, build_track, map_file
 from .labeling import VisitMatrix
@@ -107,8 +108,12 @@ class ParamGrid:
     @staticmethod
     def _axis(rng) -> np.ndarray:
         lo, hi, step = rng
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + np.arange(n) * step
+        try:
+            n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+            return lo + np.arange(n) * step
+        except (OverflowError, ValueError):  # a point count past a float's or an array's limit
+            raise ValidationError(
+                f"range (min {lo}, max {hi}, step {step}) has too many points") from None
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._axis(self.t_b), self._axis(self.delta_b), self._axis(self.v_b)
@@ -152,18 +157,9 @@ class EvalReport:
     params_per_repeat: tuple[StopParams, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "p": self.p,
-            "repeats": self.repeats,
-            "scores": list(self.scores),
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "seed": self.seed,
-            "params_per_repeat": [
-                {"t_b": pp.t_b, "delta_b": pp.delta_b, "v_b": pp.v_b} for pp in self.params_per_repeat
-            ],
-        }
+        """The report as JSON types: its fields by name, tuples as lists."""
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
 
 def confusion_counts(stops: StopMatrix, visits: VisitMatrix) -> ConfusionCounts:
@@ -656,6 +652,7 @@ def _evaluate(protocol, sides, grid, p, repeats, seed) -> EvalReport:
     """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    non_negative("seed", seed)
     sides = [(_listed(dataset), layout) for dataset, layout in sides]
     if not all(len(dataset) for dataset, _ in sides):
         raise EmptyDataset("evaluation requires at least one trajectory in every dataset")

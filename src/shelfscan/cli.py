@@ -27,7 +27,7 @@ from .detector import (
     read_stop_events,
     write_stop_events,
 )
-from .errors import ShelfScanError, UnknownTrajectory
+from .errors import ShelfScanError, UnknownTrajectory, non_negative
 from .kinematics import (
     DEFAULT_WINDOW,
     build_track,
@@ -194,19 +194,11 @@ def cmd_calibrate(args):
                                fold=True)
     result = calibration.calibrate(dataset, layout, grid)
     report = {
-        "best_params": {
-            "t_b": result.best_params.t_b,
-            "delta_b": result.best_params.delta_b,
-            "v_b": result.best_params.v_b,
-        },
+        "best_params": asdict(result.best_params),
         "best_f1": result.best_f1,
         "precision": result.metrics.precision,
         "recall": result.metrics.recall,
-        "counts": {
-            "tp": result.metrics.counts.tp,
-            "fp": result.metrics.counts.fp,
-            "fn": result.metrics.counts.fn,
-        },
+        "counts": asdict(result.metrics.counts),
         "n_trajectories": len(dataset),
         "config": _resolved_config(args, cfg, ["window", "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
@@ -396,9 +388,8 @@ def cmd_synth(args):
 
 def cmd_oracle_check(args):
     cfg = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    seed = int(_opt(args, cfg, "seed"))
-    scenarios = int(_opt(args, cfg, "scenarios", 100))
+    seed = non_negative("seed", int(_opt(args, cfg, "seed")))
+    scenarios = non_negative("scenarios", int(_opt(args, cfg, "scenarios", 100)))
     max_len = synth.check_max_len(int(_opt(args, cfg, "max_len", 2000)))
     window = int(_opt(args, cfg, "window"))
     checked = 0
@@ -427,7 +418,7 @@ def cmd_oracle_check(args):
                     "k": k,
                     "detector": bool(fast.values[shelf0, k]),
                     "oracle": bool(slow.values[shelf0, k]),
-                    "params": {"t_b": params.t_b, "delta_b": params.delta_b, "v_b": params.v_b},
+                    "params": asdict(params),
                 }
                 break
         if mismatch:
@@ -440,6 +431,7 @@ def cmd_oracle_check(args):
         "config": {"seed": seed, "max_len": max_len, "window": window},
         "generated_at": _timestamp(),
     }
+    os.makedirs(args.out, exist_ok=True)
     _write_json(report, os.path.join(args.out, "oracle_check.json"))
     print(f"oracle-check: {'PASS' if mismatch is None else 'FAIL'} "
           f"({checked} trajectories over {scenarios} scenarios)")

@@ -25,21 +25,20 @@ Numeric conventions (shared by the brute-force cross-check in oracle.py):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import FrameMismatch, ParseError, ValidationError
+from .errors import FrameMismatch, ValidationError
 from .kinematics import (
     DEFAULT_WINDOW,
     KinematicTrack,
     batches,
     build_track,
-    json_int,
     map_file,
-    read_lines,
+    read_records,
+    write_records,
 )
 from .layout import StoreLayout
 
@@ -312,38 +311,17 @@ def _detect_chunks(tracks, layout: StoreLayout, params: StopParams):
 
 
 def write_stop_events(events, path) -> None:
-    """Write stop events as JSONL, one record per event."""
-    with open(path, "w") as fh:
-        for ev in events:
-            fh.write(json.dumps({
-                "trajectory_id": ev.trajectory_id,
-                "shelf_id": ev.shelf_id,
-                "t_s": ev.t_s,
-                "t_f": ev.t_f,
-                "duration": ev.duration,
-                "min_lambda": ev.min_lambda,
-                "mean_speed": ev.mean_speed,
-            }) + "\n")
+    """Write stop events as JSONL, one record per event (kinematics.write_records)."""
+    write_records(events, path)
 
 
 def read_stop_events(path) -> list[StopEvent]:
-    """Read stop events from a JSONL file, one per line, as write_stop_events writes them.
+    """Read stop events from a JSONL file, as write_stop_events writes them.
 
-    A line that is not UTF-8 JSON, lacks a field, holds a value that does
-    not convert or a shelf_id that is not a JSON integer raises ParseError
-    naming the file and line.
+    kinematics.read_records reads them: a malformed line, or a shelf_id that
+    is not a JSON integer, raises ParseError naming the file and line.
     """
-    out = []
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-            fields = (str(rec["trajectory_id"]), json_int(rec, "shelf_id"), float(rec["t_s"]),
-                      float(rec["t_f"]), float(rec["duration"]), float(rec["min_lambda"]),
-                      float(rec["mean_speed"]))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad stop event: {exc!r}") from exc
-        out.append(StopEvent(*fields))
-    return out
+    return read_records(path, StopEvent, "stop event")
 
 
 def detect_many(tracks, layout: StoreLayout, params: StopParams):

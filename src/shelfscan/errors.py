@@ -1,4 +1,4 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the sign check of seeds and counts.
 
 Everything derives from ShelfScanError so callers can catch the whole
 family; most conditions are also ValueErrors since they signal bad input
@@ -88,3 +88,10 @@ class InconsistentPopulation(ShelfScanError, ValueError):
 
 class InfeasibleScript(ShelfScanError, ValueError):
     """A synthetic scenario script cannot be realized in its store."""
+
+
+def non_negative(name: str, value: int) -> int:
+    """Return `value`, a seed or a count, or raise ValidationError if it is negative."""
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+    return value

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from multiprocessing import get_context
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -240,6 +240,43 @@ def json_int(rec: dict, key: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{key} must be a JSON integer, got {value!r}")
     return value
+
+
+def read_records(path, cls, what: str) -> list:
+    """Read a JSONL file of `cls` records, one per line, as write_records writes them.
+
+    `cls` is a dataclass whose fields are each annotated str, int or float;
+    any other annotation raises TypeError before the file is read. A field
+    is read from the key of its name: a str or float value is converted by
+    str() or float(), and an int must be a JSON integer (json_int). A line
+    that is not UTF-8 JSON, lacks a field or holds a value that does not
+    convert raises ParseError naming the file, the line and `what`. An
+    error that cls itself raises, such as ValidationError, passes unchanged.
+    """
+    types = get_type_hints(cls)
+    columns = [(f.name, types[f.name]) for f in fields(cls)]
+    for name, kind in columns:
+        if kind not in (str, int, float):
+            raise TypeError(f"{cls.__name__}.{name} is a {kind}, not a str, int or float")
+    out = []
+    for lineno, line in read_lines(path):
+        try:
+            rec = json.loads(line)
+            values = [json_int(rec, name) if kind is int else kind(rec[name]) for name, kind in columns]
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ParseError(f"{path}:{lineno}: bad {what}: {exc!r}") from exc
+        out.append(cls(*values))
+    return out
+
+
+def write_records(records, path) -> None:
+    """Write flat dataclass records as JSONL, one object per line, its keys in field order.
+
+    A dataclass instance holds its fields in field order, so vars(rec) is the object.
+    """
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(vars(rec)) + "\n")
 
 
 def parse_record(line: bytes, where: str):

@@ -23,7 +23,7 @@ from .errors import (
     UnknownTrajectory,
     ValidationError,
 )
-from .kinematics import DT, Trajectory, json_int, read_lines
+from .kinematics import DT, Trajectory, json_int, read_records, write_records
 from .layout import StoreLayout
 
 
@@ -122,34 +122,18 @@ def labels_from_stop_events(events, reviewer_id: str = "r1"):
 
 
 def read_labels(path) -> list[ReviewerLabel]:
-    """Read reviewer labels from a JSONL file, one per line.
+    """Read reviewer labels from a JSONL file, as write_labels writes them.
 
-    A line that is not UTF-8 JSON, lacks a field, holds a value that does
-    not convert or a shelf_id that is not a JSON integer raises ParseError
-    naming the file and line.
+    kinematics.read_records reads them: a malformed line, or a shelf_id that
+    is not a JSON integer, raises ParseError naming the file and line, and
+    an empty interval raises ValidationError.
     """
-    out = []
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-            fields = (str(rec["reviewer_id"]), str(rec["trajectory_id"]), json_int(rec, "shelf_id"),
-                      float(rec["t_start"]), float(rec["t_end"]))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad label record: {exc!r}") from exc
-        out.append(ReviewerLabel(*fields))
-    return out
+    return read_records(path, ReviewerLabel, "label record")
 
 
 def write_labels(labels, path) -> None:
-    with open(path, "w") as fh:
-        for lab in labels:
-            fh.write(json.dumps({
-                "reviewer_id": lab.reviewer_id,
-                "trajectory_id": lab.trajectory_id,
-                "shelf_id": lab.shelf_id,
-                "t_start": lab.t_start,
-                "t_end": lab.t_end,
-            }) + "\n")
+    """Write reviewer labels as JSONL, one record per label (kinematics.write_records)."""
+    write_records(labels, path)
 
 
 def read_label_manifest(path) -> tuple[int, list[str]]:

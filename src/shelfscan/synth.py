@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import InfeasibleScript, ParseError, ShelfScanError, ValidationError
+from .errors import InfeasibleScript, ParseError, ShelfScanError, ValidationError, non_negative
 from .kinematics import DT, Trajectory, wrap_angle
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
@@ -75,6 +76,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "scripts", tuple(self.scripts))
+        non_negative("seed", self.seed)
         # a non-positive walk speed is generate's InfeasibleScript; NaN would get past that check
         if not math.isfinite(self.walk_speed):
             raise ValidationError(f"walk_speed must be finite, got {self.walk_speed}")
@@ -289,9 +291,11 @@ def population_scenario(seed: int, n_trajectories: int, n_shelves: int = 19,
     Each trip mixes standing dwells (continuous durations and distances)
     with slow creeping approaches toward a face at continuously varied
     speeds, so detector output depends sharply on all three thresholds;
-    useful for planted-truth calibration experiments.
+    useful for planted-truth calibration experiments. A negative seed or
+    n_trajectories raises ValidationError.
     """
-    rng = np.random.default_rng(seed)
+    n_trajectories = non_negative("n_trajectories", n_trajectories)
+    rng = np.random.default_rng(non_negative("seed", seed))
     template = LayoutTemplate(n_shelves=n_shelves)
     layout = make_layout(template, store_id=store_id)
     xmin, ymin, xmax, _ = layout.bounds
@@ -398,78 +402,34 @@ def random_scenario(seed: int, max_len: int = 2000) -> ScenarioSpec:
     )
 
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "store_id": spec.store_id,
-        "template": {
-            "n_shelves": spec.template.n_shelves,
-            "shelf_length": spec.template.shelf_length,
-            "shelf_depth": spec.template.shelf_depth,
-            "aisle_width": spec.template.aisle_width,
-            "shelves_per_row": spec.template.shelves_per_row,
-            "shelf_gap": spec.template.shelf_gap,
-        },
-        "walk_speed": spec.walk_speed,
-        "position_noise": spec.position_noise,
-        "heading_noise": spec.heading_noise,
-        "seed": spec.seed,
-        "max_samples": spec.max_samples,
-        "scripts": [
-            {
-                "trajectory_id": s.trajectory_id,
-                "waypoints": [
-                    {
-                        "target": list(w.target),
-                        "dwell": w.dwell,
-                        "face_shelf": w.face_shelf,
-                        "heading": w.heading,
-                        "speed": w.speed,
-                    }
-                    for w in s.waypoints
-                ],
-            }
-            for s in spec.scripts
-        ],
-    }
+def _from_dict(cls, doc: dict, **nested):
+    """A `cls` from the keys of doc named after its fields; a key left out takes the field's default.
+
+    A field annotated str, int or float is converted by that type, a field
+    named in `nested` by the function given for it, any other as it is.
+    """
+    types = get_type_hints(cls)
+    convert = {f.name: nested.get(f.name, types[f.name] if types[f.name] in (str, int, float) else None)
+               for f in fields(cls)}
+    return cls(**{name: fn(doc[name]) if fn else doc[name]
+                  for name, fn in convert.items() if name in doc})
 
 
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
+    """The ScenarioSpec of a scenario document, as write_scenario writes it.
+
+    A value that does not convert, or a missing key that has no default,
+    raises ParseError; a value the scenario types reject keeps its own error.
+    """
+    def waypoint(w):
+        return _from_dict(Waypoint, w, target=lambda t: (float(t[0]), float(t[1])))
+
+    def script(s):
+        return _from_dict(ShopperScript, s, waypoints=lambda ws: tuple(map(waypoint, ws)))
+
     try:
-        tmpl = doc["template"]
-        template = LayoutTemplate(
-            n_shelves=int(tmpl["n_shelves"]),
-            shelf_length=float(tmpl.get("shelf_length", 2.0)),
-            shelf_depth=float(tmpl.get("shelf_depth", 0.8)),
-            aisle_width=float(tmpl.get("aisle_width", 3.0)),
-            shelves_per_row=tmpl.get("shelves_per_row"),
-            shelf_gap=float(tmpl.get("shelf_gap", 0.5)),
-        )
-        scripts = tuple(
-            ShopperScript(
-                trajectory_id=str(s["trajectory_id"]),
-                waypoints=tuple(
-                    Waypoint(
-                        target=(float(w["target"][0]), float(w["target"][1])),
-                        dwell=float(w.get("dwell", 0.0)),
-                        face_shelf=w.get("face_shelf"),
-                        heading=w.get("heading"),
-                        speed=w.get("speed"),
-                    )
-                    for w in s["waypoints"]
-                ),
-            )
-            for s in doc["scripts"]
-        )
-        return ScenarioSpec(
-            store_id=str(doc["store_id"]),
-            template=template,
-            scripts=scripts,
-            walk_speed=float(doc.get("walk_speed", 1.0)),
-            position_noise=float(doc.get("position_noise", 0.0)),
-            heading_noise=float(doc.get("heading_noise", 0.0)),
-            seed=int(doc.get("seed", 0)),
-            max_samples=doc.get("max_samples"),
-        )
+        return _from_dict(ScenarioSpec, doc, template=lambda t: _from_dict(LayoutTemplate, t),
+                          scripts=lambda ss: tuple(map(script, ss)))
     except ShelfScanError:
         raise  # a value the scenario types reject keeps its own error
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -486,8 +446,9 @@ def read_scenario(path) -> ScenarioSpec:
 
 
 def write_scenario(spec: ScenarioSpec, path) -> None:
+    """Write a scenario as indented JSON: asdict(spec), which read_scenario reads back."""
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(spec), fh, indent=2)
+        json.dump(asdict(spec), fh, indent=2)
         fh.write("\n")
 
 

@@ -444,6 +444,8 @@ def test_empty_grid_rejected():
     {"delta_b": (0.6, math.inf, 0.3)},
     {"v_b": (0.25, 0.85, math.nan)},
     {"t_b": (1.0, 3.0, math.inf)},
+    {"t_b": (1e-300, 1e300, 1e-300)},        # a point count past a float's range
+    {"t_b": (1.0, 1e20, 1.0)},               # a point count past an array's size limit
 ])
 def test_unsorted_or_non_finite_axes_rejected(axes):
     dataset, layout = planted_dataset(n=4)

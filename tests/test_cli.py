@@ -18,6 +18,7 @@ from shelfscan import (
     labels_from_stop_events,
     load_layout,
     majority_vote,
+    population_scenario,
     random_scenario,
     read_stop_events,
     read_trajectories,
@@ -238,11 +239,33 @@ def test_eval_same_enumerates_once_per_range(tmp_path, monkeypatch, range_cuts):
     assert len(range_cuts[-1]) == 2 and batches == 13
     assert calls.read_text().count("call") == batches
     calls.unlink()
-    assert run(["eval-same", *(f"--{key}={store / name}" for key, name in (
-        ("layout", "layout.json"), ("trajectories", "trajectories.jsonl"), ("labels", "labels.jsonl"))),
-        "--p", "0.5", "--repeats", "4", "--seed", "3", *SMALL_GRID, "--jobs", "2",
-        "--out", str(tmp_path / "one_p")]) == 0
+    assert run(["eval-same", *_inputs(store), "--p", "0.5", "--repeats", "4", "--seed", "3", *SMALL_GRID,
+                "--jobs", "2", "--out", str(tmp_path / "one_p")]) == 0
     assert calls.read_text().count("call") == batches
+
+
+def _inputs(store, side=""):
+    """The --layout, --trajectories and --labels flags (with a -a or -b side suffix) of a store."""
+    return [f"--{key}{side}={store / name}" for key, name in (
+        ("layout", "layout.json"), ("trajectories", "trajectories.jsonl"), ("labels", "labels.jsonl"))]
+
+
+def _golden_stores(tmp_path):
+    """The golden input stores a and b, planted off the grid, as {name: directory}."""
+    stores = {}
+    for name, population, seed in (("a", "25", "5"), ("b", "20", "6")):
+        stores[name] = tmp_path / name
+        assert run(["synth", "--population", population, "--shelves", "9", "--seed", seed,
+                    "--plant", "2.2,1.1,0.5", "--out", str(stores[name])]) == 0
+    return stores
+
+
+def _assert_same_as_golden(out, golden, names):
+    """Each named file in out equals its golden copy byte for byte, its generated_at line left out."""
+    for name in names:
+        got = "".join(line for line in (out / name).read_text().splitlines(keepends=True)
+                      if '"generated_at"' not in line)
+        assert got == (golden / name).read_text(), name
 
 
 def _assert_golden(tmp_path, command, *flags):
@@ -252,27 +275,45 @@ def _assert_golden(tmp_path, command, *flags):
     byte. The labels are planted off the grid, so the scores fall below 1
     and the chosen parameters differ between repeats.
     """
-    stores = {}
-    for name, population, seed in (("a", "25", "5"), ("b", "20", "6")):
-        stores[name] = tmp_path / name
-        assert run(["synth", "--population", population, "--shelves", "9", "--seed", seed,
-                    "--plant", "2.2,1.1,0.5", "--out", str(stores[name])]) == 0
+    stores = _golden_stores(tmp_path)
     if command == "eval-same":
-        inputs = [f"--{key}={stores['a'] / name}" for key, name in (
-            ("layout", "layout.json"), ("trajectories", "trajectories.jsonl"), ("labels", "labels.jsonl"))]
+        inputs = _inputs(stores["a"])
         extra = ["--p", "0.2", "0.5", "0.8", "--repeats", "4"]
     else:
-        inputs = [f"--{key}-{side}={stores[side] / name}" for side in "ab" for key, name in (
-            ("layout", "layout.json"), ("trajectories", "trajectories.jsonl"), ("labels", "labels.jsonl"))]
+        inputs = _inputs(stores["a"], "-a") + _inputs(stores["b"], "-b")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cross_repeats": 3}))
         extra = ["--p", "0.5", "--config", str(cfg)]
     out = tmp_path / "out"
     assert run([command, *inputs, *extra, "--seed", "3", *SMALL_GRID, *flags, "--out", str(out)]) == 0
-    for name in ("eval.json", "eval_repeats.csv"):
-        got = "".join(line for line in (out / name).read_text().splitlines(keepends=True)
-                      if '"generated_at"' not in line)
-        assert got == (GOLDEN / command / name).read_text(), name
+    _assert_same_as_golden(out, GOLDEN / command, ("eval.json", "eval_repeats.csv"))
+
+
+def test_record_writers_match_golden(tmp_path):
+    """The labels synth plants on store a, detect's stops and calibrate's reports, byte for byte."""
+    store = _golden_stores(tmp_path)["a"]
+    inputs = ["--layout", str(store / "layout.json"), "--trajectories", str(store / "trajectories.jsonl")]
+    assert run(["detect", *inputs, "--t-b", "2.2", "--delta-b", "1.1", "--v-b", "0.5",
+                "--out", str(store)]) == 0
+    assert run(["calibrate", *inputs, "--labels", str(store / "labels.jsonl"), *SMALL_GRID,
+                "--dump-grid", "--out", str(store)]) == 0
+    _assert_same_as_golden(store, GOLDEN / "records",
+                           ("labels.jsonl", "stops.jsonl", "calibration.json", "grid.csv"))
+
+
+def test_written_population_spec_matches_population_flags(tmp_path):
+    """synth --spec on a written population_scenario writes what synth --population writes."""
+    spec = tmp_path / "spec.json"
+    write_scenario(population_scenario(4, 6, n_shelves=7, noise=0.03), spec)
+    plant = ["--plant", "2.0,1.2,0.55"]
+    assert run(["synth", "--spec", str(spec), *plant, "--out", str(tmp_path / "spec")]) == 0
+    assert run(["synth", "--population", "6", "--shelves", "7", "--seed", "4", "--noise", "0.03",
+                *plant, "--out", str(tmp_path / "flags")]) == 0
+    names = sorted(path.name for path in (tmp_path / "flags").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "spec").iterdir())
+    assert "labels.jsonl" in names
+    for name in names:
+        assert (tmp_path / "spec" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes(), name
 
 
 def test_analyze_outputs(synth_dir, tmp_path):
@@ -857,6 +898,29 @@ def test_flag_zero_matches_config_zero(tmp_path, capsys, command, key, extra, ch
         outcomes.append((code, capsys.readouterr().err, _artifacts(out)))
     assert outcomes[0] == outcomes[1]
     assert check(*outcomes[0])
+
+
+@pytest.mark.parametrize("command", ["synth", "eval-same", "eval-cross", "oracle-check"])
+def test_negative_seed_exits_1_with_record(synth_dir, tmp_path, capsys, command):
+    inputs = {"eval-same": _inputs(synth_dir) + SMALL_GRID,
+              "eval-cross": _inputs(synth_dir, "-a") + _inputs(synth_dir, "-b") + SMALL_GRID}.get(command, [])
+    out = tmp_path / "out"
+    assert run([command, *inputs, "--seed", "-2", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ValidationError", "message": "seed must be >= 0, got -2"}
+    assert _artifacts(out) == {}
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    ("synth", "--population", "n_trajectories"),
+    ("oracle-check", "--scenarios", "scenarios"),
+])
+def test_negative_count_exits_1_before_writing(tmp_path, capsys, command, flag, name):
+    out = tmp_path / "out"
+    assert run([command, flag, "-3", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ValidationError", "message": f"{name} must be >= 0, got -3"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scenarios", ["2", "0"])

@@ -17,6 +17,7 @@ from shelfscan import (
 from shelfscan.errors import InvalidWindow, ParseError, TooShort, ValidationError
 from shelfscan.kinematics import (
     fit_window,
+    read_records,
     read_trajectories,
     split_on_gaps,
     wrap_angle,
@@ -343,3 +344,9 @@ def test_duplicate_trajectory_id_is_parse_error(tmp_path):
     write_records(path, [rec, other, rec])
     with pytest.raises(ParseError, match=r"t\.jsonl:3: trajectory_id 'a' already used on line 1"):
         read_trajectories(path)
+
+
+def test_read_records_refuses_a_field_type_before_reading(tmp_path):
+    # Trajectory.times is an array: no JSON scalar converts to it, so the missing file is never opened
+    with pytest.raises(TypeError, match=r"Trajectory\.times is a <class 'numpy\.ndarray'>"):
+        read_records(tmp_path / "missing.jsonl", Trajectory, "trajectory")

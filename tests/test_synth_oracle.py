@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from shelfscan.synth import (
     read_ground_truth,
     read_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     write_ground_truth,
     write_scenario,
 )
@@ -168,7 +168,21 @@ def test_scenario_json_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     write_scenario(spec, path)
     assert read_scenario(path) == spec
-    assert scenario_from_dict(scenario_to_dict(spec)) == spec
+    assert scenario_from_dict(asdict(spec)) == spec
+
+
+def test_scenario_keys_left_out_take_the_dataclass_defaults():
+    spec = ScenarioSpec("s", LayoutTemplate(n_shelves=3),
+                        (ShopperScript("t", (Waypoint((1.0, 2.0)), Waypoint((3.0, 4.0), dwell=1.5))),))
+    doc = {"store_id": "s", "template": {"n_shelves": 3},
+           "scripts": [{"trajectory_id": "t", "waypoints": [{"target": [1, 2]},
+                                                            {"target": [3, 4], "dwell": 1.5}]}]}
+    assert scenario_from_dict(doc) == spec
+
+
+def test_negative_spec_seed_rejected():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        scenario_from_dict({**asdict(random_scenario(6)), "seed": -1})
 
 
 def test_ground_truth_round_trip(tmp_path):
