@@ -16,9 +16,16 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 
+# No command calls BLAS, yet OpenBLAS starts a thread pool when numpy is
+# imported, and its threads spin for tens of milliseconds of CPU before they
+# sleep. Set before the first numpy import, which reads it once; set here, not
+# in the package, so that library users keep their pool. A value already in
+# the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
-from . import analytics, calibration, labeling, synth
+from . import calibration, labeling
 from .detector import (
     StopParams,
     detect_file,
@@ -37,7 +44,6 @@ from .kinematics import (
     write_trajectories,
 )
 from .layout import load_layout, save_layout
-from .oracle import brute_force_stops
 
 _DEFAULTS = {
     "window": DEFAULT_WINDOW,
@@ -144,7 +150,7 @@ def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs,
 
 
 def _jobs(args, cfg):
-    """Worker count: --jobs, else config `jobs`, else SHELFSCAN_JOBS, else all cores."""
+    """Worker count: --jobs, else config `jobs`, else default_jobs()."""
     jobs = _opt(args, cfg, "jobs")
     try:
         jobs = default_jobs() if jobs is None else int(jobs)
@@ -294,6 +300,8 @@ def cmd_eval_cross(args):
 
 
 def cmd_analyze(args):
+    from . import analytics
+
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.stops, args.purchases)
     os.makedirs(args.out, exist_ok=True)
@@ -351,6 +359,8 @@ def cmd_analyze(args):
 
 
 def cmd_synth(args):
+    from . import synth
+
     cfg = _load_config(args)
     if args.plant:
         try:
@@ -387,6 +397,9 @@ def cmd_synth(args):
 
 
 def cmd_oracle_check(args):
+    from . import synth
+    from .oracle import brute_force_stops
+
     cfg = _load_config(args)
     seed = non_negative("seed", int(_opt(args, cfg, "seed")))
     scenarios = non_negative("scenarios", int(_opt(args, cfg, "scenarios", 100)))
@@ -537,7 +550,7 @@ def _grid_flags(p):
 
 
 def _jobs_flag(p):
-    p.add_argument("--jobs", type=int, help="worker processes (default: SHELFSCAN_JOBS or cores)")
+    p.add_argument("--jobs", type=int, help="worker processes (default: SHELFSCAN_JOBS or usable CPUs)")
 
 
 def main(argv=None):
@@ -549,7 +562,7 @@ def main(argv=None):
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or misplaced path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse usage errors and path checks

@@ -15,7 +15,6 @@ import math
 import os
 from dataclasses import dataclass, fields
 from itertools import islice
-from multiprocessing import get_context
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -296,6 +295,7 @@ def parse_record(line: bytes, where: str):
 
 
 def default_jobs() -> int:
+    """SHELFSCAN_JOBS if set, else the number of CPUs this process may run on."""
     env = os.environ.get("SHELFSCAN_JOBS")
     if env:
         try:
@@ -305,6 +305,8 @@ def default_jobs() -> int:
         if jobs < 1:
             raise ValueError(f"SHELFSCAN_JOBS must be at least 1, got {jobs}")
         return jobs
+    if hasattr(os, "sched_getaffinity"):  # Linux: a taskset or cgroup cpuset can narrow it
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -397,7 +399,9 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
     if len(tasks) <= 1:  # an empty file has no range
         results = [_read_range(*task) for task in tasks]
     else:
-        with get_context("fork").Pool(processes=len(tasks)) as pool:
+        import multiprocessing  # only a command that forks pays for the import
+
+        with multiprocessing.get_context("fork").Pool(processes=len(tasks)) as pool:
             results = pool.starmap(_read_range, tasks)
     errors, first_line = [r.error for r in results if r.error], {}
     for trajectory_id, lineno in (pair for r in results for pair in r.ids):

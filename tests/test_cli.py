@@ -381,6 +381,22 @@ def test_missing_path_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("fault", ["trajectories is a directory", "out is a file"])
+def test_os_error_on_a_path_exits_2_with_one_line(synth_dir, tmp_path, capsys, fault):
+    trajectories, out = synth_dir / "trajectories.jsonl", tmp_path / "out"
+    if fault == "trajectories is a directory":
+        trajectories = tmp_path
+        argv = ["detect", "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55"]
+    else:
+        out.write_text("")
+        argv = ["eval-same", "--labels", str(synth_dir / "labels.jsonl"), *SMALL_GRID]
+    code = run([*argv, "--layout", str(synth_dir / "layout.json"),
+                "--trajectories", str(trajectories), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_unknown_flag_exits_2():
     assert run(["detect", "--nonsense"]) == 2
 

@@ -16,6 +16,7 @@ from shelfscan import (
 )
 from shelfscan.errors import InvalidWindow, ParseError, TooShort, ValidationError
 from shelfscan.kinematics import (
+    default_jobs,
     fit_window,
     read_records,
     read_trajectories,
@@ -350,3 +351,14 @@ def test_read_records_refuses_a_field_type_before_reading(tmp_path):
     # Trajectory.times is an array: no JSON scalar converts to it, so the missing file is never opened
     with pytest.raises(TypeError, match=r"Trajectory\.times is a <class 'numpy\.ndarray'>"):
         read_records(tmp_path / "missing.jsonl", Trajectory, "trajectory")
+
+
+def test_default_jobs_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("SHELFSCAN_JOBS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)  # taskset -c 0
+    assert default_jobs() == 1
+    monkeypatch.delattr("os.sched_getaffinity")  # a platform without affinity
+    assert default_jobs() == 2
+    monkeypatch.setenv("SHELFSCAN_JOBS", "3")
+    assert default_jobs() == 3
