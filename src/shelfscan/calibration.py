@@ -8,21 +8,25 @@ pooled F1.
 The expensive part of evaluating a grid point is the geometry, and the
 geometry does not depend on the thresholds. Each trajectory is therefore
 reduced once to its per-sample candidate/distance/speed streams, in gaze
-batches of _GAZE_BATCH trajectories. The sweep then makes one vectorized
-pass over each batch per delta_b value: every run that exists at some v_b
-is found at once, with the v_b range it exists over, and the
+batches of detector.GAZE_BATCH trajectories. Only the rays of samples at
+most the grid's largest v_b fast are cast, so the default grid, whose
+largest v_b is 1.5 m/s, saves nothing by it. The sweep then makes one
+vectorized pass over each batch per delta_b value: every run that exists
+at some v_b is found at once, with the v_b range it exists over, and the
 minimum-duration and speed axes are filled from those runs by cumulative
 sums. A sweep costs O(n log n) per delta_b for n samples, whatever the
 sizes of the t_b and v_b axes.
 
-The runs are enumerated once per dataset and grid, each kept as five
-int32 values (about 20 B): trip, two difference-table cells, length and
-hits. Tables come from them by bincounts, so an evaluation repeat
-reweights the same runs by trip, with no new tree pass: it tabulates the
-runs of its calibration subset, and the held-out trips' counts at the
-chosen point are every trip's counts less the subset's. That complement is
-exact, because runs never cross trajectories and the counts are integers.
-A plain calibration folds the runs into its tables as they are found.
+The runs that qualify at some t_b are enumerated once per dataset and
+grid, each kept as five int32 values (about 20 B): trip, two
+difference-table cells, length and hits. Tables come from them by
+bincounts, so an evaluation repeat reweights the same runs by trip, with
+no new tree pass: it tabulates the runs of its calibration subset, and
+the held-out trips' counts at the chosen point are every trip's counts
+less the subset's. That complement is exact, because runs never cross
+trajectories and the counts are integers. A plain calibration and the
+test side of a cross-store evaluation read only every trip's totals, so
+they fold the runs into their tables as they are found.
 
 The gaze batch is the one unit of work: each batch's streams are
 enumerated as soon as they are gazed, its trips numbered after the earlier
@@ -40,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import labeling
+from . import detector, labeling
 from .detector import (
     DURATION_TOL,
     StopMatrix,
@@ -218,7 +222,11 @@ def score_dataset(dataset, layout: StoreLayout, params: StopParams) -> MetricsRe
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Threshold-independent reduction of one (track, visits) pair."""
+    """Threshold-independent reduction of one (track, visits) pair, for one grid.
+
+    A sample faster than the grid's largest v_b has no candidate: no grid
+    point counts it, so its ray is not cast.
+    """
 
     times: np.ndarray
     candidates: np.ndarray      # (k,) 0-based shelf index, -1 none
@@ -248,13 +256,15 @@ class Runs:
         return len(self.visit_ones)
 
     def count_tables(self, mask=None):
-        """The _count_tables tables of the trips in mask, every trip when None."""
+        """The _count_tables tables of the trips in mask, every trip when None.
+
+        Folded runs have only every trip's totals, so they take no mask.
+        """
         if self.runs is None:
+            if mask is not None:
+                raise ValidationError("runs folded into tables cannot select trips")
             return (*self.folded, int(self.visit_ones.sum()))
         return _count_tables([self.runs], self.visit_ones, self.axes, mask)
-
-
-_GAZE_BATCH = 32  # trajectories per gaze_stream call; bounds the concatenated arrays
 
 
 def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
@@ -267,7 +277,8 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
         if dataset.axes is None or not all(map(np.array_equal, dataset.axes, axes)):
             raise ValidationError("runs were enumerated on other grid axes than the grid given")
         if dataset.runs is None and not fold:
-            raise ValidationError("runs folded into tables serve calibrate only")
+            raise ValidationError(
+                "runs folded into tables serve calibrate only, and the test side of cross_store_eval")
         for store_id in dict.fromkeys(dataset.store_ids):
             check_store(SimpleNamespace(store_id=store_id), layout)
         return dataset
@@ -282,15 +293,20 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
                 f"visit matrix shape {visits.values.shape} does not match "
                 f"{layout.n_shelves} shelves x {len(track)} samples"
             )
-    return _runs_of(_gaze(dataset, layout, float(axes[1][-1])), axes, fold)
+    return _runs_of(_gaze(dataset, layout, float(axes[1][-1]), float(axes[2][-1])), axes, fold)
 
 
-def _gaze(pairs, layout: StoreLayout, cutoff: float):
-    """Yield a list of _Prepared streams per _GAZE_BATCH checked (track, visits) pairs, gazed at once."""
-    for batch in batches(pairs, _GAZE_BATCH):
+def _gaze(pairs, layout: StoreLayout, cutoff: float, v_max: float):
+    """Yield a list of _Prepared streams per detector.GAZE_BATCH checked (track, visits) pairs.
+
+    One gaze_stream call per list casts the rays of the samples at most
+    v_max fast, within the distance cutoff: those _flatten keeps.
+    """
+    for batch in batches(pairs, detector.GAZE_BATCH):
         prepared = []
-        positions, normals, cuts = stack_tracks([track for track, _ in batch])
-        candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff)
+        positions, normals, cast, cuts = stack_tracks([track for track, _ in batch], v_max)
+        candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff, cast=cast)
+        del positions, normals, cast
         for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
             seen = np.flatnonzero(cand >= 0)
             vac = np.zeros(len(track), dtype=bool)
@@ -366,9 +382,9 @@ def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout,
                                             n_reviewers)
             yield build_track(traj, window), visits
 
-    # the gaze cutoff is the largest delta_b; without axes no candidate is needed
-    cutoff = float(axes[1][-1]) if axes is not None else 0.0
-    return [_runs_of(_gaze(pairs(), layout, cutoff), axes, fold)]
+    # the gaze casts within the largest delta_b and v_b; without axes no ray is needed
+    cutoff, v_max = (float(axes[1][-1]), float(axes[2][-1])) if axes is not None else (0.0, -math.inf)
+    return [_runs_of(_gaze(pairs(), layout, cutoff, v_max), axes, fold)]
 
 
 def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, grid,
@@ -376,13 +392,14 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
     """The Runs of every trajectory of a JSONL trajectory file, with its labels, on the grid.
 
     kinematics.map_file's range workers read, gap-split, vote, build, gaze
-    and enumerate the file, one gaze batch of _GAZE_BATCH trajectories at a
-    time, so this process holds only the runs (about 20 B each), never a
-    track, a visit matrix or a per-sample stream, and a worker the streams
-    of a batch or two. The result serves calibrate, same_store_eval and
+    and enumerate the file, one gaze batch of detector.GAZE_BATCH
+    trajectories at a time, so this process holds only the runs (about 20
+    B each), never a track, a visit matrix or a per-sample stream, and a
+    worker the streams of a batch or two. The result serves calibrate, same_store_eval and
     cross_store_eval with the same grid and `layout`; they check its
     stores. With `fold`, each range folds its runs into its count tables
-    instead and this process sums them, for calibrate only.
+    instead and this process sums them, for calibrate and for
+    cross_store_eval's test side, which read only every trip's totals.
 
     The error raised does not depend on `jobs`: the read error on the
     lowest line, else UnknownTrajectory for labels that name no trajectory
@@ -409,14 +426,15 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
 
 
 def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
-    """Every run of the trajectories at some grid point, yielded one delta_b at a time.
+    """Every run of the trajectories that counts at some grid point, yielded one delta_b at a time.
 
     Each batch is a (5, k) int32 array with one column per run: its trip
     (index into prepared), its two cells of the flattened (nD, nT+1, nV+1)
     difference table of _count_tables, its length and its hit count (samples
     whose candidate shelf has a visit). A run adds at (delta_b index, upto,
     lo_v) and subtracts at (delta_b index, upto, hi_v), where upto is the
-    number of t_axis values its duration qualifies at.
+    number of t_axis values its duration qualifies at; a run with upto 0
+    would reach no table, so none is yielded.
 
     One vectorized pass over the trajectories per delta_b; callers bound
     the memory it takes by the trajectories they pass, a gaze batch at a
@@ -450,9 +468,11 @@ def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
         # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
         # the same float predicate the detector applies
         upto = np.searchsorted(t_axis, times[e] - times[s] + DURATION_TOL, side="right")
+        keep = np.flatnonzero(upto)
+        s, e, upto = s[keep], e[keep], upto[keep]
         row = (di * (n_t + 1) + upto) * (n_v + 1)
-        yield np.stack([trip[s], row + lo_v, row + hi_v, length, cum[e + 1] - cum[s]],
-                       dtype=np.int32)
+        yield np.stack([trip[s], row + lo_v[keep], row + hi_v[keep], length[keep],
+                        cum[e + 1] - cum[s]], dtype=np.int32)
 
 
 def _count_tables(runs, visit_ones, axes, mask=None):
@@ -657,7 +677,9 @@ def _evaluate(protocol, sides, grid, p, repeats, seed) -> EvalReport:
     if not all(len(dataset) for dataset, _ in sides):
         raise EmptyDataset("evaluation requires at least one trajectory in every dataset")
     axes = _grid_axes(grid)
-    cal, *test = [_prepare(dataset, layout, axes) for dataset, layout in sides]
+    # the test side is read only as every trip's totals, so its runs are folded as found
+    cal, *test = [_prepare(dataset, layout, axes, fold=side > 0)
+                  for side, (dataset, layout) in enumerate(sides)]
     n = len(cal)
     n_cal = math.ceil(p * n)
     if not test and n_cal == n:

@@ -280,7 +280,9 @@ def cmd_eval_cross(args):
     layout_a = load_layout(args.layout_a)
     layout_b = load_layout(args.layout_b)
     dataset_a = _prepare_labeled(args.trajectories_a, args.labels_a, layout_a, window, grid, jobs)
-    dataset_b = _prepare_labeled(args.trajectories_b, args.labels_b, layout_b, window, grid, jobs)
+    # cross_store_eval reads the test side only as every trip's totals
+    dataset_b = _prepare_labeled(args.trajectories_b, args.labels_b, layout_b, window, grid, jobs,
+                                 fold=True)
     report = calibration.cross_store_eval(
         dataset_a, layout_a, dataset_b, layout_b, grid,
         p=float(_opt(args, cfg, "p", 1.0)),

@@ -9,7 +9,11 @@ least t_b seconds. The detector emits stop events plus the per-timestamp
 Boolean matrix downstream metrics count on. Two kernels do the work, here
 and in calibration: gaze_stream casts the rays of many samples at once,
 and runs applies the stop rule to one track's streams, the duration
-condition included.
+condition included. Both callers gaze GAZE_BATCH tracks per gaze_stream
+call and cast only the rays of samples slow enough to stop: detection at
+most v_b fast, calibration at most the grid's largest v_b. A sample that
+is not cast reports no candidate, which the speed condition would reject
+anyway.
 
 Numeric conventions (shared by the brute-force cross-check in oracle.py):
 - a hit counts only if its ray parameter exceeds EPS_LAMBDA, so an origin
@@ -49,8 +53,8 @@ DURATION_TOL = 1e-9
 
 # target element count for one (samples x segments) block; bounds temp memory
 _BLOCK_ELEMS = 2_000_000
-# tracks per shared gaze pass; bounds the memory a pass holds
-_CHUNK = 256
+# tracks per gaze_stream call, in detection and calibration; bounds the arrays a call holds
+GAZE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -185,12 +189,17 @@ class _SegmentGrid:
         return np.where(inside, iy * self.nx + ix, -1)
 
 
-def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = None):
+def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = None,
+                cast=None):
     """Candidate shelf and hit distance for every sample of a track.
 
     Returns (candidates, lams): candidates holds 0-based shelf indices
     with -1 where there is no candidate; lams holds the nearest-hit
     distance (inf where nothing was hit).
+
+    `cast`, a per-sample Boolean mask, names the rays to cast, every ray
+    when None; a sample outside it reports -1 and inf, as a sample with no
+    segment within the cutoff does.
 
     With a finite `cutoff`, rays whose nearest hit would be farther than
     the cutoff report no candidate, and each grid cell's samples are one
@@ -212,13 +221,16 @@ def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = 
     if bounded:
         grid = _segment_grid(layout, cutoff)
         keys = grid.keys_for(positions[:, 0], positions[:, 1])
+        if cast is not None:
+            keys[~np.asarray(cast)] = -1  # the group of no segment, which is skipped
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         cuts = np.flatnonzero(np.diff(sorted_keys)) + 1
         groups = ((order[lo:hi], grid.buckets.get(int(sorted_keys[lo])))
                   for lo, hi in zip([0, *cuts], [*cuts, n]))
     else:
-        groups = [(np.arange(n), np.arange(len(pts), dtype=np.intp))]
+        sel = np.arange(n) if cast is None else np.flatnonzero(cast)
+        groups = [(sel, np.arange(len(pts), dtype=np.intp))]
     for sel, sub in groups:
         if sub is None:
             continue  # outside the grid, or no segment within the cutoff
@@ -267,11 +279,15 @@ def check_store(track, layout: StoreLayout):
     return track
 
 
-def stack_tracks(tracks):
-    """The tracks' positions and normals end to end, and the indices that split them back."""
+def stack_tracks(tracks, v_max: float):
+    """The tracks' gaze_stream inputs end to end, and the indices that split them back.
+
+    The inputs are positions, normals and the cast mask of the samples at most v_max fast.
+    """
     positions = np.concatenate([t.positions for t in tracks])
     normals = np.concatenate([t.normals for t in tracks])
-    return positions, normals, np.cumsum([len(t) for t in tracks])[:-1]
+    cast = np.concatenate([t.speeds for t in tracks]) <= v_max
+    return positions, normals, cast, np.cumsum([len(t) for t in tracks])[:-1]
 
 
 def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams):
@@ -281,24 +297,25 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
     (n_shelves, n_samples) Boolean StopMatrix marking every sample of
     every qualifying run.
     """
-    [(_, events, spans)] = _detect_chunks([check_store(track, layout)], layout, params)
+    [(_, events, spans)] = _detect_batches([check_store(track, layout)], layout, params)
     values = np.zeros((layout.n_shelves, len(track)), dtype=bool)
     for (s, e, shelf0) in spans:
         values[shelf0, s:e + 1] = True
     return events, StopMatrix(trajectory_id=track.trajectory_id, times=track.times, values=values)
 
 
-def _detect_chunks(tracks, layout: StoreLayout, params: StopParams):
-    """Yield (track, events, spans) per track, one shared gaze pass per _CHUNK tracks taken.
+def _detect_batches(tracks, layout: StoreLayout, params: StopParams):
+    """Yield (track, events, spans) per track, one gaze_stream call per GAZE_BATCH tracks taken.
 
-    spans lists each event's first and last sample and 0-based shelf. Callers check stores.
+    Only the samples at most v_b fast are cast: runs rejects every other
+    sample, so no run loses one. spans lists each event's first and last
+    sample and 0-based shelf. Callers check stores.
     """
-    for chunk in batches(tracks, _CHUNK):
-        # one shared gaze pass over the whole chunk amortizes the numpy overhead
-        positions, normals, cuts = stack_tracks(chunk)
-        candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b)
-        del positions, normals
-        for track, cand, lam in zip(chunk, np.split(candidates, cuts), np.split(lams, cuts)):
+    for batch in batches(tracks, GAZE_BATCH):
+        positions, normals, cast, cuts = stack_tracks(batch, params.v_b)
+        candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b, cast=cast)
+        del positions, normals, cast
+        for track, cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
             times = track.times
             starts, ends, shelves = runs(times, cand, lam, track.speeds, params)
             spans = list(zip(starts.tolist(), ends.tolist(), shelves.tolist()))
@@ -307,7 +324,7 @@ def _detect_chunks(tracks, layout: StoreLayout, params: StopParams):
                                     min_lambda=float(lam[s:e + 1].min()),
                                     mean_speed=float(track.speeds[s:e + 1].mean()))
                           for s, e, shelf0 in spans], spans
-        del chunk, track, cand, lam, candidates, lams  # hold nothing of it as batches takes the next
+        del batch, track, cand, lam, candidates, lams  # hold nothing of it as batches takes the next
 
 
 def write_stop_events(events, path) -> None:
@@ -325,24 +342,24 @@ def read_stop_events(path) -> list[StopEvent]:
 
 
 def detect_many(tracks, layout: StoreLayout, params: StopParams):
-    """Detect stops on many tracks, one shared gaze pass per _CHUNK tracks.
+    """Detect stops on many tracks, one gaze_stream call per GAZE_BATCH tracks.
 
     Returns one event list per input track, in input order. Every track is
     store-checked before any is detected.
     """
     tracks = [check_store(track, layout) for track in tracks]
-    return [events for _, events, _ in _detect_chunks(tracks, layout, params)]
+    return [events for _, events, _ in _detect_batches(tracks, layout, params)]
 
 
 def _detect_range(trajectories, layout: StoreLayout, params: StopParams, window: int):
     """detect_file's stage: (events, stopped) per trajectory of one range.
 
-    Each trajectory is built and store-checked as _detect_chunks takes it,
+    Each trajectory is built and store-checked as _detect_batches takes it,
     so the error raised is the one of the first trajectory that fails.
     """
     tracks = (check_store(build_track(traj, window), layout) for traj in trajectories)
     return [(events, [(s, track.times[s:e + 1].tolist()) for s, e, _ in spans])
-            for track, events, spans in _detect_chunks(tracks, layout, params)]
+            for track, events, spans in _detect_batches(tracks, layout, params)]
 
 
 def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEFAULT_WINDOW,

@@ -351,7 +351,7 @@ def test_sweep_of_a_block_longer_than_8192_samples_matches_pointwise_counts(sing
     visits = VisitMatrix(traj.trajectory_id, traj.times, rng.random((1, n)) < 0.5, n_reviewers=1)
     axes = (np.array([0.5, 30.0, 999.0]), np.array([0.995, 1.005, 2.0]), np.array([0.03, 0.06, 1.0]))
     [prepared] = calibration._gaze([(build_track(traj, window=5), visits)], single_shelf_layout,
-                                   float(axes[1][-1]))
+                                   float(axes[1][-1]), float(axes[2][-1]))
     tp, fp, fn = sweep(prepared, *axes).count_tables
     assert tp[-1, -1, -1] + fp[-1, -1, -1] == n  # one run of every sample
     for index in np.ndindex(tp.shape):
@@ -372,6 +372,33 @@ def test_runs_serve_only_their_own_grid_and_use():
     assert all(np.array_equal(a, b) for a, b in zip(got.count_tables, want.count_tables, strict=True))
     with pytest.raises(ValidationError, match="calibrate only"):
         same_store_eval(folded, layout, PLANTED_GRID, p=0.5, repeats=1, seed=0)
+
+
+@given(prepared_streams())
+@settings(max_examples=100, deadline=None)
+def test_stored_runs_all_qualify_at_some_t_b(streams):
+    """No stored run sits in t_b row 0, which reaches no table, and the tables stay pointwise exact."""
+    prepared, *axes = streams
+    n_t, n_v = len(axes[0]), len(axes[2])
+    runs = _runs_of([prepared], axes, fold=False)
+    for cells in runs.runs[1:3]:
+        assert (cells // (n_v + 1) % (n_t + 1) > 0).all()
+    tables = runs.count_tables()
+    for index in np.ndindex(tables[0].shape):
+        params = StopParams(*(float(axis[i]) for axis, i in zip(axes, index)))
+        assert _counts(tables, index) == counts_at(prepared, params)
+
+
+def test_folded_runs_serve_the_cross_store_test_side_only():
+    dataset, layout = planted_dataset(n=4)
+    runs = calibration._prepare(dataset, layout, PLANTED_GRID.axes())
+    folded = calibration._prepare(dataset, layout, PLANTED_GRID.axes(), fold=True)
+    assert cross_store_eval(runs, layout, folded, layout, PLANTED_GRID, p=0.5, repeats=2) == \
+        cross_store_eval(dataset, layout, dataset, layout, PLANTED_GRID, p=0.5, repeats=2)
+    with pytest.raises(ValidationError, match="calibrate only"):
+        cross_store_eval(folded, layout, runs, layout, PLANTED_GRID, p=0.5)
+    with pytest.raises(ValidationError, match="cannot select trips"):
+        folded.count_tables(np.ones(len(folded), dtype=bool))
 
 
 @given(prepared_streams(), st.data())

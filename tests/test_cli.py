@@ -449,7 +449,7 @@ def test_plant_across_chunks_matches_per_trip_detection(tmp_path):
         for lab in labels_from_stop_events(
             detect_stops(build_track(traj, 5), layout, params)[0], reviewer_id="auto")
     ]
-    # the 257th trip is alone in the second 256-trip chunk of the batched pass
+    # the 257th trip is alone in the last gaze batch, as 256 trips fill eight of 32
     assert any(lab.trajectory_id == "trip-00256" for lab in want)
     write_labels(want, tmp_path / "want.jsonl")
     assert (out / "labels.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
@@ -612,8 +612,7 @@ def range_cuts(monkeypatch):
     (start, stop) ranges per file read.
     """
     monkeypatch.setattr(kinematics, "_MIN_RANGE", 1)
-    monkeypatch.setattr(detector, "_CHUNK", 2)
-    monkeypatch.setattr(calibration, "_GAZE_BATCH", 2)
+    monkeypatch.setattr(detector, "GAZE_BATCH", 2)
     cuts, byte_ranges = [], kinematics._byte_ranges
 
     def spy(path, jobs):

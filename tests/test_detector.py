@@ -319,6 +319,39 @@ def test_gaze_cutoff_agrees_below_threshold():
         assert (cut_c[~within] == -1).all()
 
 
+@pytest.mark.parametrize("seed", [3, 9, 21])
+@pytest.mark.parametrize("cutoff", [None, 1.5])
+def test_gaze_mask_casts_only_its_rays(seed, cutoff):
+    """A masked gaze_stream equals the unmasked one on the cast rows and gives (-1, inf) elsewhere."""
+    rng = np.random.default_rng(seed)
+    trajs, _, layout = generate(random_scenario(seed, max_len=400))
+    for traj in trajs:
+        track = build_track(traj, window=fit_window(5, len(traj)))
+        full_c, full_l = gaze_stream(track.positions, track.normals, layout, cutoff=cutoff)
+        for cast in (rng.random(len(track)) < rng.random(), np.zeros(len(track), dtype=bool)):
+            got_c, got_l = gaze_stream(track.positions, track.normals, layout, cutoff=cutoff, cast=cast)
+            assert np.array_equal(got_c[cast], full_c[cast])
+            assert np.array_equal(got_l[cast], full_l[cast])
+            assert (got_c[~cast] == -1).all() and np.isinf(got_l[~cast]).all()
+
+
+def test_sample_at_exactly_v_b_is_cast_and_its_stop_kept(single_shelf_layout):
+    # jitter around (1, 1), facing the shelf 1 m away, so the speeds vary
+    rng = np.random.default_rng(5)
+    n = 60
+    traj = make_trajectory(np.array([1.0, 1.0]) + rng.normal(0.0, 0.005, (n, 2)), np.full(n, -math.pi / 2))
+    track = build_track(traj, window=5)
+    fastest = int(track.speeds.argmax())
+    assert 0 < fastest < n - 1
+    # the fastest sample meets speed <= v_b with equality
+    params = StopParams(t_b=1.0, delta_b=1.5, v_b=float(track.speeds[fastest]))
+    events, matrix = detect_stops(track, single_shelf_layout, params)
+    assert matrix.values.all()  # one stop over every sample, the fastest one included
+    [event] = events
+    assert (event.t_s, event.t_f) == (track.times[0], track.times[-1])
+    assert event.min_lambda == gaze_stream(track.positions, track.normals, single_shelf_layout)[1].min()
+
+
 def test_detect_many_matches_detect_stops_and_ignores_jobs():
     trajs, _, layout = generate(random_scenario(13, max_len=300))
     params = StopParams(1.5, 1.4, 0.6)
@@ -330,8 +363,8 @@ def test_detect_many_matches_detect_stops_and_ignores_jobs():
     params = StopParams(1.0, 1.4, 0.6)
     tracks = [build_track(t, window=5) for t in trajs]
     singles = [detect_stops(t, layout, params)[0] for t in tracks]
-    # 300 tracks make two chunks of the batched pass
-    assert any(singles[:256]) and any(singles[256:])
+    # 300 tracks make ten gaze batches, the last of them 12 tracks
+    assert any(singles[:288]) and any(singles[288:])
     assert detect_many(tracks, layout, params) == singles
 
 
