@@ -129,6 +129,12 @@ def _params_from(args, cfg) -> StopParams:
     return StopParams(**{key: float(value) for key, value in values.items()})
 
 
+def _artifact(args, name):
+    """The path of artifact `name` in --out, which is created at the first write."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def _write_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -171,15 +177,14 @@ def _manifest_path(labels_path):
 def cmd_detect(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories)
-    os.makedirs(args.out, exist_ok=True)
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     params = _params_from(args, cfg)
     n_tracks, events, stopped = detect_file(args.trajectories, layout, params, window, _jobs(args, cfg))
 
-    write_stop_events(events, os.path.join(args.out, "stops.jsonl"))
+    write_stop_events(events, _artifact(args, "stops.jsonl"))
     # sparse long form: rows only where S = 1
-    with open(os.path.join(args.out, "stop_matrix.csv"), "w", newline="") as fh:
+    with open(_artifact(args, "stop_matrix.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trajectory_id", "shelf_id", "k", "t", "S"])
         for ev, (k_s, times) in zip(events, stopped):
@@ -192,7 +197,6 @@ def cmd_detect(args):
 def cmd_calibrate(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
-    os.makedirs(args.out, exist_ok=True)
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
@@ -209,9 +213,9 @@ def cmd_calibrate(args):
         "config": _resolved_config(args, cfg, ["window", "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
-    _write_json(report, os.path.join(args.out, "calibration.json"))
+    _write_json(report, _artifact(args, "calibration.json"))
     if args.dump_grid:
-        with open(os.path.join(args.out, "grid.csv"), "w", newline="") as fh:
+        with open(_artifact(args, "grid.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t_b", "delta_b", "v_b", "tp", "fp", "fn", "precision", "recall", "f1"])
             for row in result.score_rows():
@@ -239,7 +243,6 @@ def _write_repeats(reports, path):
 def cmd_eval_same(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
-    os.makedirs(args.out, exist_ok=True)
     layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
@@ -260,8 +263,8 @@ def cmd_eval_same(args):
                                                "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
-    _write_json(doc, os.path.join(args.out, "eval.json"))
-    _write_repeats(reports, os.path.join(args.out, "eval_repeats.csv"))
+    _write_json(doc, _artifact(args, "eval.json"))
+    _write_repeats(reports, _artifact(args, "eval_repeats.csv"))
     for rep in reports:
         print(f"eval-same: p={rep.p:g} mean F1 {rep.mean:.4f} +/- {rep.stderr:.4f} "
               f"over {rep.repeats} repeats")
@@ -272,7 +275,6 @@ def cmd_eval_cross(args):
     cfg = _load_config(args)
     _require_paths(args.layout_a, args.trajectories_a, args.labels_a,
                    args.layout_b, args.trajectories_b, args.labels_b)
-    os.makedirs(args.out, exist_ok=True)
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
     seed = int(_opt(args, cfg, "seed"))
@@ -295,8 +297,8 @@ def cmd_eval_cross(args):
                                                "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
-    _write_json(doc, os.path.join(args.out, "eval.json"))
-    _write_repeats([report], os.path.join(args.out, "eval_repeats.csv"))
+    _write_json(doc, _artifact(args, "eval.json"))
+    _write_repeats([report], _artifact(args, "eval_repeats.csv"))
     print(f"eval-cross: {layout_a.store_id} -> {layout_b.store_id} mean F1 {report.mean:.4f}")
     return 0
 
@@ -306,7 +308,6 @@ def cmd_analyze(args):
 
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.stops, args.purchases)
-    os.makedirs(args.out, exist_ok=True)
     layout = load_layout(args.layout)
     trajectories = read_trajectories(args.trajectories)
     events = read_stop_events(args.stops)
@@ -320,7 +321,7 @@ def cmd_analyze(args):
         for tid, evs in by_traj.items()
     ]
     stats = analytics.shelf_stats(vectors)
-    with open(os.path.join(args.out, "shelf_stats.csv"), "w", newline="") as fh:
+    with open(_artifact(args, "shelf_stats.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shelf_id", "avg_visits_per_trip"])
         for j, avg in enumerate(stats.per_shelf, start=1):
@@ -341,7 +342,7 @@ def cmd_analyze(args):
     if args.purchases:
         purchases = analytics.read_purchases(args.purchases)
         conv = analytics.conversion_rates(stats, purchases, incidence=bool(args.incidence))
-        with open(os.path.join(args.out, "conversion.csv"), "w", newline="") as fh:
+        with open(_artifact(args, "conversion.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["shelf_id", "avg_visits_per_trip", "avg_purchases_per_trip",
                              "conversion_pct"])
@@ -354,7 +355,7 @@ def cmd_analyze(args):
                     "" if rate is None else repr(rate * 100.0),
                 ])
         summary["n_purchase_records"] = len(purchases)
-    _write_json(summary, os.path.join(args.out, "summary.json"))
+    _write_json(summary, _artifact(args, "summary.json"))
     print(f"analyze: {stats.n_trips} trips, "
           f"{stats.overall_avg_visits:.3f} average visits per trip")
     return 0
@@ -382,15 +383,14 @@ def cmd_synth(args):
             noise=float(_opt(args, cfg, "noise", 0.0)),
         )
     trajectories, truth, layout = synth.generate(spec)
-    os.makedirs(args.out, exist_ok=True)
-    save_layout(layout, os.path.join(args.out, "layout.json"))
-    write_trajectories(trajectories, os.path.join(args.out, "trajectories.jsonl"))
-    synth.write_ground_truth(truth, os.path.join(args.out, "ground_truth.json"))
+    save_layout(layout, _artifact(args, "layout.json"))
+    write_trajectories(trajectories, _artifact(args, "trajectories.jsonl"))
+    synth.write_ground_truth(truth, _artifact(args, "ground_truth.json"))
     if args.plant:
         tracks = [build_track(traj, window) for traj in trajectories]
         labels = [lab for events in detect_many(tracks, layout, params)
                   for lab in labeling.labels_from_stop_events(events, reviewer_id="auto")]
-        labels_path = os.path.join(args.out, "labels.jsonl")
+        labels_path = _artifact(args, "labels.jsonl")
         labeling.write_labels(labels, labels_path)
         labeling.write_label_manifest(1, ["auto"], _manifest_path(labels_path))
     print(f"synth: wrote {len(trajectories)} trajectories, "
@@ -446,8 +446,7 @@ def cmd_oracle_check(args):
         "config": {"seed": seed, "max_len": max_len, "window": window},
         "generated_at": _timestamp(),
     }
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(report, os.path.join(args.out, "oracle_check.json"))
+    _write_json(report, _artifact(args, "oracle_check.json"))
     print(f"oracle-check: {'PASS' if mismatch is None else 'FAIL'} "
           f"({checked} trajectories over {scenarios} scenarios)")
     return 0 if mismatch is None else 1
@@ -559,6 +558,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            _usage_error(f"--out is not a directory: {args.out}")
         return args.func(args)
     except ShelfScanError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

@@ -9,7 +9,10 @@ least t_b seconds. The detector emits stop events plus the per-timestamp
 Boolean matrix downstream metrics count on. Two kernels do the work, here
 and in calibration: gaze_stream casts the rays of many samples at once,
 and runs applies the stop rule to one track's streams, the duration
-condition included. Both callers gaze GAZE_BATCH tracks per gaze_stream
+condition included. gaze_stream pairs each cast ray with the segments
+its cell of a coarse grid can see within the distance cutoff (every
+segment without one) and solves those (ray, segment) pairs in flat
+chunks of a fixed size. Both callers gaze GAZE_BATCH tracks per gaze_stream
 call and cast only the rays of samples slow enough to stop: detection at
 most v_b fast, calibration at most the grid's largest v_b. A sample that
 is not cast reports no candidate, which the speed condition would reject
@@ -51,8 +54,8 @@ EPS_MEMBER = 1e-9
 TIE_TOL = 1e-9
 DURATION_TOL = 1e-9
 
-# target element count for one (samples x segments) block; bounds temp memory
-_BLOCK_ELEMS = 2_000_000
+# (ray, segment) pairs per _solve_pairs call; bounds temp memory
+_PAIRS = 4096
 # tracks per gaze_stream call, in detection and calibration; bounds the arrays a call holds
 GAZE_BATCH = 32
 
@@ -107,86 +110,77 @@ class StopMatrix:
         return self.values.shape[1]
 
 
-def _solve_block(ox, oy, dx, dy, pts, seg_idx):
-    """Nearest-hit distance and winning segment for a block of rays.
+def _solve_pairs(origins, directions, first, counts, indices, pts):
+    """Nearest-hit distance and winning segment of rays, from their (ray, segment) pairs.
 
-    pts is the (m, 2, 2) endpoint array of the candidate segments and
-    seg_idx their global 0-based indices, ascending. Returns (lam_min,
-    winner) where winner is -1 for rays that hit nothing.
+    Ray i sees the counts[i] > 0 segments indices[first[i]:first[i] + counts[i]],
+    ascending; pts is the layout's (n_segments, 2, 2) endpoint array.
+    Returns (lam_min, winner) where winner is -1 for rays that hit nothing.
     """
-    ax = pts[:, 0, 0]
-    ay = pts[:, 0, 1]
-    sx = pts[:, 1, 0] - ax
-    sy = pts[:, 1, 1] - ay
+    starts = np.cumsum(counts) - counts
+    seg = indices[np.arange(counts.sum()) + np.repeat(first - starts, counts)]
+    a = pts[seg, 0]
+    qpx, qpy = (a - np.repeat(origins, counts, axis=0)).T
+    sx, sy = (pts[seg, 1] - a).T
+    dx, dy = np.repeat(directions, counts, axis=0).T
     eps_u = EPS_MEMBER / np.hypot(sx, sy)
 
-    qpx = ax[None, :] - ox[:, None]
-    qpy = ay[None, :] - oy[:, None]
-    denom = dx[:, None] * sy[None, :] - dy[:, None] * sx[None, :]
-    tnum = qpx * sy[None, :] - qpy * sx[None, :]
-    unum = qpx * dy[:, None] - qpy * dx[:, None]
+    denom = dx * sy - dy * sx
+    tnum = qpx * sy - qpy * sx
+    unum = qpx * dy - qpy * dx
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = tnum / denom
         u = unum / denom
-    valid = (denom != 0.0) & (lam > EPS_LAMBDA) & (u >= -eps_u[None, :]) & (u <= 1.0 + eps_u[None, :])
+    valid = (denom != 0.0) & (lam > EPS_LAMBDA) & (u >= -eps_u) & (u <= 1.0 + eps_u)
 
-    collinear = (denom == 0.0) & (tnum == 0.0)
-    if collinear.any():
-        for i, j in zip(*np.nonzero(collinear)):
-            la = qpx[i, j] * dx[i] + qpy[i, j] * dy[i]
-            lb = la + (sx[j] * dx[i] + sy[j] * dy[i])
-            lo = min(la, lb)
-            if lo > EPS_LAMBDA:
-                lam[i, j] = lo
-                valid[i, j] = True
+    # an edge-on segment is hit at its near endpoint, if that lies ahead
+    on = np.flatnonzero((denom == 0.0) & (tnum == 0.0))
+    near = qpx[on] * dx[on] + qpy[on] * dy[on]
+    lam[on] = np.minimum(near, near + (sx[on] * dx[on] + sy[on] * dy[on]))
+    valid[on] = lam[on] > EPS_LAMBDA
 
     lam = np.where(valid, lam, np.inf)
-    lam_min = lam.min(axis=1)
-    first = (lam <= lam_min[:, None] + TIE_TOL).argmax(axis=1)
-    winner = np.where(np.isfinite(lam_min), seg_idx[first], -1)
-    return lam_min, winner
+    lam_min = np.minimum.reduceat(lam, starts)
+    tied = lam <= np.repeat(lam_min, counts) + TIE_TOL
+    winner = seg[np.minimum.reduceat(np.where(tied, np.arange(len(seg)), len(seg)), starts)]
+    return lam_min, np.where(np.isfinite(lam_min), winner, -1)
 
 
-class _SegmentGrid:
-    """Coarse spatial hash used to cull segments beyond a distance cutoff.
+@lru_cache(maxsize=32)
+def _segment_cells(layout: StoreLayout, cutoff: float | None):
+    """The segments a ray origin can see within `cutoff`, by grid cell: (cell_of, indptr, indices).
 
-    Each cell lists every segment whose inflated bounding box touches it,
-    so a ray origin inside the cell sees a superset of all segments within
-    `cutoff` of it; origins outside the grid are farther than the cutoff
-    from every segment.
+    cell_of maps (k, 2) origins to cells; cell c sees the segments
+    indices[indptr[c]:indptr[c + 1]], ascending. Each grid cell lists
+    every segment whose bounding box, inflated by the cutoff, touches it,
+    so an origin inside the cell sees a superset of all segments within
+    `cutoff` of it. Origins outside the grid are farther than the cutoff
+    from every segment and map to one extra, empty cell. With cutoff=None
+    (or inf) every origin maps to one cell that holds every segment.
     """
+    pts = layout.segment_points
+    if cutoff is None or not np.isfinite(cutoff):
+        return (lambda xy: np.zeros(len(xy), dtype=np.intp)), np.array([0, len(pts)]), np.arange(len(pts))
+    pad = cutoff + 0.01
+    lo = pts.min(axis=(0, 1)) - pad
+    hi = pts.max(axis=(0, 1)) + pad
+    cell = max(cutoff, 0.5, (hi - lo).max() / 64.0)
+    nx, ny = ((hi - lo) / cell).astype(int) + 1
+    # each segment's inflated box in cells, [ix0, iy0] to [ix1, iy1]; every box lies inside the grid
+    box_lo = ((pts.min(axis=1) - pad - lo) / cell).astype(int)
+    box_hi = ((pts.max(axis=1) + pad - lo) / cell).astype(int)
+    cx, cy = np.arange(nx)[:, None], np.arange(ny)[:, None]
+    in_x = (box_lo[:, 0] <= cx) & (cx <= box_hi[:, 0])
+    in_y = (box_lo[:, 1] <= cy) & (cy <= box_hi[:, 1])
+    # cell iy * nx + ix, cell by cell with segments ascending; cell nx * ny is the empty one
+    cells, indices = np.nonzero((in_y[:, None, :] & in_x[None, :, :]).reshape(nx * ny, -1))
 
-    def __init__(self, layout: StoreLayout, cutoff: float):
-        pts = layout.segment_points
-        pad = cutoff + 0.01
-        self.x0 = float(pts[:, :, 0].min() - pad)
-        self.y0 = float(pts[:, :, 1].min() - pad)
-        x1 = float(pts[:, :, 0].max() + pad)
-        y1 = float(pts[:, :, 1].max() + pad)
-        span = max(x1 - self.x0, y1 - self.y0, 1e-6)
-        self.cell = max(cutoff, 0.5, span / 64.0)
-        self.nx = int((x1 - self.x0) / self.cell) + 1
-        self.ny = int((y1 - self.y0) / self.cell) + 1
-        buckets: dict[int, list[int]] = {}
-        for m in range(len(pts)):
-            sx0 = min(pts[m, 0, 0], pts[m, 1, 0]) - pad
-            sx1 = max(pts[m, 0, 0], pts[m, 1, 0]) + pad
-            sy0 = min(pts[m, 0, 1], pts[m, 1, 1]) - pad
-            sy1 = max(pts[m, 0, 1], pts[m, 1, 1]) + pad
-            ix0 = max(int((sx0 - self.x0) / self.cell), 0)
-            ix1 = min(int((sx1 - self.x0) / self.cell), self.nx - 1)
-            iy0 = max(int((sy0 - self.y0) / self.cell), 0)
-            iy1 = min(int((sy1 - self.y0) / self.cell), self.ny - 1)
-            for iy in range(iy0, iy1 + 1):
-                for ix in range(ix0, ix1 + 1):
-                    buckets.setdefault(iy * self.nx + ix, []).append(m)
-        self.buckets = {key: np.array(idx, dtype=np.intp) for key, idx in buckets.items()}
+    def cell_of(xy):
+        ix, iy = (np.floor((xy[:, k] - lo[k]) / cell).astype(np.int64) for k in (0, 1))
+        inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        return np.where(inside, iy * nx + ix, nx * ny)
 
-    def keys_for(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        ix = np.floor((x - self.x0) / self.cell).astype(np.int64)
-        iy = np.floor((y - self.y0) / self.cell).astype(np.int64)
-        inside = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-        return np.where(inside, iy * self.nx + ix, -1)
+    return cell_of, np.searchsorted(cells, np.arange(nx * ny + 2)), indices
 
 
 def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = None,
@@ -201,58 +195,42 @@ def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = 
     when None; a sample outside it reports -1 and inf, as a sample with no
     segment within the cutoff does.
 
-    With a finite `cutoff`, rays whose nearest hit would be farther than
-    the cutoff report no candidate, and each grid cell's samples are one
-    group, solved against the segments near the cell; callers that only
-    ever compare the distance against thresholds <= cutoff get identical
-    downstream results at a fraction of the cost. With cutoff=None (or
-    inf), every sample is one group, solved against every segment.
+    Each cast ray is paired with the segments its grid cell sees
+    (_segment_cells) and solved _PAIRS pairs at a time. With a finite
+    `cutoff`, rays whose nearest hit would be farther than the cutoff
+    report no candidate; callers that only ever compare the distance
+    against thresholds <= cutoff get identical downstream results at a
+    fraction of the cost. With cutoff=None (or inf), every ray is paired
+    with every segment.
     """
     positions = np.asarray(positions, dtype=float)
     normals = np.asarray(normals, dtype=float)
     n = len(positions)
-    pts = layout.segment_points
     lam_out = np.full(n, np.inf)
     win_out = np.full(n, -1, dtype=np.intp)
 
-    if n == 0:
-        return win_out.astype(np.int32), lam_out
-    bounded = cutoff is not None and np.isfinite(cutoff)
-    if bounded:
-        grid = _segment_grid(layout, cutoff)
-        keys = grid.keys_for(positions[:, 0], positions[:, 1])
-        if cast is not None:
-            keys[~np.asarray(cast)] = -1  # the group of no segment, which is skipped
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        cuts = np.flatnonzero(np.diff(sorted_keys)) + 1
-        groups = ((order[lo:hi], grid.buckets.get(int(sorted_keys[lo])))
-                  for lo, hi in zip([0, *cuts], [*cuts, n]))
-    else:
-        sel = np.arange(n) if cast is None else np.flatnonzero(cast)
-        groups = [(sel, np.arange(len(pts), dtype=np.intp))]
-    for sel, sub in groups:
-        if sub is None:
-            continue  # outside the grid, or no segment within the cutoff
-        rows = max(_BLOCK_ELEMS // max(len(sub), 1), 1)
-        for lo in range(0, len(sel), rows):
-            part = sel[lo:lo + rows]
-            lam_out[part], win_out[part] = _solve_block(
-                positions[part, 0], positions[part, 1],
-                normals[part, 0], normals[part, 1], pts[sub], sub,
-            )
-    if bounded:
+    cell_of, indptr, indices = _segment_cells(layout, cutoff)
+    rays = np.arange(n) if cast is None else np.flatnonzero(cast)
+    cells = cell_of(positions[rays])
+    counts = indptr[cells + 1] - indptr[cells]
+    seen = counts > 0
+    rays, first, counts = rays[seen], indptr[cells][seen], counts[seen]
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(rays):
+        # the most rays whose pairs fit in _PAIRS, or one ray with more
+        hi = max(int(np.searchsorted(ends, ends[lo] - counts[lo] + _PAIRS, side="right")), lo + 1)
+        part = rays[lo:hi]
+        lam_out[part], win_out[part] = _solve_pairs(
+            positions[part], normals[part], first[lo:hi], counts[lo:hi], indices, layout.segment_points)
+        lo = hi
+    if cutoff is not None:
         beyond = lam_out > cutoff
         lam_out[beyond] = np.inf
         win_out[beyond] = -1
 
     candidates = np.where((win_out >= 0) & (win_out < layout.n_shelves), win_out, -1).astype(np.int32)
     return candidates, lam_out
-
-
-@lru_cache(maxsize=32)
-def _segment_grid(layout: StoreLayout, cutoff: float) -> _SegmentGrid:
-    return _SegmentGrid(layout, cutoff)
 
 
 def runs(times, candidates, lams, speeds, params: StopParams):

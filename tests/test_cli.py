@@ -923,7 +923,22 @@ def test_negative_seed_exits_1_with_record(synth_dir, tmp_path, capsys, command)
     assert run([command, *inputs, "--seed", "-2", "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "ValidationError", "message": "seed must be >= 0, got -2"}
-    assert _artifacts(out) == {}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, error, message", [
+    ("eval-same", ["--p", "1.5"], "FractionOutOfRange", "p must lie strictly between 0 and 1, got 1.5"),
+    ("eval-same", ["--repeats", "0"], "ValidationError", "repeats must be >= 1, got 0"),
+    ("eval-cross", ["--p", "1.5"], "FractionOutOfRange", "p must lie in (0, 1], got 1.5"),
+])
+def test_bad_eval_argument_exits_1_and_creates_no_out(synth_dir, tmp_path, capsys, command, flags,
+                                                      error, message):
+    inputs = {"eval-same": _inputs(synth_dir),
+              "eval-cross": _inputs(synth_dir, "-a") + _inputs(synth_dir, "-b")}[command]
+    out = tmp_path / "out"
+    assert run([command, *inputs, *SMALL_GRID, *flags, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, name", [

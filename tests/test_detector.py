@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shelfscan import (
     Obstacle,
@@ -17,7 +19,8 @@ from shelfscan import (
     detect_stops,
     gaze_stream,
 )
-from shelfscan.detector import TIE_TOL, read_stop_events, write_stop_events
+from shelfscan import detector
+from shelfscan.detector import TIE_TOL, _segment_cells, read_stop_events, write_stop_events
 from shelfscan.errors import FrameMismatch, ParseError, ValidationError
 from shelfscan.oracle import _scan_ray
 from shelfscan.synth import generate, population_scenario, random_scenario
@@ -333,6 +336,66 @@ def test_gaze_mask_casts_only_its_rays(seed, cutoff):
             assert np.array_equal(got_c[cast], full_c[cast])
             assert np.array_equal(got_l[cast], full_l[cast])
             assert (got_c[~cast] == -1).all() and np.isinf(got_l[~cast]).all()
+
+
+@pytest.mark.parametrize("pairs", [1, 7])
+@pytest.mark.parametrize("seed", [3, 9, 21])
+def test_pair_budget_does_not_change_gaze(monkeypatch, seed, pairs):
+    """One ray per _solve_pairs call (1), or rays with more pairs than the budget (7), change no output."""
+    rng = np.random.default_rng(seed)
+    trajs, _, layout = generate(random_scenario(seed, max_len=400))
+    tracks = [build_track(traj, window=fit_window(5, len(traj))) for traj in trajs]
+    positions = np.concatenate([t.positions for t in tracks])
+    normals = np.concatenate([t.normals for t in tracks])
+    assert len(layout.segment_points) > pairs  # without a cutoff every ray has more pairs than 7
+    calls = [(cutoff, cast) for cutoff in (None, 1.5)
+             for cast in (None, rng.random(len(positions)) < rng.random())]
+    want = [gaze_stream(positions, normals, layout, cutoff=cutoff, cast=cast) for cutoff, cast in calls]
+    monkeypatch.setattr(detector, "_PAIRS", pairs)
+    for (cutoff, cast), (want_c, want_l) in zip(calls, want):
+        got_c, got_l = gaze_stream(positions, normals, layout, cutoff=cutoff, cast=cast)
+        assert np.array_equal(got_c, want_c) and np.array_equal(got_l, want_l)
+
+
+def segment_distance(point, a, b):
+    """Euclidean distance from a point to the segment a-b."""
+    (px, py), (ax, ay), (bx, by) = point, a, b
+    sx, sy = bx - ax, by - ay
+    u = min(max(((px - ax) * sx + (py - ay) * sy) / (sx * sx + sy * sy), 0.0), 1.0)
+    return math.hypot(px - ax - u * sx, py - ay - u * sy)
+
+
+coordinate = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+@given(
+    ends=st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate)
+                  .filter(lambda e: math.hypot(e[2] - e[0], e[3] - e[1]) > 0.01), min_size=1, max_size=12),
+    cutoff=st.floats(0.05, 6.0),
+    origins=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)), min_size=1, max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_segment_cells_list_every_segment_within_cutoff(ends, cutoff, origins):
+    shelves = []
+    for i, (ax, ay, bx, by) in enumerate(ends, start=1):
+        length = math.hypot(bx - ax, by - ay)
+        shelves.append(Shelf(id=i, face=Segment2D((ax, ay), (bx, by)),
+                             normal=((ay - by) / length, (bx - ax) / length)))
+    layout = StoreLayout(store_id="cells", shelves=tuple(shelves))
+    pts = layout.segment_points
+    cell_of, indptr, indices = _segment_cells(layout, cutoff)
+    assert all((np.diff(indices[lo:hi]) > 0).all() for lo, hi in zip(indptr[:-1], indptr[1:]))
+    for origin, cell in zip(origins, cell_of(np.array(origins))):
+        seen = set(indices[indptr[cell]:indptr[cell + 1]].tolist())
+        near = {m for m in range(len(pts)) if segment_distance(origin, pts[m, 0], pts[m, 1]) <= cutoff}
+        assert near <= seen
+    # beyond the segments' box by more than the cutoff, on either side, an origin sees nothing
+    far = np.array([pts.min(axis=(0, 1)) - cutoff - 0.02, pts.max(axis=(0, 1)) + cutoff + 100.0])
+    for cell in cell_of(far):
+        assert indptr[cell] == indptr[cell + 1]
+    cell_of, indptr, indices = _segment_cells(layout, None)
+    assert cell_of(np.array(origins)).tolist() == [0] * len(origins)
+    assert indices[indptr[0]:indptr[1]].tolist() == list(range(len(pts)))
 
 
 def test_sample_at_exactly_v_b_is_cast_and_its_stop_kept(single_shelf_layout):

@@ -240,6 +240,23 @@ def test_split_on_gaps_suffixes_and_drops():
     assert [len(p) for p in pieces] == [5, 4]
 
 
+def test_split_on_gaps_sorts_rows_out_of_order():
+    rng = np.random.default_rng(4)
+    rows = [(k * DT, 0.1 * k, -0.2 * k, 0.01 * k) for k in range(6)]
+    rows += [(2.0 + k * DT, 3.0 + k, 1.0, -0.5) for k in range(5)]  # after a 1.5 s gap
+    want = split_on_gaps("trip", "s", rows)
+    assert [p.trajectory_id for p in want] == ["trip~0", "trip~1"]
+    for _ in range(5):
+        got = split_on_gaps("trip", "s", [rows[i] for i in rng.permutation(len(rows))])
+        assert [p.trajectory_id for p in got] == ["trip~0", "trip~1"]
+        for g, w in zip(got, want):
+            assert g.times.tobytes() == w.times.tobytes()
+            assert g.positions.tobytes() == w.positions.tobytes()
+            assert g.thetas.tobytes() == w.thetas.tobytes()
+    with pytest.raises(ValidationError, match="non-uniform time step 0.000000s"):
+        split_on_gaps("trip", "s", rows[:3] + [rows[1]] + rows[3:6])
+
+
 def test_split_keeps_id_when_contiguous():
     rows = [(k * DT, 1.0, 2.0, 0.0) for k in range(6)]
     pieces = split_on_gaps("trip", "s", rows)
