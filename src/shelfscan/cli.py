@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import calibration, labeling
+from . import calibration, detector, labeling
 from .detector import (
     StopParams,
     detect_file,
@@ -37,12 +37,19 @@ from .detector import (
 from .errors import ShelfScanError, UnknownTrajectory, non_negative
 from .kinematics import (
     DEFAULT_WINDOW,
+    RECORD_BYTES_PER_SAMPLE,
+    batches,
     build_track,
     check_window,
     default_jobs,
-    read_trajectories,
-    write_trajectories,
+    fork_map,
+    map_file,
+    range_count,
+    trajectory_record,
 )
+
+# no command calls these two; perfbench/tracer.py wraps them by these names
+from .kinematics import read_trajectories, write_trajectories  # noqa: F401
 from .layout import load_layout, save_layout
 
 _DEFAULTS = {
@@ -303,15 +310,20 @@ def cmd_eval_cross(args):
     return 0
 
 
+def _trajectory_ids(trajectories):
+    """analyze's map_file stage: the ids of a range's gap-split trajectories, in file order."""
+    return [traj.trajectory_id for traj in trajectories]
+
+
 def cmd_analyze(args):
     from . import analytics
 
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.stops, args.purchases)
     layout = load_layout(args.layout)
-    trajectories = read_trajectories(args.trajectories)
+    trajectory_ids = map_file(args.trajectories, _trajectory_ids, (), _jobs(args, cfg))
     events = read_stop_events(args.stops)
-    by_traj = {t.trajectory_id: [] for t in trajectories}
+    by_traj = {tid: [] for tid in trajectory_ids}
     for ev in events:
         if ev.trajectory_id not in by_traj:
             raise UnknownTrajectory(f"stop event references unknown trajectory {ev.trajectory_id!r}")
@@ -361,10 +373,36 @@ def cmd_analyze(args):
     return 0
 
 
+def _synth_batch(trajectories, layout, params, window):
+    """synth's fork_map stage: (lines, labels) for a batch of trajectories.
+
+    lines are the batch's trajectories.jsonl lines as bytes; labels are
+    those detect_many plants at `params` on the batch's tracks, or [] when
+    params is None.
+    """
+    lines = "".join(map(trajectory_record, trajectories)).encode()
+    if params is None:
+        return lines, []
+    tracks = [build_track(traj, window) for traj in trajectories]
+    return lines, [lab for events in detect_many(tracks, layout, params)
+                   for lab in labeling.labels_from_stop_events(events, reviewer_id="auto")]
+
+
 def cmd_synth(args):
+    """Generate the scenario in process, then format its records and plant its labels in batches.
+
+    Each batch of detector.GAZE_BATCH trajectories goes to a fork_map
+    worker, which returns its JSONL bytes and planted labels; the records
+    are written in file order as the batches come back. There is one worker
+    per 4 MiB of JSONL at most (range_count, the rule map_file reads the
+    file back by), so a small store is written in process. The artifacts
+    do not depend on --jobs.
+    """
     from . import synth
 
     cfg = _load_config(args)
+    jobs = _jobs(args, cfg)
+    params = window = None
     if args.plant:
         try:
             t_b, delta_b, v_b = (float(x) for x in args.plant.split(","))
@@ -384,12 +422,15 @@ def cmd_synth(args):
         )
     trajectories, truth, layout = synth.generate(spec)
     save_layout(layout, _artifact(args, "layout.json"))
-    write_trajectories(trajectories, _artifact(args, "trajectories.jsonl"))
+    workers = range_count(RECORD_BYTES_PER_SAMPLE * sum(map(len, trajectories)), jobs)
+    tasks = ((batch, layout, params, window) for batch in batches(trajectories, detector.GAZE_BATCH))
+    labels = []
+    with open(_artifact(args, "trajectories.jsonl"), "wb") as fh:
+        for lines, planted in fork_map(_synth_batch, tasks, workers):
+            fh.write(lines)
+            labels.extend(planted)
     synth.write_ground_truth(truth, _artifact(args, "ground_truth.json"))
     if args.plant:
-        tracks = [build_track(traj, window) for traj in trajectories]
-        labels = [lab for events in detect_many(tracks, layout, params)
-                  for lab in labeling.labels_from_stop_events(events, reviewer_id="auto")]
         labels_path = _artifact(args, "labels.jsonl")
         labeling.write_labels(labels, labels_path)
         labeling.write_label_manifest(1, ["auto"], _manifest_path(labels_path))
@@ -518,6 +559,7 @@ def build_parser():
     p.add_argument("--purchases", help="CSV with trajectory_id, shelf_id, quantity")
     p.add_argument("--incidence", action="store_true",
                    help="count purchase incidence per trip instead of quantities")
+    _jobs_flag(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="generate a synthetic store, trajectories and ground truth")
@@ -529,6 +571,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--plant", metavar="T,D,V",
                    help="also write labels produced by the detector at these thresholds")
+    _jobs_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("oracle-check", help="compare detector against the brute-force oracle")

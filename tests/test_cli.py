@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -28,8 +29,9 @@ from shelfscan import (
     write_scenario,
     write_stop_events,
 )
-from shelfscan import calibration, detector, kinematics
+from shelfscan import calibration, cli, detector, kinematics
 from shelfscan.cli import main
+from shelfscan.errors import FrameMismatch
 from shelfscan.labeling import read_labels, write_label_manifest
 
 
@@ -809,6 +811,115 @@ def test_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts, 
     code, err = reports[0]
     record = json.loads(err)
     assert code == 1 and record["error"] == error and message in record["message"]
+
+
+# SHA-256 of synth's artifacts, taken from the serial writer that formatted every record and
+# then planted every label in one process
+SYNTH_DIGESTS = {
+    "planted": {
+        "ground_truth.json": "b5c612c8fae8362525bc3b9b49570cc5aceb615812abf99160b1d230f355a729",
+        "labels.jsonl": "d4cfc35853c60cdafa60fc69f4b2b394e502f36f29bb9414e603a61f44bab1a6",
+        "labels.manifest.json": "6324f227d28daebb8f0bd66117359c1aff902f96e2d71bba086a9412c5e24f18",
+        "layout.json": "516be9447e7c57d76e8d9121bd2ff3d9346c4aee3240ea98a5be5d1f1d77dc48",
+        "trajectories.jsonl": "ee70550f7ae744c5d22adaf424b7fc526ed523cc15e3b44acbf5da41dc6de9f6",
+    },
+    "spec": {
+        "ground_truth.json": "e441526ac736067d729ccff02d84cc9c35df104c17c4b1566e8fbbd873135ae0",
+        "labels.jsonl": "27d66ba98a7489de36d758753736b5799b65b085d8c72d086f53fc790978e667",
+        "labels.manifest.json": "6324f227d28daebb8f0bd66117359c1aff902f96e2d71bba086a9412c5e24f18",
+        "layout.json": "6620707a7e1255044347db1f8666590f27292312d78711c0c2f92e59d2e4372c",
+        "trajectories.jsonl": "6e547a38e573d67e36c04f6466aedc53b11f715968cc5ce9451d7e95b6ad741a",
+    },
+}
+
+
+@pytest.fixture
+def synth_batches(monkeypatch):
+    """Let synth fork a worker per sample, 3 trajectories per batch, so small stores reach the pool.
+
+    Returns the list of (workers, batches) synth passed to fork_map, one pair per call.
+    """
+    monkeypatch.setattr(kinematics, "_MIN_RANGE", 1)
+    monkeypatch.setattr(detector, "GAZE_BATCH", 3)
+    calls, fork_map = [], cli.fork_map
+
+    def spy(fn, tasks, workers):
+        tasks = list(tasks)
+        calls.append((workers, len(tasks)))
+        return fork_map(fn, tasks, workers)
+
+    monkeypatch.setattr(cli, "fork_map", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_synth_artifacts_do_not_depend_on_jobs(tmp_path, request, cut, jobs):
+    calls = request.getfixturevalue("synth_batches") if cut else None
+    spec = tmp_path / "spec.json"
+    write_scenario(population_scenario(8, 10, n_shelves=6, store_id="spec", noise=0.05), spec)
+    stores = {"planted": ["--population", "25", "--shelves", "9", "--seed", "5", "--plant", "2.0,1.2,0.55"],
+              "spec": ["--spec", str(spec), "--plant", "1.0,1.5,0.6"]}
+    for name, flags in stores.items():
+        out = tmp_path / name
+        assert run(["synth", *flags, "--jobs", jobs, "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == SYNTH_DIGESTS[name]
+    if cut:  # 25 and 10 trajectories, 3 per batch
+        assert calls == [(int(jobs), 9), (int(jobs), 4)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_synth_worker_error_exits_1_with_record(tmp_path, monkeypatch, capsys, synth_batches, jobs):
+    """A batch's error reaches the CLI as the exit-1 record of the first failing trajectory."""
+    build = cli.build_track
+
+    def failing(traj, window):
+        if traj.trajectory_id in ("trip-00004", "trip-00010"):  # in the second and fourth batches
+            raise FrameMismatch(f"cannot build {traj.trajectory_id}")
+        return build(traj, window)
+
+    monkeypatch.setattr(cli, "build_track", failing)
+    code = run(["synth", "--population", "12", "--shelves", "5", "--seed", "5", "--plant", "2.0,1.2,0.55",
+                "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert synth_batches == [(int(jobs), 4)]
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "FrameMismatch", "message": "cannot build trip-00004"}
+
+
+@pytest.mark.parametrize("fault", [None, _malformed_row])
+def test_analyze_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts, fault):
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    rec = json.loads(lines[4])
+    del rec["samples"][20:25]  # a dropout: the record is analyzed as two trajectories
+    lines[4] = json.dumps(rec)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert detect(synth_dir / "layout.json", path, tmp_path / "d") == 0
+    if fault:
+        rec = json.loads(lines[22])
+        fault(rec, lines)
+        lines[22] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+    purchases = tmp_path / "purchases.csv"
+    purchases.write_text(f"trajectory_id,shelf_id,quantity\n{json.loads(lines[0])['trajectory_id']},1,2\n")
+    capsys.readouterr()
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"an{jobs}"
+        code = run(["analyze", "--layout", str(synth_dir / "layout.json"), "--trajectories", str(path),
+                    "--stops", str(tmp_path / "d" / "stops.jsonl"), "--purchases", str(purchases),
+                    "--jobs", jobs, "--out", str(out)])
+        assert len(range_cuts[-1]) == int(jobs)
+        reports.append((code, capsys.readouterr(), _artifacts(out)))
+    assert reports[1] == reports[0]
+    code, (_, err), files = reports[0]
+    if fault:
+        record = json.loads(err)
+        assert code == 1 and record["error"] == "ParseError" and f"{path}:23: sample 3 " in record["message"]
+    else:
+        assert code == 0 and json.loads("\n".join(files["summary.json"]))["n_trajectories"] == 26
 
 
 def _set(key, value):
