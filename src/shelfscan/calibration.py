@@ -11,15 +11,15 @@ reduced once to its per-sample candidate/distance/speed streams, in gaze
 batches of detector.GAZE_BATCH trajectories. Only the rays of samples at
 most the grid's largest v_b fast are cast, so the default grid, whose
 largest v_b is 1.5 m/s, saves nothing by it. The sweep then makes one
-vectorized pass over each batch per delta_b value: every run that exists
-at some v_b is found at once, with the v_b range it exists over, and the
-minimum-duration and speed axes are filled from those runs by cumulative
-sums. A sweep costs O(n log n) per delta_b for n samples, whatever the
-sizes of the t_b and v_b axes.
+vectorized pass over each batch per delta_b value, which finds each run
+once, with the region of (delta_b, v_b) it exists over, and the three
+axes are filled from those runs by cumulative sums. A sweep costs
+O(n log n) per delta_b for n samples, whatever the sizes of the t_b and
+v_b axes.
 
 The runs that qualify at some t_b are enumerated once per dataset and
-grid, each kept as five int32 values (about 20 B): trip, two
-difference-table cells, length and hits. Tables come from them by
+grid, each kept once as seven int32 values (28 B): trip, four
+difference-table corners, length and hits. Tables come from them by
 bincounts, so an evaluation repeat reweights the same runs by trip, with
 no new tree pass: it tabulates the runs of its calibration subset, and
 the held-out trips' counts at the chosen point are every trip's counts
@@ -241,9 +241,9 @@ class _Prepared:
 class Runs:
     """A dataset's runs on one grid, enumerated once; what calibrate and the evaluations consume.
 
-    `runs` holds the columns of _enumerate_runs, its trips numbered in
-    dataset order. A calibration may instead fold them into `folded`, its
-    (tp, predicted ones) tables over every trip, as they are found.
+    `runs` holds the (7, k) columns of _enumerate_runs, its trips numbered
+    in dataset order. A calibration may instead fold them into `folded`,
+    its (tp, predicted ones) tables over every trip, as they are found.
     """
 
     axes: tuple | None          # the grid axes enumerated on; None for a grid _grid_axes rejects
@@ -264,7 +264,7 @@ class Runs:
             if mask is not None:
                 raise ValidationError("runs folded into tables cannot select trips")
             return (*self.folded, int(self.visit_ones.sum()))
-        return _count_tables([self.runs], self.visit_ones, self.axes, mask)
+        return _count_tables(self.runs, self.visit_ones, self.axes, mask)
 
 
 def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
@@ -340,15 +340,18 @@ def _runs_of(gazed, axes, fold: bool) -> Runs:
             visit_ones.extend(prep.visit_ones for prep in prepared)
             store_ids.extend(prep.store_id for prep in prepared)
             if axes is not None and prepared:
-                for batch in _enumerate_runs(prepared, *axes):
-                    batch[0] += offset
-                    yield batch
+                batch = _enumerate_runs(prepared, *axes)
+                batch[0] += offset
+                yield batch
 
     runs = folded = None
     if fold and axes is not None:  # the truth ones are summed from visit_ones where the tables are used
-        folded = _count_tables(found(), np.zeros(0, np.int64), axes)[:2]
+        folded = _count_tables(np.zeros((7, 0), np.int32), np.zeros(0), axes)[:2]
+        for batch in found():  # in place, so a worker holds only one batch's tables beside the totals
+            for total, table in zip(folded, _count_tables(batch, np.zeros(0), axes)):
+                total += table
     else:
-        runs = np.concatenate([np.zeros((5, 0), np.int32), *found()], axis=1)
+        runs = np.concatenate([np.zeros((7, 0), np.int32), *found()], axis=1)
     return Runs(axes, np.array(visit_ones, dtype=np.int64), tuple(store_ids), runs, folded)
 
 
@@ -393,8 +396,8 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
 
     kinematics.map_file's range workers read, gap-split, vote, build, gaze
     and enumerate the file, one gaze batch of detector.GAZE_BATCH
-    trajectories at a time, so this process holds only the runs (about 20
-    B each), never a track, a visit matrix or a per-sample stream, and a
+    trajectories at a time, so this process holds only the runs (28 B
+    each), never a track, a visit matrix or a per-sample stream, and a
     worker the streams of a batch or two. The result serves calibrate, same_store_eval and
     cross_store_eval with the same grid and `layout`; they check its
     stores. With `fold`, each range folds its runs into its count tables
@@ -426,90 +429,84 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
 
 
 def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
-    """Every run of the trajectories that counts at some grid point, yielded one delta_b at a time.
+    """Every run of the trajectories that counts at some grid point, each once, in a (7, k) int32 array.
 
-    Each batch is a (5, k) int32 array with one column per run: its trip
-    (index into prepared), its two cells of the flattened (nD, nT+1, nV+1)
-    difference table of _count_tables, its length and its hit count (samples
-    whose candidate shelf has a visit). A run adds at (delta_b index, upto,
-    lo_v) and subtracts at (delta_b index, upto, hi_v), where upto is the
-    number of t_axis values its duration qualifies at; a run with upto 0
-    would reach no table, so none is yielded.
+    A column is a run: its trip (index into prepared), its four corners in
+    the flattened (nT+1, nD+1, nV+1) difference table of _count_tables, its
+    length and its hits (samples whose candidate shelf has a visit). A
+    sample passes at (delta_b index d, v_axis index v) exactly when d >= D,
+    its first passing delta_b index, and v >= R, the number of v_axis values
+    below its speed. With Q(a, b) = [d >= a][v >= b] and | the max, a run
+    of largest (D, R) whose linked neighbours (the samples just before and
+    after it, with its candidate; a missing one is (nD, nV)) have (dL, rL)
+    and (dR, rR) exists on Q(D, R) - Q(D|dL, R|rL) - Q(D|dR, R|rR) +
+    Q(D|dL|dR, R|rL|rR), its corners in row upto, the number of t_axis
+    values its duration qualifies at. A run with upto 0 is not kept.
 
-    One vectorized pass over the trajectories per delta_b; callers bound
-    the memory it takes by the trajectories they pass, a gaze batch at a
-    time. Fix delta_b and call a block a
+    One vectorized pass over the trajectories per delta_b index di, whose
+    memory callers bound by passing a gaze batch at a time. A block is a
     maximal stretch of consecutive samples, in one trajectory, that pass
-    the candidate and distance conditions with one candidate. A sample
-    meets the speed condition at v_axis[i] exactly when i >= its rank, the
-    number of v_axis values below its speed, so the sweep works on ranks.
-    Within a block the runs that exist at some v_b are exactly the nodes
-    of the block's max-Cartesian tree on rank (Vuillemin, "A unifying look
-    at data structures", CACM 1980): node k spans the samples between its
-    nearest left neighbour with rank >= r_k and its nearest right
-    neighbour with rank > r_k, and is a run for v_axis indices in
-    [r_k, min(r_left, r_right)), block ends counting as nV. Those
-    all-nearest-greater-values (Berkman, Schieber & Vishkin, J. Algorithms
-    1993) come from a sparse table by binary lifting. The >= / > split
-    gives a node tied with its left neighbour an empty v_b range, so every
-    run is counted once.
+    the candidate and distance conditions at di with one candidate; its
+    runs at some v_b are the nodes of its max-Cartesian tree on rank
+    (Vuillemin, CACM 1980). A run at any (d, v) is also one at (D, v),
+    where all its samples pass and its neighbours still fail, so the pass
+    keeps only the nodes holding a sample whose D is di: each run once.
     """
-    n_t, n_v = len(t_axis), len(v_axis)
+    n_t, n_d, n_v = len(t_axis), len(d_axis), len(v_axis)
     trip, rank, times, d_first, link, vac = _flatten(prepared, d_axis, v_axis)
     cum = np.concatenate([[0], np.cumsum(vac)])
-    for di in range(len(d_axis)):
+    # each sample's (D, R) and those of its linked neighbours; a missing neighbour never passes
+    own, missing = np.stack([d_first, rank]), np.array([[n_d], [n_v]], dtype=np.int32)
+    before = np.where(link, np.roll(own, 1, axis=1), missing)
+    after = np.where(np.append(link[1:], False), np.roll(own, -1, axis=1), missing)
+    found = []
+    for di in range(n_d):
         sel = np.flatnonzero(d_first <= di)
-        if len(sel) == 0:
-            continue
-        new_block = np.ones(len(sel), dtype=bool)
-        new_block[1:] = (sel[1:] != sel[:-1] + 1) | ~link[sel[1:]]
-        first, last, length, lo_v, hi_v = _tree_runs(rank[sel], new_block, n_v)
-        s, e = sel[first], sel[last]
+        new_block = (np.diff(sel, prepend=-2) != 1) | ~link[sel]
+        # only a block holding a sample that first passes here can hold a run first found here
+        block, fresh = np.cumsum(new_block) - 1, d_first[sel] == di
+        keep = (np.bincount(block, fresh) > 0)[block]
+        sel, new_block, fresh = sel[keep], new_block[keep], np.append(0, np.cumsum(fresh[keep]))
+        first, last, length, r = _tree_runs(rank[sel], new_block, n_v)
         # a run qualifies at t_axis[i] exactly when t_axis[i] <= duration + tol,
         # the same float predicate the detector applies
-        upto = np.searchsorted(t_axis, times[e] - times[s] + DURATION_TOL, side="right")
-        keep = np.flatnonzero(upto)
-        s, e, upto = s[keep], e[keep], upto[keep]
-        row = (di * (n_t + 1) + upto) * (n_v + 1)
-        yield np.stack([trip[s], row + lo_v[keep], row + hi_v[keep], length[keep],
-                        cum[e + 1] - cum[s]], dtype=np.int32)
+        upto = np.searchsorted(t_axis, times[sel[last]] - times[sel[first]] + DURATION_TOL, side="right")
+        keep = np.flatnonzero((upto > 0) & (fresh[last + 1] > fresh[first]))
+        s, e, upto = sel[first[keep]], sel[last[keep]], upto[keep]
+        low = np.stack([np.full(len(keep), di), r[keep]])
+        left, right = np.maximum(low, before[:, s]), np.maximum(low, after[:, e])
+        corners = [((upto * (n_d + 1) + d) * (n_v + 1) + v)
+                   for d, v in (low, left, right, np.maximum(left, right))]
+        found.append(np.stack([trip[s], *corners, length[keep], cum[e + 1] - cum[s]], dtype=np.int32))
+    return np.concatenate(found, axis=1)
 
 
 def _count_tables(runs, visit_ones, axes, mask=None):
     """Pooled (tp, predicted ones, truth ones) of the trips in mask, every trip when None.
 
-    `runs` is an iterable of _enumerate_runs batches on the grid `axes`, and
-    `visit_ones` each trip's truth ones. Each run is scattered into the difference table over
-    (delta_b, t_b qualification bound, v_b range), which a cumulative sum
-    over v_b and a reverse one over t_b turn into the counts, of shape
-    (nT, nD, nV). Runs never cross trips, so the counts of a trip subset
-    are those of its runs alone.
+    `runs` is an _enumerate_runs array on the grid `axes`, and `visit_ones`
+    each trip's truth ones. The runs' corners, signed +, -, -, +, are
+    scattered into the (t_b bound, delta_b, v_b) difference table, which a
+    reverse cumulative sum over t_b and forward ones over delta_b and v_b
+    turn into (nT, nD, nV) counts. Runs never cross trips, so the counts of
+    a trip subset are those of its runs alone.
     """
-    n_t, n_d, n_v = (len(axis) for axis in axes)
-    cells = n_d * (n_t + 1) * (n_v + 1)
-    d_hit, d_len = np.zeros(cells), np.zeros(cells)
-    for batch in runs:
-        if mask is not None:
-            batch = batch[:, mask[batch[0]]]
-        _, start, stop, length, hit = batch
-        if len(start) == 0:
-            continue
-        # only the cells the batch touches, so a batch of one delta_b costs no whole-table work
-        base = int(start.min())
-        span = int(stop.max()) + 1 - base
-        start, stop = start - base, stop - base
-        for diff, weights in ((d_hit, hit), (d_len, length)):
-            diff[base:base + span] += np.bincount(start, weights, span) - np.bincount(stop, weights, span)
+    shape = tuple(len(axis) + 1 for axis in axes)
+    if mask is not None:
+        runs = runs[:, mask[runs[0]]]
 
-    def table(diff):
-        diff = diff.astype(np.int64).reshape(n_d, n_t + 1, n_v + 1)  # integer-valued sums, exact
-        by_v = np.cumsum(diff, axis=2)[:, :, :n_v]
-        # row i sums the runs whose duration qualifies at t_axis[i], i.e. upto > i
-        by_t = np.cumsum(by_v[:, :0:-1], axis=1)[:, ::-1]
-        return np.ascontiguousarray(by_t.transpose(1, 0, 2))
+    def table(weights):
+        diff = np.zeros(math.prod(shape))
+        for sign, cells in zip((1, -1, -1, 1), runs[1:5]):
+            diff += sign * np.bincount(cells, weights, len(diff))
+        # row i sums the runs qualifying at t_axis[i] (upto > i); a corner at nD or nV reaches no cell
+        diff = diff.reshape(shape)[:0:-1, :-1, :-1].astype(np.int64)  # integer-valued sums, exact
+        for axis in range(3):
+            np.cumsum(diff, axis=axis, out=diff)
+        return diff[::-1]
 
     v_ones = int(visit_ones.sum() if mask is None else visit_ones[mask].sum())
-    return table(d_hit), table(d_len), v_ones
+    return table(runs[6]), table(runs[5]), v_ones
 
 
 def _flatten(prepared, d_axis, v_axis):
@@ -538,15 +535,20 @@ def _flatten(prepared, d_axis, v_axis):
 def _tree_runs(rank, new_block, n_v):
     """Runs of the blocks' max-Cartesian trees on rank that exist at some v_b.
 
-    Returns first and last sample, length, and the v_axis index range
-    [lo_v, hi_v) over which each run exists, for non-empty ranges only.
+    Node k spans the samples between its nearest left neighbour with rank
+    >= r_k and its nearest right one with rank > r_k, and is a run for
+    v_axis indices in [r_k, min(r_left, r_right)), block ends counting as
+    nV; a node tied with its left neighbour has none. Those
+    all-nearest-greater-values (Berkman, Schieber & Vishkin, J. Algorithms
+    1993) come from a sparse table by binary lifting. Returns first and
+    last sample, length and rank of each node with a non-empty range.
     """
     n = len(rank)
     block = np.cumsum(new_block) - 1
     starts = np.flatnonzero(new_block)
     ends = np.append(starts[1:], n) - 1
     b_first, b_last = starts[block], ends[block]
-    levels = int(np.max(ends - starts)).bit_length()
+    levels = int(np.max(ends - starts, initial=0)).bit_length()
     sparse = [rank]  # sparse[j][i] = max(rank[i:i + 2**j])
     for j in range(1, levels):
         prev, half = sparse[-1], 1 << (j - 1)
@@ -562,10 +564,8 @@ def _tree_runs(rank, new_block, n_v):
         right = np.where(ok, right + step, right)
     r_left = np.where(left > b_first, rank[np.maximum(left - 1, 0)], n_v)
     r_right = np.where(right <= b_last, rank[np.minimum(right, n - 1)], n_v)
-    hi_v = np.minimum(r_left, r_right)
-    live = rank < hi_v
-    left, right = left[live], right[live]
-    return left, right - 1, right - left, rank[live], hi_v[live]
+    live = rank < np.minimum(r_left, r_right)
+    return left[live], right[live] - 1, (right - left)[live], rank[live]
 
 
 def counts_at(prepared, params: StopParams) -> ConfusionCounts:

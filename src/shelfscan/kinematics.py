@@ -358,7 +358,7 @@ def fork_map(fn, tasks, workers: int):
 class _RangeResult(NamedTuple):
     output: list            # what the range's stage returned
     ids: list               # (trajectory_id, line) of every record parsed
-    known: list             # trajectory_id of every trajectory gap-split from those records
+    known: list             # (trajectory_id, line) of every trajectory gap-split from those records
     error: tuple | None     # (line, exc): the first read error, where reading stopped
     late: Exception | None  # the stage's error; the range only read on past it
 
@@ -395,7 +395,7 @@ def _read_range(path, start: int, stop: int, stage, stage_args):
             except ShelfScanError as exc:
                 errors.append((lineno, exc))
                 return
-            known.extend(traj.trajectory_id for traj in pieces)
+            known.extend((traj.trajectory_id, lineno) for traj in pieces)
             yield from pieces
 
     reader = trajectories()
@@ -419,26 +419,31 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
 
     The error raised does not depend on `jobs`. It is the read error
     (ParseError, ValidationError, a trajectory_id that an earlier record
-    used) on the lowest line, else what `check` raises when given the set
-    of trajectory ids read, else the first error a stage raised, in file
+    used, a gap-split piece id that another record's trajectory has) on
+    the lowest line, else what `check` raises when given the set of
+    trajectory ids read, else the first error a stage raised, in file
     order.
     """
     if jobs is None:
         jobs = default_jobs()
     tasks = [(path, start, stop, stage, stage_args) for start, stop in _byte_ranges(path, jobs)]
     results = list(fork_map(_read_range, tasks, len(tasks)))  # an empty file has no range
-    errors, first_line = [r.error for r in results if r.error], {}
-    for trajectory_id, lineno in (pair for r in results for pair in r.ids):
-        first = first_line.setdefault(trajectory_id, lineno)
-        if first != lineno:
-            # first in the list, so it wins a tie: it is checked before its record is split
-            errors.insert(0, (lineno, ParseError(
-                f"{path}:{lineno}: trajectory_id {trajectory_id!r} already used on line {first}")))
-            break
+    errors = []
+    # a reused record id first, so it wins a tie: it is checked before its record is split
+    for what, pairs in (("trajectory_id", [pair for r in results for pair in r.ids]),
+                        ("gap-split trajectory id", [pair for r in results for pair in r.known])):
+        first_line = {}
+        for trajectory_id, lineno in pairs:
+            first = first_line.setdefault(trajectory_id, lineno)
+            if first != lineno:
+                errors.append((lineno, ParseError(
+                    f"{path}:{lineno}: {what} {trajectory_id!r} already used on line {first}")))
+                break
+    errors += [r.error for r in results if r.error]
     if errors:
         raise min(errors, key=lambda err: err[0])[1]
     if check is not None:
-        check({trajectory_id for r in results for trajectory_id in r.known})
+        check({trajectory_id for r in results for trajectory_id, _ in r.known})
     late = [r.late for r in results if r.late]
     if late:
         raise late[0]

@@ -26,7 +26,7 @@ from shelfscan import (
     same_store_eval,
     score_dataset,
 )
-from shelfscan import calibration
+from shelfscan import calibration, detector
 from shelfscan.calibration import (
     _best,
     _count_tables,
@@ -293,7 +293,7 @@ def _trip_mask(data, prepared):
 def test_masked_tables_match_subset_sweep(streams, data):
     prepared, *axes = streams
     mask = _trip_mask(data, prepared)
-    tp, s_ones, v_ones = _count_tables(list(_enumerate_runs(prepared, *axes)), ones(prepared), axes, mask)
+    tp, s_ones, v_ones = _count_tables(_enumerate_runs(prepared, *axes), ones(prepared), axes, mask)
     subset = [prep for prep, keep in zip(prepared, mask) if keep]
     if subset:
         want_tp, want_fp, want_fn = sweep(subset, *axes).count_tables
@@ -309,7 +309,7 @@ def test_masked_tables_match_subset_sweep(streams, data):
 def test_held_out_counts_by_complement_match_pointwise_counts(streams, data):
     prepared, *axes = streams
     mask = _trip_mask(data, prepared)
-    runs = list(_enumerate_runs(prepared, *axes))
+    runs = _enumerate_runs(prepared, *axes)
     every, subset = _count_tables(runs, ones(prepared), axes), _count_tables(runs, ones(prepared), axes, mask)
     held = [prep for prep, keep in zip(prepared, mask) if not keep]
     for _ in range(5):
@@ -379,14 +379,27 @@ def test_runs_serve_only_their_own_grid_and_use():
 def test_stored_runs_all_qualify_at_some_t_b(streams):
     """No stored run sits in t_b row 0, which reaches no table, and the tables stay pointwise exact."""
     prepared, *axes = streams
-    n_t, n_v = len(axes[0]), len(axes[2])
+    n_d, n_v = len(axes[1]), len(axes[2])
     runs = _runs_of([prepared], axes, fold=False)
-    for cells in runs.runs[1:3]:
-        assert (cells // (n_v + 1) % (n_t + 1) > 0).all()
+    for cells in runs.runs[1:5]:
+        assert (cells // ((n_d + 1) * (n_v + 1)) > 0).all()
     tables = runs.count_tables()
     for index in np.ndindex(tables[0].shape):
         params = StopParams(*(float(axis[i]) for axis, i in zip(axes, index)))
         assert _counts(tables, index) == counts_at(prepared, params)
+
+
+@given(prepared_streams())
+@settings(max_examples=100, deadline=None)
+def test_each_run_is_stored_once(streams):
+    """A run that exists at several (delta_b, v_b) pairs is stored once, and every run is stored."""
+    prepared, t_axis, d_axis, v_axis = streams
+    spans = {(trip, int(s), int(e))
+             for delta_b in d_axis for v_b in v_axis
+             for trip, prep in enumerate(prepared)
+             for s, e in zip(*detector.runs(prep.times, prep.candidates, prep.lams, prep.speeds,
+                                            StopParams(float(t_axis[0]), float(delta_b), float(v_b)))[:2])}
+    assert _runs_of([prepared], (t_axis, d_axis, v_axis), fold=False).runs.shape[1] == len(spans)
 
 
 def test_folded_runs_serve_the_cross_store_test_side_only():

@@ -813,6 +813,29 @@ def test_error_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts, 
     assert code == 1 and record["error"] == error and message in record["message"]
 
 
+def _dropout_record(trajectory_id, n_samples, gap):
+    """standing_record with 5 samples removed from `gap` on, so it splits in two."""
+    rec = json.loads(standing_record(trajectory_id, n_samples))
+    del rec["samples"][gap:gap + 5]
+    return json.dumps(rec)
+
+
+# the longer record first, so --jobs 2 cuts between the two
+@pytest.mark.parametrize("records", [(_dropout_record("a", 45, 15), standing_record("a~0", 35)),
+                                     (standing_record("a~0", 45), _dropout_record("a", 40, 15))])
+def test_gap_split_piece_taking_another_records_id_is_a_parse_error(shelf_layout, tmp_path, capsys,
+                                                                   range_cuts, records):
+    """Record a splits into a~0 and a~1; a record named a~0 on the other line collides, at any --jobs."""
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(records) + "\n")
+    for jobs in ("1", "2"):  # the two records in one range, then in two
+        assert detect(shelf_layout, path, tmp_path / "d", "--jobs", jobs) == 1
+        assert len(range_cuts[-1]) == int(jobs)
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError"
+        assert ":2: gap-split trajectory id 'a~0' already used on line 1" in record["message"]
+
+
 # SHA-256 of synth's artifacts, taken from the serial writer that formatted every record and
 # then planted every label in one process
 SYNTH_DIGESTS = {
