@@ -328,9 +328,10 @@ def _runs_of(gazed, axes, fold: bool) -> Runs:
     """The Runs of lists of _Prepared streams, such as _gaze yields, each enumerated as it arrives.
 
     A list's trips are numbered after the earlier lists', as _merge numbers
-    ranges. With fold, the runs are folded into the tables as they are
-    found, and none is kept. Without axes there is nothing to enumerate on,
-    and the grid is reported where the result is used.
+    ranges. With fold, each list's runs are added into the difference
+    tables of _fold_tables as they are found, none is kept, and the tables
+    are integrated once, at the end. Without axes there is nothing to
+    enumerate on, and the grid is reported where the result is used.
     """
     visit_ones, store_ids = [], []
 
@@ -346,10 +347,7 @@ def _runs_of(gazed, axes, fold: bool) -> Runs:
 
     runs = folded = None
     if fold and axes is not None:  # the truth ones are summed from visit_ones where the tables are used
-        folded = _count_tables(np.zeros((7, 0), np.int32), np.zeros(0), axes)[:2]
-        for batch in found():  # in place, so a worker holds only one batch's tables beside the totals
-            for total, table in zip(folded, _count_tables(batch, np.zeros(0), axes)):
-                total += table
+        folded = _fold_tables(found(), axes)  # a worker holds one batch's runs beside the tables
     else:
         runs = np.concatenate([np.zeros((7, 0), np.int32), *found()], axis=1)
     return Runs(axes, np.array(visit_ones, dtype=np.int64), tuple(store_ids), runs, folded)
@@ -485,28 +483,35 @@ def _count_tables(runs, visit_ones, axes, mask=None):
     """Pooled (tp, predicted ones, truth ones) of the trips in mask, every trip when None.
 
     `runs` is an _enumerate_runs array on the grid `axes`, and `visit_ones`
-    each trip's truth ones. The runs' corners, signed +, -, -, +, are
-    scattered into the (t_b bound, delta_b, v_b) difference table, which a
-    reverse cumulative sum over t_b and forward ones over delta_b and v_b
-    turn into (nT, nD, nV) counts. Runs never cross trips, so the counts of
-    a trip subset are those of its runs alone.
+    each trip's truth ones. Runs never cross trips, so the counts of a trip
+    subset are those of its runs alone.
     """
-    shape = tuple(len(axis) + 1 for axis in axes)
     if mask is not None:
         runs = runs[:, mask[runs[0]]]
-
-    def table(weights):
-        diff = np.zeros(math.prod(shape))
-        for sign, cells in zip((1, -1, -1, 1), runs[1:5]):
-            diff += sign * np.bincount(cells, weights, len(diff))
-        # row i sums the runs qualifying at t_axis[i] (upto > i); a corner at nD or nV reaches no cell
-        diff = diff.reshape(shape)[:0:-1, :-1, :-1].astype(np.int64)  # integer-valued sums, exact
-        for axis in range(3):
-            np.cumsum(diff, axis=axis, out=diff)
-        return diff[::-1]
-
     v_ones = int(visit_ones.sum() if mask is None else visit_ones[mask].sum())
-    return table(runs[6]), table(runs[5]), v_ones
+    return (*_fold_tables([runs], axes), v_ones)
+
+
+def _fold_tables(batches, axes):
+    """The (tp, predicted ones) tables, (nT, nD, nV) each, of the runs of _enumerate_runs arrays.
+
+    Each batch's run corners, signed +, -, -, +, are added into two
+    flattened (t_b bound, delta_b, v_b) difference tables as the batch
+    arrives; a reverse cumulative sum over t_b and forward ones over
+    delta_b and v_b then turn them into counts, once. The difference tables
+    hold float sums of integers, exact below 2**53.
+    """
+    shape = tuple(len(axis) + 1 for axis in axes)
+    diffs = np.zeros((2, math.prod(shape)))
+    for runs in batches:
+        for diff, weights in zip(diffs, (runs[6], runs[5])):
+            for sign, cells in zip((1, -1, -1, 1), runs[1:5]):
+                diff += sign * np.bincount(cells, weights, len(diff))
+    # row i sums the runs qualifying at t_axis[i] (upto > i); a corner at nD or nV reaches no cell
+    tables = diffs.reshape(2, *shape)[:, :0:-1, :-1, :-1].astype(np.int64)
+    for axis in range(1, 4):
+        np.cumsum(tables, axis=axis, out=tables)
+    return tuple(tables[:, ::-1])
 
 
 def _flatten(prepared, d_axis, v_axis):

@@ -391,12 +391,14 @@ def _synth_batch(trajectories, layout, params, window):
 def cmd_synth(args):
     """Generate the scenario in process, then format its records and plant its labels in batches.
 
-    Each batch of detector.GAZE_BATCH trajectories goes to a fork_map
-    worker, which returns its JSONL bytes and planted labels; the records
-    are written in file order as the batches come back. There is one worker
-    per 4 MiB of JSONL at most (range_count, the rule map_file reads the
-    file back by), so a small store is written in process. The artifacts
-    do not depend on --jobs.
+    Each batch of detector.GAZE_BATCH trajectories goes to a child that
+    fork_map forks for it, which returns its JSONL bytes and planted
+    labels; the records are written in file order as the batches come
+    back. A child leaves through os._exit, so the bytes buffered in the
+    open trajectories.jsonl are written once, by this process. At most one
+    child runs per 4 MiB of JSONL (range_count, the rule map_file reads
+    the file back by), so a small store is written in process. The
+    artifacts do not depend on --jobs.
     """
     from . import synth
 

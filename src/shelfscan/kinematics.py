@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import NamedTuple, get_type_hints
@@ -330,29 +331,86 @@ def range_count(n_bytes: int, jobs: int) -> int:
     return min(jobs, max(n_bytes // _MIN_RANGE, 1))
 
 
-def _apply(fn_task):
-    fn, task = fn_task
-    return fn(*task)
-
-
 def fork_map(fn, tasks, workers: int):
     """Yield fn(*task) for each task of an iterable, in task order.
 
-    A pool of `workers` forked processes runs the tasks, or this process
-    does, one task per result taken, when `workers` is 1 or less. fn, each
-    task and each result cross a pipe by pickle; the pool takes tasks from
-    the iterable as it feeds its workers, and yields each result once those
-    before it are in. The first task that raises, in task order, raises its
-    error here.
+    Each task runs in a child forked for it, at most `workers` at a time,
+    or in this process, one task per result taken, when `workers` is 1 or
+    less. A child inherits fn and its task, so neither is pickled; it
+    sends back its result, or its error, pickled through a pipe, and leaves
+    through os._exit, so no frame of this process unwinds in it (a file
+    this process holds open is not flushed twice). Tasks are taken from
+    the iterable as children start, and a child's pipe is read as it
+    writes, so one that finishes frees its slot at once. The first task
+    that raises, in task order, raises its error here; a child that ends
+    without sending its whole result raises ChildProcessError. Once the
+    generator ends, by any path, no child is left running.
     """
     if workers <= 1:
         for task in tasks:
             yield fn(*task)
         return
-    import multiprocessing  # only a command that forks pays for the import
+    import selectors  # only a command that forks pays for these imports
+    import signal
 
-    with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-        yield from pool.imap(_apply, ((fn, task) for task in tasks))
+    tasks, running, done, index = enumerate(tasks), {}, {}, 0  # running: fd -> (task index, pid, bytes)
+    selector = selectors.DefaultSelector()
+    try:
+        while True:
+            while len(running) < workers and (item := next(tasks, None)) is not None:
+                task_index, task = item
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:  # the child
+                    code = 1
+                    try:
+                        try:
+                            data = pickle.dumps((True, fn(*task)), pickle.HIGHEST_PROTOCOL)
+                        except BaseException as exc:  # sent, and raised in the parent
+                            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                        with open(write_fd, "wb") as pipe:
+                            pipe.write(data)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_fd)  # so the pipe ends when the child does
+                running[read_fd] = task_index, pid, bytearray()
+                selector.register(read_fd, selectors.EVENT_READ)
+            if index in done:
+                status, data = done.pop(index)
+                if status != 0:
+                    raise ChildProcessError(
+                        f"fork_map task {index} ended without its result (wait status {status})")
+                ok, value = pickle.loads(data)
+                del data  # the result's bytes are freed before the caller takes the result
+                if not ok:
+                    raise value
+                yield value
+                index += 1
+            elif not running:
+                return
+            else:
+                for key, _ in selector.select():
+                    task_index, pid, data = running[key.fd]
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        data += chunk
+                        continue
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    del running[key.fd]
+                    done[task_index] = os.waitpid(pid, 0)[1], data
+    finally:
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        selector.close()
 
 
 class _RangeResult(NamedTuple):
@@ -412,7 +470,9 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
     """Run `stage(trajectories, *stage_args)` on each byte range of a JSONL trajectory file.
 
     The file is cut into up to `jobs` ranges at newlines (_byte_ranges),
-    each read by its own forked worker, or in process if there is one.
+    each read by a child that fork_map forks for it, or in process if
+    there is one. A range's stage output comes back pickled, so a stage
+    returns picklable items; the stage itself is inherited, not pickled.
     `trajectories` yields a range's gap-split trajectories in file order
     as the stage takes them, and the stage returns a list. Returns the
     lists joined in file order.
@@ -477,8 +537,8 @@ def trajectory_record(traj: Trajectory) -> str:
 def write_trajectories(trajectories, path) -> None:
     """Write trajectories as JSONL, one trajectory_record line each, in order.
 
-    `shelfscan synth` writes the same lines, formatted by batches in a fork
-    pool (cli.cmd_synth).
+    `shelfscan synth` writes the same lines, formatted by batches in forked
+    children (cli.cmd_synth).
     """
     with open(path, "w") as fh:
         fh.writelines(map(trajectory_record, trajectories))

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -607,7 +609,7 @@ def shelf_layout(tmp_path):
 
 @pytest.fixture
 def range_cuts(monkeypatch):
-    """Let map_file cut a range per byte, so small files reach the worker pool.
+    """Let map_file cut a range per byte, so small files reach forked workers.
 
     Detection and calibration also batch 2 tracks at a time, so a range
     fills several batches. Returns the list of cuts made, one list of
@@ -649,6 +651,25 @@ def test_fragment_shorter_than_window_is_smoothed_not_fatal(shelf_layout, tmp_pa
     write_label_manifest(1, ["r"], tmp_path / "labels.manifest.json")
     assert run(["calibrate", "--layout", str(shelf_layout), "--trajectories", str(both),
                 "--labels", str(labels), *SMALL_GRID, "--out", str(tmp_path / "cal")]) == 0
+
+
+def test_dead_worker_exits_2_with_one_line(shelf_layout, tmp_path, range_cuts, monkeypatch, capsys):
+    trajs = tmp_path / "t.jsonl"
+    trajs.write_text(standing_record("a", 40) + "\n" + standing_record("b", 40) + "\n")
+    read_range = kinematics._read_range
+
+    def killed_past_the_first_range(path, start, stop, stage, stage_args):
+        if start > 0:  # as the OOM killer would end a worker
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_range(path, start, stop, stage, stage_args)
+
+    monkeypatch.setattr(kinematics, "_read_range", killed_past_the_first_range)
+    assert detect(shelf_layout, trajs, tmp_path / "d", "--jobs", "2") == 2
+    assert len(range_cuts[-1]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: fork_map task 1 ended without its result")
+    with pytest.raises(ChildProcessError):  # every worker reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_zero_duration_stop_threshold_is_detected(synth_dir, tmp_path, capsys):
@@ -858,7 +879,7 @@ SYNTH_DIGESTS = {
 
 @pytest.fixture
 def synth_batches(monkeypatch):
-    """Let synth fork a worker per sample, 3 trajectories per batch, so small stores reach the pool.
+    """Let synth fork a worker per sample, 3 trajectories per batch, so small stores reach forked workers.
 
     Returns the list of (workers, batches) synth passed to fork_map, one pair per call.
     """

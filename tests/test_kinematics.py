@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from shelfscan.errors import InvalidWindow, ParseError, TooShort, ValidationErro
 from shelfscan.kinematics import (
     default_jobs,
     fit_window,
+    fork_map,
     read_records,
     read_trajectories,
     split_on_gaps,
@@ -379,3 +383,72 @@ def test_default_jobs_counts_the_cpus_the_process_may_run_on(monkeypatch):
     assert default_jobs() == 2
     monkeypatch.setenv("SHELFSCAN_JOBS", "3")
     assert default_jobs() == 3
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail a test that hangs for 30 s, and check that it leaves no child process behind."""
+    def hung(signum, frame):
+        raise TimeoutError("fork_map did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):  # no child at all: none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sleep_then(seconds, value):
+    time.sleep(seconds)
+    return value
+
+
+def sleep_then_raise(seconds, message):
+    time.sleep(seconds)
+    raise ValueError(message)
+
+
+def kill_self_at(index, doomed):
+    if index == doomed:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_fork_map_yields_in_task_order_when_later_tasks_finish_first(no_child_left, workers):
+    tasks = [(0.05 * (4 - i), i) for i in range(5)]
+    assert list(fork_map(sleep_then, tasks, workers)) == list(range(5))
+
+
+def test_fork_map_raises_the_first_error_in_task_order(no_child_left):
+    with pytest.raises(ValueError, match="task 0"):
+        list(fork_map(sleep_then_raise, [(0.2, "task 0"), (0.0, "task 1")], 2))
+
+
+def test_fork_map_pickles_neither_the_function_nor_the_task(no_child_left):
+    tasks = [(lambda x: x + 1, 1), (lambda x: x * 10, 2)]
+    assert list(fork_map(lambda f, x: f(x), tasks, 2)) == [2, 20]
+
+
+def test_fork_map_dead_child_is_an_error_not_a_hang(no_child_left):
+    with pytest.raises(ChildProcessError, match=r"task 1 ended without its result \(wait status 9\)"):
+        list(fork_map(kill_self_at, [(0, 1), (1, 1), (2, 1)], 2))
+
+
+def test_fork_map_closed_early_leaves_no_child(no_child_left):
+    for value in fork_map(sleep_then, [(0.0, 0), (5.0, 1), (5.0, 2)], 2):
+        break
+    assert value == 0
+
+
+def test_fork_map_writes_nothing_the_parent_buffered(tmp_path, no_child_left):
+    path = tmp_path / "out.txt"
+    with open(path, "w") as fh:
+        fh.write("buffered before the fork\n")  # still in fh's buffer when the children fork
+        assert list(fork_map(pow, [(2, 3), (3, 2), (2, 5)], 2)) == [8, 9, 32]
+        fh.write("after\n")
+    assert path.read_text() == "buffered before the fork\nafter\n"

@@ -48,6 +48,15 @@ def test_import_cli_starts_no_thread():
     assert probe("import shelfscan.cli\nprint(len(os.listdir('/proc/self/task')))") == 1
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to list threads")
+def test_fork_map_loads_no_multiprocessing_and_starts_no_thread():
+    assert probe("import shelfscan.cli\n"
+                 "from shelfscan.kinematics import fork_map\n"
+                 "results = list(fork_map(pow, [(2, 3), (3, 2)], 2))\n"
+                 "print(json.dumps([results, 'multiprocessing' in sys.modules,"
+                 " len(os.listdir('/proc/self/task'))]))") == [[8, 9], False, 1]
+
+
 def test_public_names_resolve_to_their_modules_objects():
     broken = probe(
         "import importlib, shelfscan\n"
