@@ -396,8 +396,8 @@ def cmd_synth(args):
     labels; the records are written in file order as the batches come
     back. A child leaves through os._exit, so the bytes buffered in the
     open trajectories.jsonl are written once, by this process. At most one
-    child runs per 4 MiB of JSONL (range_count, the rule map_file reads
-    the file back by), so a small store is written in process. The
+    child runs per 1 MiB of JSONL (range_count, the rule map_file reads
+    the file back by), so a store under 2 MiB is written in process. The
     artifacts do not depend on --jobs.
     """
     from . import synth

@@ -633,6 +633,25 @@ def test_small_file_is_one_range(synth_dir):
     assert kinematics._byte_ranges(path, 8) == [(0, path.stat().st_size)]
 
 
+def test_calibrate_fine_sized_store_is_two_ranges_at_two_jobs(tmp_path):
+    # the calibrate-fine benchmark's 60-trip store, about 2.86 MB: two ranges at --jobs 2 with no cut forced
+    store = tmp_path / "store"
+    assert run(["synth", "--population", "60", "--shelves", "19", "--noise", "0.05",
+                "--plant", "2.0,1.2,0.55", "--seed", "1", "--out", str(store)]) == 0
+    trajs = store / "trajectories.jsonl"
+    assert len(kinematics._byte_ranges(trajs, 2)) == 2
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert run(["calibrate", "--layout", str(store / "layout.json"), "--trajectories", str(trajs),
+                    "--labels", str(store / "labels.jsonl"), "--t-b-range", "0.5", "4.0", "0.1",
+                    "--delta-b-range", "0.6", "1.8", "0.3", "--v-b-range", "0.1", "1.5", "0.01",
+                    "--dump-grid", "--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append(_artifacts(out))
+    assert outputs[1] == outputs[0]
+    assert set(outputs[0]) == {"calibration.json", "grid.csv"}
+
+
 @pytest.mark.parametrize("jobs", ["1", "2", "8"])  # 8: more workers asked for than records
 def test_fragment_shorter_than_window_is_smoothed_not_fatal(shelf_layout, tmp_path, range_cuts, jobs):
     both, alone = tmp_path / "both.jsonl", tmp_path / "alone.jsonl"

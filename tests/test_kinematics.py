@@ -17,11 +17,13 @@ from shelfscan import (
     low_pass_positions,
     population_scenario,
 )
+from shelfscan import kinematics
 from shelfscan.errors import InvalidWindow, ParseError, TooShort, ValidationError
 from shelfscan.kinematics import (
     default_jobs,
     fit_window,
     fork_map,
+    range_count,
     read_records,
     read_trajectories,
     split_on_gaps,
@@ -452,3 +454,50 @@ def test_fork_map_writes_nothing_the_parent_buffered(tmp_path, no_child_left):
         assert list(fork_map(pow, [(2, 3), (3, 2), (2, 5)], 2)) == [8, 9, 32]
         fh.write("after\n")
     assert path.read_text() == "buffered before the fork\nafter\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_fork_map_leaves_no_child_pinned(no_child_left):
+    full = os.sched_getaffinity(0)
+    assert list(fork_map(os.sched_getaffinity, [(0,)] * 4, 2)) == [full] * 4
+
+
+def refuse_affinity(pid, cpus):
+    raise OSError(22, "Invalid argument")
+
+
+@pytest.mark.parametrize("affinity", ["refused", "missing"])
+def test_fork_map_runs_where_affinity_cannot_be_set(monkeypatch, no_child_left, affinity):
+    if affinity == "refused":
+        monkeypatch.setattr("os.sched_setaffinity", refuse_affinity, raising=False)
+    else:  # a platform without affinity
+        monkeypatch.delattr("os.sched_setaffinity", raising=False)
+    tasks = [(0.01 * (4 - i), i) for i in range(5)]
+    assert list(fork_map(sleep_then, tasks, 2)) == list(range(5))
+
+
+@pytest.mark.parametrize("workers, cpus, waiting, expected", [
+    (2, [10, 11, 12], {0}, [10, 11, 11, 11]),  # tasks 1 to 3 each take slot 1 once the one before is reaped
+    (2, [10, 11], {1}, [10, 11, 10]),          # task 2 takes slot 0, freed while slot 1 is held
+    (3, [10, 11], {0, 1}, [10, 11, 10]),       # slot 2 wraps around to the first CPU
+])
+def test_fork_map_starts_a_child_on_the_lowest_free_slot(monkeypatch, tmp_path, no_child_left,
+                                                         workers, cpus, waiting, expected):
+    """The `waiting` tasks hold their slots until the last task has run."""
+    started, last_ran = [], tmp_path / "last task ran"
+    monkeypatch.setattr(kinematics, "allowed_cpus", lambda: cpus)
+    monkeypatch.setattr(kinematics, "_start_on", lambda cpu, allowed: started.append(cpu))
+
+    def task(index):
+        if index == len(expected) - 1:
+            last_ran.touch()
+        while index in waiting and not last_ran.exists():
+            time.sleep(0.01)
+        return started
+
+    assert list(fork_map(task, [(i,) for i in range(len(expected))], workers)) == [[cpu] for cpu in expected]
+
+
+def test_a_file_is_two_ranges_from_2_mib():
+    assert range_count((2 << 20) - 1, 2) == 1
+    assert range_count(2 << 20, 2) == 2
