@@ -61,13 +61,12 @@ from .errors import (
     EmptyDataset,
     EmptyGrid,
     FractionOutOfRange,
-    ShelfScanError,
     UnknownTrajectory,
     ValidationError,
     non_negative,
 )
-from .kinematics import DEFAULT_WINDOW, batches, build_track, map_file
-from .labeling import VisitMatrix
+from .kinematics import DEFAULT_WINDOW, batches, build_track, check_window, map_file
+from .labeling import VisitMatrix, check_panel
 from .layout import StoreLayout
 
 
@@ -246,7 +245,7 @@ class Runs:
     its (tp, predicted ones) tables over every trip, as they are found.
     """
 
-    axes: tuple | None          # the grid axes enumerated on; None for a grid _grid_axes rejects
+    axes: tuple                 # the grid axes enumerated on
     visit_ones: np.ndarray      # (n,) int64, each trip's truth ones
     store_ids: tuple            # each trip's store, checked against the layout it is used with
     runs: np.ndarray | None = None
@@ -274,7 +273,7 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
     pairs, enumerated here as prepare_file's range stage enumerates them.
     """
     if isinstance(dataset, Runs):
-        if dataset.axes is None or not all(map(np.array_equal, dataset.axes, axes)):
+        if not all(map(np.array_equal, dataset.axes, axes)):
             raise ValidationError("runs were enumerated on other grid axes than the grid given")
         if dataset.runs is None and not fold:
             raise ValidationError(
@@ -282,6 +281,7 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
         for store_id in dict.fromkeys(dataset.store_ids):
             check_store(SimpleNamespace(store_id=store_id), layout)
         return dataset
+    dataset = list(dataset)
     for track, visits in dataset:
         check_store(track, layout)
         if track.trajectory_id != visits.trajectory_id:
@@ -330,8 +330,7 @@ def _runs_of(gazed, axes, fold: bool) -> Runs:
     A list's trips are numbered after the earlier lists', as _merge numbers
     ranges. With fold, each list's runs are added into the difference
     tables of _fold_tables as they are found, none is kept, and the tables
-    are integrated once, at the end. Without axes there is nothing to
-    enumerate on, and the grid is reported where the result is used.
+    are integrated once, at the end.
     """
     visit_ones, store_ids = [], []
 
@@ -340,13 +339,13 @@ def _runs_of(gazed, axes, fold: bool) -> Runs:
             offset = len(visit_ones)
             visit_ones.extend(prep.visit_ones for prep in prepared)
             store_ids.extend(prep.store_id for prep in prepared)
-            if axes is not None and prepared:
+            if prepared:
                 batch = _enumerate_runs(prepared, *axes)
                 batch[0] += offset
                 yield batch
 
     runs = folded = None
-    if fold and axes is not None:  # the truth ones are summed from visit_ones where the tables are used
+    if fold:  # the truth ones are summed from visit_ones where the tables are used
         folded = _fold_tables(found(), axes)  # a worker holds one batch's runs beside the tables
     else:
         runs = np.concatenate([np.zeros((7, 0), np.int32), *found()], axis=1)
@@ -373,9 +372,8 @@ def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout,
     """prepare_file's stage: the Runs of the trajectories of one range, in a one-item list.
 
     Each trajectory is voted and built as it is taken, so the error raised
-    is the one of the first trajectory that fails. Each gaze batch's
-    streams are enumerated as soon as they are gazed, so the worker never
-    holds the whole range's streams.
+    is the first failing trajectory's, and each gaze batch is enumerated
+    once gazed, so the worker never holds the whole range's streams.
     """
     def pairs():
         for traj in trajectories:
@@ -383,9 +381,8 @@ def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout,
                                             n_reviewers)
             yield build_track(traj, window), visits
 
-    # the gaze casts within the largest delta_b and v_b; without axes no ray is needed
-    cutoff, v_max = (float(axes[1][-1]), float(axes[2][-1])) if axes is not None else (0.0, -math.inf)
-    return [_runs_of(_gaze(pairs(), layout, cutoff, v_max), axes, fold)]
+    # the gaze casts within the largest delta_b and v_b
+    return [_runs_of(_gaze(pairs(), layout, float(axes[1][-1]), float(axes[2][-1])), axes, fold)]
 
 
 def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, grid,
@@ -393,21 +390,22 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
     """The Runs of every trajectory of a JSONL trajectory file, with its labels, on the grid.
 
     kinematics.map_file's range workers read, gap-split, vote, build, gaze
-    and enumerate the file, one gaze batch of detector.GAZE_BATCH
-    trajectories at a time, so this process holds only the runs (28 B
-    each), never a track, a visit matrix or a per-sample stream, and a
-    worker the streams of a batch or two. The result serves calibrate, same_store_eval and
-    cross_store_eval with the same grid and `layout`; they check its
-    stores. With `fold`, each range folds its runs into its count tables
-    instead and this process sums them, for calibrate and for
-    cross_store_eval's test side, which read only every trip's totals.
+    and enumerate the file a gaze batch at a time, so this process holds
+    only the runs (28 B each), and a worker the streams of a batch or two.
+    The result serves calibrate and the evaluations with the same grid and
+    `layout`; they check its stores. With `fold`, each range folds its runs
+    into count tables that this process sums, for calibrate and for
+    cross_store_eval's test side, which read only every trip's totals. On
+    2000 noisy trips that holds `calibrate --jobs 2` to a 52 MB peak, which
+    is 72 MB if each range's runs are kept instead, even unjoined.
 
-    The error raised does not depend on `jobs`: the read error on the
-    lowest line, else UnknownTrajectory for labels that name no trajectory
-    of the file, else the first vote or window error in file order. A grid
-    that _grid_axes rejects is reported by the function given the result,
-    after its own argument checks, as for an in-memory dataset.
+    The window, the grid and the panel size are checked before the file is
+    read; then the error raised does not depend on `jobs`: the read error
+    on the lowest line, else UnknownTrajectory for labels that name no
+    trajectory of the file, else the first vote error in file order.
     """
+    axes = check_request(grid, window)
+    check_panel(n_reviewers)
     by_traj = {}
     for lab in labels:
         by_traj.setdefault(lab.trajectory_id, []).append(lab)
@@ -417,10 +415,6 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
         if stray:
             raise UnknownTrajectory(f"labels reference unknown trajectories: {sorted(stray)[:5]}")
 
-    try:
-        axes = _grid_axes(grid)
-    except ShelfScanError:
-        axes = None
     stage_args = (by_traj, n_reviewers, layout, window, axes, fold)
     return _merge(map_file(trajectories, _prepare_range, stage_args, jobs, check)
                   or [_runs_of([], axes, fold)])
@@ -586,8 +580,22 @@ def counts_at(prepared, params: StopParams) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
-def _grid_axes(grid):
-    """The grid's three axes, each checked non-empty, finite and strictly increasing."""
+def check_request(grid, window: int = DEFAULT_WINDOW, protocol: str = "calibrate", p: float = 1.0,
+                  repeats: int = 1, seed: int = 0):
+    """The grid's three axes, once a calibration's or an evaluation's whole request is checked.
+
+    In order: the window, p (in (0, 1) for "same-store", in (0, 1] for
+    "cross-store"), repeats, the seed, and each axis non-empty, finite and
+    strictly increasing. None needs a trajectory, so commands check first.
+    """
+    check_window(window)
+    if protocol == "same-store" and not 0.0 < p < 1.0:
+        raise FractionOutOfRange(f"p must lie strictly between 0 and 1, got {p}")
+    if protocol == "cross-store" and not 0.0 < p <= 1.0:
+        raise FractionOutOfRange(f"p must lie in (0, 1], got {p}")
+    if repeats < 1:
+        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    non_negative("seed", seed)
     axes = grid.axes()
     if min(len(axis) for axis in axes) == 0:
         raise EmptyGrid("parameter grid has no points")
@@ -604,16 +612,11 @@ def calibrate(dataset, layout: StoreLayout, grid: ParamGrid) -> CalibrationResul
     Ties are broken toward the lexicographically smallest
     (t_b, delta_b, v_b).
     """
-    dataset = _listed(dataset)
-    if not len(dataset):
+    axes = check_request(grid)
+    prepared = _prepare(dataset, layout, axes, fold=True)
+    if not len(prepared):
         raise EmptyDataset("calibration requires at least one trajectory")
-    axes = _grid_axes(grid)
-    return _best(_prepare(dataset, layout, axes, fold=True).count_tables(), axes)[1]
-
-
-def _listed(dataset):
-    """A Runs as it is, else the dataset's (track, visits) pairs in a list."""
-    return dataset if isinstance(dataset, Runs) else list(dataset)
+    return _best(prepared.count_tables(), axes)[1]
 
 
 def _best(tables, axes):
@@ -651,8 +654,6 @@ def same_store_eval(dataset, layout: StoreLayout, grid: ParamGrid, p: float,
     trajectories; reported scores are in repeat order and reproducible
     from the seed.
     """
-    if not 0.0 < p < 1.0:
-        raise FractionOutOfRange(f"p must lie strictly between 0 and 1, got {p}")
     return _evaluate("same-store", [(dataset, layout)], grid, p, repeats, seed)
 
 
@@ -661,8 +662,6 @@ def cross_store_eval(calib_dataset, calib_layout: StoreLayout,
                      grid: ParamGrid, p: float = 1.0, seed: int = 0,
                      repeats: int = 1) -> EvalReport:
     """Calibrate on a fraction of one store, score on all of another."""
-    if not 0.0 < p <= 1.0:
-        raise FractionOutOfRange(f"p must lie in (0, 1], got {p}")
     return _evaluate("cross-store", [(calib_dataset, calib_layout), (eval_dataset, eval_layout)],
                      grid, p, repeats, seed)
 
@@ -675,16 +674,12 @@ def _evaluate(protocol, sides, grid, p, repeats, seed) -> EvalReport:
     repeat calibrates on a random ceil(p*n) of the first side's n
     trajectories; at p = 1 no permutation is drawn.
     """
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    non_negative("seed", seed)
-    sides = [(_listed(dataset), layout) for dataset, layout in sides]
-    if not all(len(dataset) for dataset, _ in sides):
-        raise EmptyDataset("evaluation requires at least one trajectory in every dataset")
-    axes = _grid_axes(grid)
+    axes = check_request(grid, protocol=protocol, p=p, repeats=repeats, seed=seed)
     # the test side is read only as every trip's totals, so its runs are folded as found
     cal, *test = [_prepare(dataset, layout, axes, fold=side > 0)
                   for side, (dataset, layout) in enumerate(sides)]
+    if not all(len(side) for side in (cal, *test)):
+        raise EmptyDataset("evaluation requires at least one trajectory in every dataset")
     n = len(cal)
     n_cal = math.ceil(p * n)
     if not test and n_cal == n:

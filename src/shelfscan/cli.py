@@ -116,9 +116,7 @@ def _usage_error(message):
 
 def _require_paths(*paths):
     for p in paths:
-        if p is None:
-            continue
-        if not os.path.exists(p):
+        if p is not None and not os.path.exists(p):
             _usage_error(f"path does not exist: {p}")
 
 
@@ -175,18 +173,15 @@ def _jobs(args, cfg):
 
 
 def _manifest_path(labels_path):
-    base = str(labels_path)
-    if base.endswith(".jsonl"):
-        return base[:-len(".jsonl")] + ".manifest.json"
-    return base + ".manifest.json"
+    return str(labels_path).removesuffix(".jsonl") + ".manifest.json"
 
 
 def cmd_detect(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories)
-    layout = load_layout(args.layout)
-    window = int(_opt(args, cfg, "window"))
+    window = check_window(int(_opt(args, cfg, "window")))
     params = _params_from(args, cfg)
+    layout = load_layout(args.layout)
     n_tracks, events, stopped = detect_file(args.trajectories, layout, params, window, _jobs(args, cfg))
 
     write_stop_events(events, _artifact(args, "stops.jsonl"))
@@ -204,9 +199,10 @@ def cmd_detect(args):
 def cmd_calibrate(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
-    layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
+    calibration.check_request(grid, window)
+    layout = load_layout(args.layout)
     dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg),
                                fold=True)
     result = calibration.calibrate(dataset, layout, grid)
@@ -250,18 +246,19 @@ def _write_repeats(reports, path):
 def cmd_eval_same(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
-    layout = load_layout(args.layout)
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
     seed = int(_opt(args, cfg, "seed"))
     repeats = int(_opt(args, cfg, "repeats"))
     fractions = _opt(args, cfg, "p", [0.5])
-    if not isinstance(fractions, list):
-        fractions = [fractions]
+    fractions = [float(p) for p in (fractions if isinstance(fractions, list) else [fractions])]
+    for p in fractions:
+        calibration.check_request(grid, window, "same-store", p, repeats, seed)
+    layout = load_layout(args.layout)
     dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg))
 
     reports = [
-        calibration.same_store_eval(dataset, layout, grid, p=float(p), repeats=repeats, seed=seed)
+        calibration.same_store_eval(dataset, layout, grid, p=p, repeats=repeats, seed=seed)
         for p in fractions
     ]
     doc = {
@@ -285,6 +282,8 @@ def cmd_eval_cross(args):
     window = int(_opt(args, cfg, "window"))
     grid = _grid_from(args, cfg)
     seed = int(_opt(args, cfg, "seed"))
+    p, repeats = float(_opt(args, cfg, "p", 1.0)), int(_opt(args, cfg, "cross_repeats", 1))
+    calibration.check_request(grid, window, "cross-store", p, repeats, seed)
     jobs = _jobs(args, cfg)
     layout_a = load_layout(args.layout_a)
     layout_b = load_layout(args.layout_b)
@@ -292,12 +291,8 @@ def cmd_eval_cross(args):
     # cross_store_eval reads the test side only as every trip's totals
     dataset_b = _prepare_labeled(args.trajectories_b, args.labels_b, layout_b, window, grid, jobs,
                                  fold=True)
-    report = calibration.cross_store_eval(
-        dataset_a, layout_a, dataset_b, layout_b, grid,
-        p=float(_opt(args, cfg, "p", 1.0)),
-        seed=seed,
-        repeats=int(_opt(args, cfg, "cross_repeats", 1)),
-    )
+    report = calibration.cross_store_eval(dataset_a, layout_a, dataset_b, layout_b, grid,
+                                          p=p, seed=seed, repeats=repeats)
     doc = {
         "report": report.to_dict(),
         "config": _resolved_config(args, cfg, ["window", "seed",
@@ -321,8 +316,10 @@ def cmd_analyze(args):
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.stops, args.purchases)
     layout = load_layout(args.layout)
-    trajectory_ids = map_file(args.trajectories, _trajectory_ids, (), _jobs(args, cfg))
+    # the side files first; what they say of the trajectories is checked once those are read
     events = read_stop_events(args.stops)
+    purchases = analytics.read_purchases(args.purchases) if args.purchases else None
+    trajectory_ids = map_file(args.trajectories, _trajectory_ids, (), _jobs(args, cfg))
     by_traj = {tid: [] for tid in trajectory_ids}
     for ev in events:
         if ev.trajectory_id not in by_traj:
@@ -351,8 +348,7 @@ def cmd_analyze(args):
         },
         "generated_at": _timestamp(),
     }
-    if args.purchases:
-        purchases = analytics.read_purchases(args.purchases)
+    if purchases is not None:
         conv = analytics.conversion_rates(stats, purchases, incidence=bool(args.incidence))
         with open(_artifact(args, "conversion.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -43,6 +43,7 @@ from .kinematics import (
     KinematicTrack,
     batches,
     build_track,
+    check_window,
     map_file,
     read_records,
     write_records,
@@ -350,12 +351,12 @@ def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEF
     and per event the index of its first sample and the times of its
     samples.
 
-    The result and the error raised do not depend on `jobs`; the error is
-    the one read_trajectories, build_track and detect_many would raise in
-    turn on the whole file: the read error (ParseError, ValidationError,
-    a reused trajectory_id) on the lowest line, else the first later error
-    (InvalidWindow, FrameMismatch) in file order.
+    The window is checked before the file is read; then the result and
+    the error raised do not depend on `jobs`. The error is the read error
+    (ParseError, ValidationError, a reused trajectory_id) on the lowest
+    line, else the first FrameMismatch in file order.
     """
+    check_window(window)
     found = map_file(path, _detect_range, (layout, params, window), jobs)
     return (len(found), [ev for events, _ in found for ev in events],
             [st for _, stopped in found for st in stopped])

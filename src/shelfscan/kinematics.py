@@ -513,12 +513,12 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
     as the stage takes them, and the stage returns a list. Returns the
     lists joined in file order.
 
-    The error raised does not depend on `jobs`. It is the read error
+    Callers check the stage's arguments first, so every error raised here
+    comes from the file, and none depends on `jobs`. It is the read error
     (ParseError, ValidationError, a trajectory_id that an earlier record
     used, a gap-split piece id that another record's trajectory has) on
     the lowest line, else what `check` raises when given the set of
-    trajectory ids read, else the first error a stage raised, in file
-    order.
+    trajectory ids read, else the first error a stage raised, in file order.
     """
     if jobs is None:
         jobs = default_jobs()

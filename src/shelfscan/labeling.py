@@ -60,14 +60,19 @@ class VisitMatrix:
         return self.values.shape[1]
 
 
+def check_panel(n_reviewers: int) -> None:
+    """Raise ValidationError unless the reviewer panel has a member."""
+    if n_reviewers < 1:
+        raise ValidationError(f"reviewer panel must have at least one member, got {n_reviewers}")
+
+
 def majority_vote(labels, traj: Trajectory, layout: StoreLayout, n_reviewers: int) -> VisitMatrix:
     """Fuse reviewer intervals into the per-timestamp visit matrix.
 
     `n_reviewers` is the panel size, which may exceed the number of
     reviewers that actually cast labels.
     """
-    if n_reviewers < 1:
-        raise ValidationError(f"reviewer panel must have at least one member, got {n_reviewers}")
+    check_panel(n_reviewers)
     labels = list(labels)
     seen = {lab.reviewer_id for lab in labels}
     if len(seen) > n_reviewers:

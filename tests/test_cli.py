@@ -1271,26 +1271,34 @@ def _eval_flags(*flags):
     return fault
 
 
-# the documented order, first to last: (name, line, fault, error, message); a fault that
-# comes later sits earlier in the file, and the three argument checks go in the order given
+def _bad_label(lineno, lines, labels):
+    labels.append("{not json")
+
+
+# the documented order, first to last: (name, line, fault, error, message). The argument checks
+# come first, in the order given, then the labels file; line 0 marks a fault reported before the
+# trajectory file is read. In that file a fault that comes later sits earlier in the file.
 ERROR_ORDER = [
-    ("read", 23, _labeled_fault(_malformed_row), "ParseError", ":23: sample 3 "),
-    ("unknown", 24, _stray_label, "UnknownTrajectory", "['ghost']"),
-    ("vote", 10, _unknown_shelf, "UnknownShelf", "shelf 99"),
     ("p", 0, _eval_flags("--p", "1.5"), "FractionOutOfRange", "got 1.5"),
     ("repeats", 0, _eval_flags("--repeats", "0"), "ValidationError", "repeats must be >= 1"),
     # 1e-17 is below the float spacing at 1.0, so the t_b axis repeats values
     ("grid", 0, _eval_flags("--t-b-range", "1.0", "1.0000000000000002", "1e-17"),
      "ValidationError", "t_b axis must be finite and strictly increasing"),
+    ("labels", 0, _bad_label, "ParseError", "bad label record"),
+    ("read", 23, _labeled_fault(_malformed_row), "ParseError", ":23: sample 3 "),
+    ("unknown", 24, _stray_label, "UnknownTrajectory", "['ghost']"),
+    ("vote", 10, _unknown_shelf, "UnknownShelf", "shelf 99"),
     ("store", 2, _labeled_fault(_wrong_store("a")), "FrameMismatch", "store 'a'"),
 ]
+# each pair of faults once; a pair is named in this fixed order, not in the documented one
+_PAIR_NAMES = ["read", "unknown", "vote", "p", "repeats", "grid", "store", "labels"]
 
 
-@pytest.mark.parametrize("first, second", [
-    pytest.param(a, b, id=f"{a[0]}-{b[0]}") for i, a in enumerate(ERROR_ORDER) for b in ERROR_ORDER[i + 1:]])
+@pytest.mark.parametrize("pair", [
+    pytest.param((a, b), id=f"{a}-{b}") for i, a in enumerate(_PAIR_NAMES) for b in _PAIR_NAMES[i + 1:]])
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_eval_error_order_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts, jobs,
-                                                  first, second):
+def test_eval_error_order_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, range_cuts, jobs, pair):
+    first, second = sorted((case for case in ERROR_ORDER if case[0] in pair), key=ERROR_ORDER.index)
     lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
     labels = (synth_dir / "labels.jsonl").read_text().splitlines()
     flags = ["--p", "0.5", "--repeats", "2", *SMALL_GRID]
@@ -1302,7 +1310,98 @@ def test_eval_error_order_does_not_depend_on_jobs(synth_dir, tmp_path, capsys, r
     code = run(["eval-same", "--layout", str(synth_dir / "layout.json"),
                 "--trajectories", str(tmp_path / "t.jsonl"), "--labels", str(tmp_path / "labels.jsonl"),
                 *flags, "--jobs", jobs, "--out", str(tmp_path / "out")])
-    assert len(range_cuts[-1]) == int(jobs)
+    _, lineno, _, error, message = first
+    if lineno == 0:  # reported before the trajectory file is cut into ranges
+        assert range_cuts == []
+    else:
+        assert len(range_cuts[-1]) == int(jobs)
     record = json.loads(capsys.readouterr().err)
-    _, _, _, error, message = first
     assert code == 1 and record["error"] == error and message in record["message"]
+
+
+@pytest.fixture
+def no_ingest(monkeypatch):
+    """Make map_file, wherever the commands call it, fail the test if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory file was read")
+
+    for module in (cli, calibration, detector):
+        monkeypatch.setattr(module, "map_file", refuse)
+
+
+def _request(command, store):
+    """A valid request's input and threshold flags for a command on a store."""
+    return {
+        "detect": [f"--layout={store / 'layout.json'}", f"--trajectories={store / 'trajectories.jsonl'}",
+                   "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55"],
+        "calibrate": _inputs(store) + SMALL_GRID,
+        "eval-same": _inputs(store) + SMALL_GRID,
+        "eval-cross": _inputs(store, "-a") + _inputs(store, "-b") + SMALL_GRID,
+        "analyze": [f"--layout={store / 'layout.json'}", f"--trajectories={store / 'trajectories.jsonl'}"],
+    }[command]
+
+
+def _flags(*flags):
+    return lambda store, tmp_path: list(flags)
+
+
+def _cross_repeats_zero(store, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"cross_repeats": 0}))
+    return ["--config", str(tmp_path / "cfg.json")]
+
+
+def _empty_panel(store, tmp_path):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes((store / "labels.jsonl").read_bytes())
+    write_label_manifest(0, [], tmp_path / "labels.manifest.json")
+    return [f"--labels={labels}"]
+
+
+def _stops(content):
+    def fault(store, tmp_path):
+        (tmp_path / "stops.jsonl").write_text(content)
+        return [f"--stops={tmp_path / 'stops.jsonl'}"]
+    return fault
+
+
+def _headless_purchases(store, tmp_path):
+    (tmp_path / "purchases.csv").write_text("trip,shelf\n")
+    return [*_stops("")(store, tmp_path), f"--purchases={tmp_path / 'purchases.csv'}"]
+
+
+UNSTEPPED = ["--t-b-range", "1.0", "1.0000000000000002", "1e-17"]  # the t_b axis repeats 1.0
+BAD_WINDOW = ("InvalidWindow", "window must be a positive odd sample count, got 4")
+BAD_REQUESTS = [  # (name, command, fault, error, message)
+    ("p", "eval-same", _flags("--p", "1.5"), "FractionOutOfRange",
+     "p must lie strictly between 0 and 1, got 1.5"),
+    ("repeats", "eval-same", _flags("--repeats", "0"), "ValidationError", "repeats must be >= 1, got 0"),
+    ("seed", "eval-same", _flags("--seed", "-2"), "ValidationError", "seed must be >= 0, got -2"),
+    ("window", "eval-same", _flags("--window", "4"), *BAD_WINDOW),
+    ("grid", "eval-same", _flags(*UNSTEPPED), "ValidationError",
+     "t_b axis must be finite and strictly increasing"),
+    ("panel", "eval-same", _empty_panel, "ValidationError",
+     "reviewer panel must have at least one member, got 0"),
+    ("p", "eval-cross", _flags("--p", "0"), "FractionOutOfRange", "p must lie in (0, 1], got 0.0"),
+    ("repeats", "eval-cross", _cross_repeats_zero, "ValidationError", "repeats must be >= 1, got 0"),
+    ("window", "calibrate", _flags("--window", "4"), *BAD_WINDOW),
+    ("grid", "calibrate", _flags(*UNSTEPPED), "ValidationError",
+     "t_b axis must be finite and strictly increasing"),
+    ("panel", "calibrate", _empty_panel, "ValidationError",
+     "reviewer panel must have at least one member, got 0"),
+    ("window", "detect", _flags("--window", "4"), *BAD_WINDOW),
+    ("stops", "analyze", _stops("{not json\n"), "ParseError", "stops.jsonl:1: bad stop event"),
+    ("purchases", "analyze", _headless_purchases, "ParseError", "purchases CSV must have columns"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command, fault, error, message", [
+    pytest.param(command, *case, id=f"{command}-{name}") for name, command, *case in BAD_REQUESTS])
+def test_bad_request_exits_1_before_reading_a_trajectory(synth_dir, tmp_path, capsys, no_ingest, jobs,
+                                                         command, fault, error, message):
+    out = tmp_path / "out"
+    code = run([command, *_request(command, synth_dir), *fault(synth_dir, tmp_path), "--jobs", jobs,
+                "--out", str(out)])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 1 and record["error"] == error and message in record["message"]
+    assert not out.exists()
