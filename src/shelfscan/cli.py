@@ -6,6 +6,14 @@ produces, so a report is enough to rerun the experiment. Identical inputs
 and seeds give byte-identical outputs except for the generated_at
 metadata field. Flags override config-file values; numeric defaults live
 in _DEFAULTS below.
+
+A command imports the package modules it runs when it runs, so detect
+loads only layout, kinematics and detector. main() returns the exit code
+and is what library callers and tests call; run(), the `shelfscan`
+console script and `python -m shelfscan.cli`, flushes stdout and stderr
+after it and leaves through os._exit, skipping the interpreter's
+teardown: every artifact has been closed by then, every forked worker
+reaped, and the package registers no atexit hook.
 """
 
 import argparse
@@ -25,14 +33,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import calibration, detector, labeling
+from . import detector
 from .detector import (
+    STOP_MATRIX_HEADER,
     StopParams,
     detect_file,
     detect_many,
     detect_stops,
     read_stop_events,
-    write_stop_events,
 )
 from .errors import ShelfScanError, UnknownTrajectory, non_negative
 from .kinematics import (
@@ -48,16 +56,13 @@ from .kinematics import (
     trajectory_record,
 )
 
-# no command calls these two; perfbench/tracer.py wraps them by these names
+# no command calls these three; perfbench/tracer.py wraps them by these names
+from .detector import write_stop_events  # noqa: F401
 from .kinematics import read_trajectories, write_trajectories  # noqa: F401
 from .layout import load_layout, save_layout
 
-_DEFAULTS = {
-    "window": DEFAULT_WINDOW,
-    "seed": 0,
-    "repeats": 10,
-    **{f"{name}_range": list(rng) for name, rng in asdict(calibration.ParamGrid()).items()},
-}
+# the grid ranges' defaults are calibration.ParamGrid's (_opt)
+_DEFAULTS = {"window": DEFAULT_WINDOW, "seed": 0, "repeats": 10}
 
 # config keys by the JSON type their flags take; other keys are ignored
 _INT_KEYS = {"window", "seed", "repeats", "jobs", "population", "shelves", "scenarios", "max_len",
@@ -104,9 +109,21 @@ def _load_config(args):
 
 
 def _opt(args, cfg, key, default=None):
-    """Flag value if given, else config-file value, else default."""
+    """Flag value if given, else config-file value, else default.
+
+    A grid range defaults to calibration.ParamGrid's, which only the
+    commands that sweep a grid ask for, so only they load calibration.
+    """
     val = getattr(args, key, None)
-    return val if val is not None else cfg.get(key, _DEFAULTS.get(key, default))
+    if val is not None:
+        return val
+    if key in cfg:
+        return cfg[key]
+    if key in _RANGE_KEYS:
+        from .calibration import ParamGrid
+
+        return list(getattr(ParamGrid(), key.removesuffix("_range")))
+    return _DEFAULTS.get(key, default)
 
 
 def _usage_error(message):
@@ -120,9 +137,11 @@ def _require_paths(*paths):
             _usage_error(f"path does not exist: {p}")
 
 
-def _grid_from(args, cfg) -> calibration.ParamGrid:
-    return calibration.ParamGrid(*(tuple(map(float, _opt(args, cfg, f"{name}_range")))
-                                   for name in ("t_b", "delta_b", "v_b")))
+def _grid_from(args, cfg):
+    from .calibration import ParamGrid
+
+    return ParamGrid(*(tuple(map(float, _opt(args, cfg, f"{name}_range")))
+                       for name in ("t_b", "delta_b", "v_b")))
 
 
 def _params_from(args, cfg) -> StopParams:
@@ -152,6 +171,8 @@ def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs,
     The labels manifest is expected next to the labels file with the
     .manifest.json suffix replacing .jsonl.
     """
+    from . import calibration, labeling
+
     manifest_path = _manifest_path(labels_path)
     _require_paths(manifest_path)
     n_reviewers, _ = labeling.read_label_manifest(manifest_path)
@@ -182,21 +203,22 @@ def cmd_detect(args):
     window = check_window(int(_opt(args, cfg, "window")))
     params = _params_from(args, cfg)
     layout = load_layout(args.layout)
-    n_tracks, events, stopped = detect_file(args.trajectories, layout, params, window, _jobs(args, cfg))
-
-    write_stop_events(events, _artifact(args, "stops.jsonl"))
+    n_tracks, n_events, stops, rows = detect_file(args.trajectories, layout, params, window,
+                                                  _jobs(args, cfg))
+    # the range workers formatted both files; a failed run has returned before any is opened
+    with open(_artifact(args, "stops.jsonl"), "wb") as fh:
+        fh.writelines(stops)
     # sparse long form: rows only where S = 1
-    with open(_artifact(args, "stop_matrix.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trajectory_id", "shelf_id", "k", "t", "S"])
-        for ev, (k_s, times) in zip(events, stopped):
-            writer.writerows([ev.trajectory_id, ev.shelf_id, k, repr(t), 1]
-                             for k, t in enumerate(times, start=k_s))
-    print(f"detect: {len(events)} stop events over {n_tracks} trajectories -> {args.out}")
+    with open(_artifact(args, "stop_matrix.csv"), "wb") as fh:
+        fh.write(STOP_MATRIX_HEADER)
+        fh.writelines(rows)
+    print(f"detect: {n_events} stop events over {n_tracks} trajectories -> {args.out}")
     return 0
 
 
 def cmd_calibrate(args):
+    from . import calibration
+
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
     window = int(_opt(args, cfg, "window"))
@@ -244,6 +266,8 @@ def _write_repeats(reports, path):
 
 
 def cmd_eval_same(args):
+    from . import calibration
+
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
     window = int(_opt(args, cfg, "window"))
@@ -276,6 +300,8 @@ def cmd_eval_same(args):
 
 
 def cmd_eval_cross(args):
+    from . import calibration
+
     cfg = _load_config(args)
     _require_paths(args.layout_a, args.trajectories_a, args.labels_a,
                    args.layout_b, args.trajectories_b, args.labels_b)
@@ -315,6 +341,7 @@ def cmd_analyze(args):
 
     cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.stops, args.purchases)
+    check_window(int(_opt(args, cfg, "window")))  # analyze smooths nothing, but takes --window
     layout = load_layout(args.layout)
     # the side files first; what they say of the trajectories is checked once those are read
     events = read_stop_events(args.stops)
@@ -379,6 +406,8 @@ def _synth_batch(trajectories, layout, params, window):
     lines = "".join(map(trajectory_record, trajectories)).encode()
     if params is None:
         return lines, []
+    from . import labeling
+
     tracks = [build_track(traj, window) for traj in trajectories]
     return lines, [lab for events in detect_many(tracks, layout, params)
                    for lab in labeling.labels_from_stop_events(events, reviewer_id="auto")]
@@ -402,6 +431,8 @@ def cmd_synth(args):
     jobs = _jobs(args, cfg)
     params = window = None
     if args.plant:
+        from . import labeling  # here, so the batch children inherit it
+
         try:
             t_b, delta_b, v_b = (float(x) for x in args.plant.split(","))
         except ValueError:
@@ -613,5 +644,22 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
 
 
+def run(argv=None):
+    """main(argv), then exit with its code, without tearing the interpreter down.
+
+    Only the standard streams can still hold output when main returns, so
+    they are flushed first; if one cannot be (a reader closed the pipe),
+    the exit status is 120, as the interpreter's own exit gives.
+    """
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):  # a closed pipe or a closed stream
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -18,6 +18,11 @@ most v_b fast, calibration at most the grid's largest v_b. A sample that
 is not cast reports no candidate, which the speed condition would reject
 anyway.
 
+detect_file, the pass behind the detect command, runs in
+kinematics.map_file's range workers, and they also format detect's two
+artifacts, so a range comes back as its stops.jsonl and stop_matrix.csv
+bytes and the parent process only writes them.
+
 Numeric conventions (shared by the brute-force cross-check in oracle.py):
 - a hit counts only if its ray parameter exceeds EPS_LAMBDA, so an origin
   sitting exactly on a segment sees no self-hit;
@@ -32,6 +37,8 @@ Numeric conventions (shared by the brute-force cross-check in oracle.py):
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +53,7 @@ from .kinematics import (
     check_window,
     map_file,
     read_records,
+    record_line,
     write_records,
 )
 from .layout import StoreLayout
@@ -330,26 +338,53 @@ def detect_many(tracks, layout: StoreLayout, params: StopParams):
     return [events for _, events, _ in _detect_batches(tracks, layout, params)]
 
 
-def _detect_range(trajectories, layout: StoreLayout, params: StopParams, window: int):
-    """detect_file's stage: (events, stopped) per trajectory of one range.
+# stop_matrix.csv's header, as csv.writer writes it; detect_file's rows follow it
+STOP_MATRIX_HEADER = b"trajectory_id,shelf_id,k,t,S\r\n"
 
-    Each trajectory is built and store-checked as _detect_batches takes it,
-    so the error raised is the one of the first trajectory that fails.
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it in a row of several fields: quoted only if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # less the empty last field's delimiter and the line end
+
+
+def _detect_range(trajectories, layout: StoreLayout, params: StopParams, window: int):
+    """detect_file's stage: [(n_tracks, n_events, stops, rows)] for one range.
+
+    stops holds the range's stops.jsonl lines (record_line of each event)
+    and rows its stop_matrix.csv rows, one per stopped sample, each the
+    bytes csv.writer writes for [trajectory_id, shelf_id, k, repr(t), 1];
+    both are UTF-8, so only bytes cross the pipe. Each trajectory is built
+    and store-checked as _detect_batches takes it, so the error raised is
+    the one of the first trajectory that fails.
     """
     tracks = (check_store(build_track(traj, window), layout) for traj in trajectories)
-    return [(events, [(s, track.times[s:e + 1].tolist()) for s, e, _ in spans])
-            for track, events, spans in _detect_batches(tracks, layout, params)]
+    n_tracks, lines, rows = 0, [], []
+    for track, events, spans in _detect_batches(tracks, layout, params):
+        n_tracks += 1
+        if not events:
+            continue
+        field = _csv_field(track.trajectory_id)
+        for ev, (s, e, _) in zip(events, spans):
+            lines.append(record_line(ev))
+            head = f"{field},{ev.shelf_id},"
+            rows += [f"{head}{k},{t!r},1\r\n"
+                     for k, t in enumerate(track.times[s:e + 1].tolist(), start=s)]
+    return [(n_tracks, len(lines), "".join(lines).encode(), "".join(rows).encode())]
 
 
 def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEFAULT_WINDOW,
                 jobs: int | None = None):
-    """Stop events of every trajectory in a JSONL trajectory file.
+    """detect's artifacts for every trajectory in a JSONL trajectory file.
 
     kinematics.map_file's range workers read, gap-split, build and detect
-    the file, so the caller parses nothing. Returns (n_tracks, events,
-    stopped): the number of trajectories, every stop event in file order,
-    and per event the index of its first sample and the times of its
-    samples.
+    the file and format its artifacts (_detect_range), so the caller
+    parses and formats nothing. Returns (n_tracks, n_events, stops, rows):
+    the number of trajectories and of stop events, and per range, in file
+    order, its stops.jsonl lines and its stop_matrix.csv rows as bytes.
+    Written in order, after STOP_MATRIX_HEADER for the rows, they are the
+    files write_stop_events and csv.writer would write.
 
     The window is checked before the file is read; then the result and
     the error raised do not depend on `jobs`. The error is the read error
@@ -358,5 +393,5 @@ def detect_file(path, layout: StoreLayout, params: StopParams, window: int = DEF
     """
     check_window(window)
     found = map_file(path, _detect_range, (layout, params, window), jobs)
-    return (len(found), [ev for events, _ in found for ev in events],
-            [st for _, stopped in found for st in stopped])
+    return (sum(r[0] for r in found), sum(r[1] for r in found),
+            [r[2] for r in found], [r[3] for r in found])

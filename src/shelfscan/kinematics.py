@@ -269,14 +269,18 @@ def read_records(path, cls, what: str) -> list:
     return out
 
 
-def write_records(records, path) -> None:
-    """Write flat dataclass records as JSONL, one object per line, its keys in field order.
+def record_line(rec) -> str:
+    """One flat dataclass record as a JSONL line, its keys in field order, its newline included.
 
     A dataclass instance holds its fields in field order, so vars(rec) is the object.
     """
+    return json.dumps(vars(rec)) + "\n"
+
+
+def write_records(records, path) -> None:
+    """Write flat dataclass records as JSONL, one record_line each, in order."""
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(vars(rec)) + "\n")
+        fh.writelines(map(record_line, records))
 
 
 def parse_record(line: bytes, where: str):

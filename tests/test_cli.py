@@ -804,6 +804,40 @@ def test_detect_output_does_not_depend_on_jobs(synth_dir, tmp_path, range_cuts):
         assert (out / "stop_matrix.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_ids_csv_must_quote_give_the_reference_bytes_at_any_jobs(synth_dir, tmp_path, range_cuts):
+    """The workers' own row formatting quotes and encodes each id as csv.writer and write_stop_events do."""
+    ids = ['aisle, left', 'the "quiet" trip', "caf\u00e9"]
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    for i, trajectory_id in enumerate(ids):
+        rec = json.loads(lines[i])
+        rec["trajectory_id"] = trajectory_id
+        lines[i] = json.dumps(rec)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+
+    layout = load_layout(synth_dir / "layout.json")
+    params = StopParams(2.0, 1.2, 0.55)
+    events, rows = [], []
+    for traj in read_trajectories(path):
+        evs, matrix = detect_stops(build_track(traj, 5), layout, params)
+        events += evs
+        rows += [[traj.trajectory_id, shelf0 + 1, k, repr(float(traj.times[k])), 1]
+                 for k, shelf0 in zip(*np.nonzero(matrix.values.T))]
+    assert {ev.trajectory_id for ev in events} >= set(ids)
+    write_stop_events(events, tmp_path / "want.jsonl")
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["trajectory_id", "shelf_id", "k", "t", "S"], *rows])
+    want_csv = (tmp_path / "want.csv").read_bytes()
+    assert b'"aisle, left",' in want_csv and b'"the ""quiet"" trip",' in want_csv
+
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert detect(synth_dir / "layout.json", path, out, "--jobs", jobs) == 0
+        assert len(range_cuts[-1]) == int(jobs)
+        assert (out / "stops.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert (out / "stop_matrix.csv").read_bytes() == want_csv
+
+
 def _reuse_line_2_id(rec, lines):
     rec["trajectory_id"] = json.loads(lines[1])["trajectory_id"]
 
@@ -1389,6 +1423,8 @@ BAD_REQUESTS = [  # (name, command, fault, error, message)
     ("panel", "calibrate", _empty_panel, "ValidationError",
      "reviewer panel must have at least one member, got 0"),
     ("window", "detect", _flags("--window", "4"), *BAD_WINDOW),
+    ("window", "analyze", lambda store, tmp_path: [*_stops("")(store, tmp_path), "--window", "4"],
+     *BAD_WINDOW),
     ("stops", "analyze", _stops("{not json\n"), "ParseError", "stops.jsonl:1: bad stop event"),
     ("purchases", "analyze", _headless_purchases, "ParseError", "purchases CSV must have columns"),
 ]

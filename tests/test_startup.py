@@ -57,6 +57,23 @@ def test_fork_map_loads_no_multiprocessing_and_starts_no_thread():
                  " len(os.listdir('/proc/self/task'))]))") == [[8, 9], False, 1]
 
 
+def test_detect_loads_no_calibration_and_no_labeling(tmp_path):
+    from shelfscan import cli
+
+    store = tmp_path / "store"
+    assert cli.main(["synth", "--population", "2", "--shelves", "4", "--seed", "1",
+                     "--plant", "2.0,1.2,0.55", "--out", str(store)]) == 0
+    args = ["detect", "--layout", str(store / "layout.json"),
+            "--trajectories", str(store / "trajectories.jsonl"),
+            "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55", "--out", str(tmp_path / "d")]
+    code, loaded = probe(f"import shelfscan.cli\ncode = shelfscan.cli.main({args!r})\n"
+                         "print(json.dumps([code, sorted(m for m in sys.modules"
+                         " if m.startswith('shelfscan.'))]))")
+    assert code == 0
+    assert loaded == ["shelfscan.cli", "shelfscan.detector", "shelfscan.errors",
+                      "shelfscan.kinematics", "shelfscan.layout"]
+
+
 def test_public_names_resolve_to_their_modules_objects():
     broken = probe(
         "import importlib, shelfscan\n"
