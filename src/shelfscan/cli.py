@@ -13,7 +13,9 @@ and is what library callers and tests call; run(), the `shelfscan`
 console script and `python -m shelfscan.cli`, flushes stdout and stderr
 after it and leaves through os._exit, skipping the interpreter's
 teardown: every artifact has been closed by then, every forked worker
-reaped, and the package registers no atexit hook.
+reaped, and the package registers no atexit hook. A summary line or help
+that stdout refuses is exit 120 from main(), as a failed flush is from
+run(): a command says it last, so its artifacts are complete.
 """
 
 import argparse
@@ -126,6 +128,32 @@ def _opt(args, cfg, key, default=None):
     return _DEFAULTS.get(key, default)
 
 
+class _StdoutLost(Exception):
+    """Standard output refused what a command wrote to it: exit 120, as run()'s failed flush."""
+
+
+def _say(text, end="\n"):
+    """Print a command's summary line, or its help, to stdout; an OSError there is _StdoutLost.
+
+    A command says it last, once every artifact is closed, so the run is
+    complete whether or not stdout takes the line.
+    """
+    try:
+        print(text, end=end)
+    except OSError as exc:
+        raise _StdoutLost from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, but --help that stdout refuses is _StdoutLost: argparse would drop it and exit 0."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _say(self.format_help(), end="")
+        else:
+            super().print_help(file)
+
+
 def _usage_error(message):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -212,7 +240,7 @@ def cmd_detect(args):
     with open(_artifact(args, "stop_matrix.csv"), "wb") as fh:
         fh.write(STOP_MATRIX_HEADER)
         fh.writelines(rows)
-    print(f"detect: {n_events} stop events over {n_tracks} trajectories -> {args.out}")
+    _say(f"detect: {n_events} stop events over {n_tracks} trajectories -> {args.out}")
     return 0
 
 
@@ -245,7 +273,7 @@ def cmd_calibrate(args):
             writer.writerow(["t_b", "delta_b", "v_b", "tp", "fp", "fn", "precision", "recall", "f1"])
             for row in result.score_rows():
                 writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    print(f"calibrate: best F1 {result.best_f1:.4f} at "
+    _say(f"calibrate: best F1 {result.best_f1:.4f} at "
           f"(t_b={result.best_params.t_b:.3g}, delta_b={result.best_params.delta_b:.3g}, "
           f"v_b={result.best_params.v_b:.3g})")
     return 0
@@ -294,7 +322,7 @@ def cmd_eval_same(args):
     _write_json(doc, _artifact(args, "eval.json"))
     _write_repeats(reports, _artifact(args, "eval_repeats.csv"))
     for rep in reports:
-        print(f"eval-same: p={rep.p:g} mean F1 {rep.mean:.4f} +/- {rep.stderr:.4f} "
+        _say(f"eval-same: p={rep.p:g} mean F1 {rep.mean:.4f} +/- {rep.stderr:.4f} "
               f"over {rep.repeats} repeats")
     return 0
 
@@ -327,7 +355,7 @@ def cmd_eval_cross(args):
     }
     _write_json(doc, _artifact(args, "eval.json"))
     _write_repeats([report], _artifact(args, "eval_repeats.csv"))
-    print(f"eval-cross: {layout_a.store_id} -> {layout_b.store_id} mean F1 {report.mean:.4f}")
+    _say(f"eval-cross: {layout_a.store_id} -> {layout_b.store_id} mean F1 {report.mean:.4f}")
     return 0
 
 
@@ -391,7 +419,7 @@ def cmd_analyze(args):
                 ])
         summary["n_purchase_records"] = len(purchases)
     _write_json(summary, _artifact(args, "summary.json"))
-    print(f"analyze: {stats.n_trips} trips, "
+    _say(f"analyze: {stats.n_trips} trips, "
           f"{stats.overall_avg_visits:.3f} average visits per trip")
     return 0
 
@@ -463,7 +491,7 @@ def cmd_synth(args):
         labels_path = _artifact(args, "labels.jsonl")
         labeling.write_labels(labels, labels_path)
         labeling.write_label_manifest(1, ["auto"], _manifest_path(labels_path))
-    print(f"synth: wrote {len(trajectories)} trajectories, "
+    _say(f"synth: wrote {len(trajectories)} trajectories, "
           f"{layout.n_shelves}-shelf layout -> {args.out}")
     return 0
 
@@ -517,13 +545,13 @@ def cmd_oracle_check(args):
         "generated_at": _timestamp(),
     }
     _write_json(report, _artifact(args, "oracle_check.json"))
-    print(f"oracle-check: {'PASS' if mismatch is None else 'FAIL'} "
+    _say(f"oracle-check: {'PASS' if mismatch is None else 'FAIL'} "
           f"({checked} trajectories over {scenarios} scenarios)")
     return 0 if mismatch is None else 1
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shelfscan",
         description="Shelf-visit detection, calibration and analytics for shopper trajectories.",
     )
@@ -640,6 +668,8 @@ def main(argv=None):
     except OSError as exc:  # a missing, unreadable or misplaced path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _StdoutLost:
+        return 120
     except SystemExit as exc:  # argparse usage errors and path checks
         return exc.code if exc.code is not None else 0
 

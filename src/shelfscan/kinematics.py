@@ -250,8 +250,9 @@ def read_records(path, cls, what: str) -> list:
     is read from the key of its name: a str or float value is converted by
     str() or float(), and an int must be a JSON integer (json_int). A line
     that is not UTF-8 JSON, lacks a field or holds a value that does not
-    convert raises ParseError naming the file, the line and `what`. An
-    error that cls itself raises, such as ValidationError, passes unchanged.
+    convert raises ParseError naming the file, the line and `what`, as does
+    a line nested deeper than json can decode. An error that cls itself
+    raises, such as ValidationError, passes unchanged.
     """
     types = get_type_hints(cls)
     columns = [(f.name, types[f.name]) for f in fields(cls)]
@@ -263,7 +264,7 @@ def read_records(path, cls, what: str) -> list:
         try:
             rec = json.loads(line)
             values = [json_int(rec, name) if kind is int else kind(rec[name]) for name, kind in columns]
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}:{lineno}: bad {what}: {exc!r}") from exc
         out.append(cls(*values))
     return out
@@ -287,16 +288,73 @@ def parse_record(line: bytes, where: str):
     """(trajectory_id, store_id, (n, 4) sample rows) of one JSONL trajectory record.
 
     Record shape: {"trajectory_id", "store_id", "samples": [[t, x, y, theta], ...]}.
-    A malformed record or sample row raises ParseError; `where` ("path:line")
-    prefixes its message.
+    A malformed record or sample row, or one nested deeper than json can
+    decode, raises ParseError; `where` ("path:line") prefixes its message.
+    orjson decodes every line on which it gives json's outcome
+    (_orjson_record); json decodes the rest, each malformed record among them.
     """
+    strict = b"true" in line or b"false" in line
+    record = _orjson_record(line, where, strict)
+    if record is not None:
+        return record
     try:
         rec = json.loads(line)
         trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
-        rows = _sample_rows(rec["samples"], where, b"true" in line or b"false" in line)
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, OverflowError) as exc:
+        rows = _sample_rows(rec["samples"], where, strict)
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, OverflowError,
+            RecursionError) as exc:
         raise ParseError(f"{where}: bad trajectory record: {exc!r}") from exc
     return trajectory_id, store_id, rows
+
+
+# orjson is given a line only if the line cannot nest deeper than this: orjson 3.8 recurses
+# without a limit and overflows the C stack somewhere past 100,000 levels
+_ORJSON_DEPTH = 1 << 12
+
+
+def _orjson_record(line: bytes, where: str, strict: bool):
+    """parse_record's result through orjson, or None where json's outcome could differ.
+
+    It is None for a line orjson refuses (NaN, Infinity, a number beyond
+    the double range, a lone surrogate, a BOM, bytes that are not UTF-8,
+    malformed JSON), for a record that does not parse (the error text is
+    json's), for an id that is not a JSON string (orjson reads an integer
+    beyond 64 bits as a float, and str() would show it as one), and for a
+    line with a '[' or '{' beyond the record's own (json refuses deep
+    nesting, orjson does not). Such an integer among the samples gives the
+    same row either way: orjson rounds it to the nearest double, as
+    float() does.
+    """
+    a = np.frombuffer(line, np.uint8)
+    opens = np.count_nonzero(a == 0x5B) + np.count_nonzero(a == 0x7B)  # '[' and '{'
+    if opens > _ORJSON_DEPTH and _nesting_bound(a) > _ORJSON_DEPTH:
+        return None
+    import orjson  # here, not at the top: only a process that reads a trajectory loads it
+
+    try:
+        rec = orjson.loads(line)
+        trajectory_id, store_id = rec["trajectory_id"], rec["store_id"]
+        if type(trajectory_id) is not str or type(store_id) is not str:
+            return None
+        rows = _sample_rows(rec["samples"], where, strict)
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):  # json words the error
+        return None
+    if opens != len(rows) + 2:  # a '[' or '{' beyond the record's own: json says how deep is too deep
+        return None
+    return trajectory_id, store_id, rows
+
+
+def _nesting_bound(a: np.ndarray) -> int:
+    """An upper bound on how deep the JSON text in the byte array `a` nests.
+
+    Each '[' or '{' may open a level, but a '[' right after '],' or '], '
+    opens one that the ']' before it closed: no quote lies between the two,
+    so both are inside a string or neither is.
+    """
+    i = np.flatnonzero(a[3:] == 0x5B) + 3  # a '[' among the first 3 bytes counts below
+    paired = ((a[i - 1] == 0x2C) & (a[i - 2] == 0x5D)
+              | (a[i - 1] == 0x20) & (a[i - 2] == 0x2C) & (a[i - 3] == 0x5D))
+    return 3 + len(i) - int(np.count_nonzero(paired)) + int(np.count_nonzero(a == 0x7B))
 
 
 def default_jobs() -> int:

@@ -1095,6 +1095,42 @@ def test_malformed_stop_event_exits_1_with_record(synth_dir, tmp_path, capsys, e
         assert record["message"].startswith(f"{stops}:2: bad stop event")
 
 
+DEEP_LINE = "[" * 100_000  # deeper than json can decode
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("where", ["trajectories", "labels", "stops"])
+def test_a_line_nested_too_deep_exits_1_naming_its_line(synth_dir, tmp_path, capsys, range_cuts, jobs, where):
+    trajs, labels, stops = tmp_path / "t.jsonl", tmp_path / "labels.jsonl", tmp_path / "stops.jsonl"
+    lines = (synth_dir / "trajectories.jsonl").read_text().splitlines()
+    label_lines = (synth_dir / "labels.jsonl").read_text().splitlines()
+    stop_lines = []
+    if where == "trajectories":
+        lines[19] = DEEP_LINE  # in the second range at --jobs 2
+    elif where == "labels":
+        label_lines[1] = DEEP_LINE
+    else:
+        stop_lines = ["", DEEP_LINE]
+    trajs.write_text("\n".join(lines) + "\n")
+    labels.write_text("\n".join(label_lines) + "\n")
+    stops.write_text("\n".join(stop_lines) + "\n")
+    write_label_manifest(1, ["auto"], tmp_path / "labels.manifest.json")
+    command, path, what = {
+        "trajectories": (["detect", "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55"], trajs,
+                         "20: bad trajectory record"),
+        "labels": (["calibrate", f"--labels={labels}", *SMALL_GRID], labels, "2: bad label record"),
+        "stops": (["analyze", f"--stops={stops}"], stops, "2: bad stop event"),
+    }[where]
+    code = run([*command, f"--layout={synth_dir / 'layout.json'}", f"--trajectories={trajs}",
+                "--jobs", jobs, "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 1 and record["error"] == "ParseError"
+    assert record["message"].startswith(f"{path}:{what}: RecursionError(")
+    if where == "trajectories":
+        assert len(range_cuts[-1]) == int(jobs)
+    assert not (tmp_path / "out").exists()
+
+
 def _artifacts(out):
     """Every file in out, with the generated_at line of JSON reports left out; none if out is missing."""
     return {path.name: [line for line in path.read_text().splitlines() if '"generated_at"' not in line]

@@ -38,9 +38,11 @@ def store(tmp_path_factory):
     return out
 
 
-def shelfscan(args, **streams):
+def shelfscan(args, unbuffered=False, **streams):
     """`python -m shelfscan.cli ARGS` run to its end, its streams as subprocess.run takes them."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "shelfscan.cli", *args], env=env, timeout=120,
                           **streams)
 
@@ -135,3 +137,50 @@ def test_stdout_that_cannot_be_flushed_exits_120(store, tmp_path):
         os.close(write)
     assert (done.returncode, done.stderr) == (120, b"")
     assert (tmp_path / "d" / "stop_matrix.csv").exists()
+
+
+@pytest.fixture(params=["closed-pipe", "dev-full"])
+def refusing_stdout(request):
+    """A file descriptor that refuses every write: a pipe whose reader is gone, or /dev/full."""
+    if request.param == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, fd = os.pipe()
+        os.close(read)  # the reader is gone before anything is written
+    yield fd
+    os.close(fd)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_that_refuses_the_summary_exits_120_with_every_artifact(store, tmp_path, refusing_stdout,
+                                                                        unbuffered):
+    # buffered, the flush in run() fails; unbuffered, the summary line's own write does
+    args = ["detect", *inputs(store, "layout", "trajectories"), *DETECT]
+    assert cli.main([*args, "--out", str(tmp_path / "in-process")]) == 0
+    done = shelfscan([*args, "--out", str(tmp_path / "d")], unbuffered=unbuffered, stdout=refusing_stdout,
+                     stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (120, b"")
+    assert files(tmp_path / "d") == files(tmp_path / "in-process")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_that_stdout_refuses_exits_120(refusing_stdout, unbuffered):
+    done = shelfscan(["--help"], unbuffered=unbuffered, stdout=refusing_stdout, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (120, b"")
+
+
+def test_summary_that_stdout_refuses_in_process_returns_120(store, tmp_path, monkeypatch):
+    class Refusing:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Refusing())
+    args = ["detect", *inputs(store, "layout", "trajectories"), *DETECT, "--out", str(tmp_path / "d")]
+    assert cli.main(args) == 120
+    assert cli.main(["--help"]) == 120
+    assert (tmp_path / "d" / "stop_matrix.csv").stat().st_size > 0

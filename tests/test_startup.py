@@ -32,7 +32,8 @@ def test_import_package_loads_no_numpy_and_no_module():
 def test_import_cli_loads_no_module_only_some_commands_run():
     loaded = probe("import shelfscan.cli\n"
                    "print(json.dumps([m for m in ('shelfscan.synth', 'shelfscan.analytics',"
-                   " 'shelfscan.oracle', 'multiprocessing', 'numpy.random') if m in sys.modules]))")
+                   " 'shelfscan.oracle', 'multiprocessing', 'numpy.random', 'orjson')"
+                   " if m in sys.modules]))")
     assert loaded == []
 
 
