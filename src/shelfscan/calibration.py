@@ -53,7 +53,6 @@ from .detector import (
     detect_stops,
     gaze_stream,
     runs,
-    stack_tracks,
 )
 from .errors import (
     AxisMismatch,
@@ -65,7 +64,7 @@ from .errors import (
     ValidationError,
     non_negative,
 )
-from .kinematics import DEFAULT_WINDOW, batches, build_track, check_window, map_file
+from .kinematics import DEFAULT_WINDOW, TrackBatch, batches, check_window, map_file
 from .labeling import VisitMatrix, check_panel
 from .layout import StoreLayout
 
@@ -297,31 +296,36 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
 
 
 def _gaze(pairs, layout: StoreLayout, cutoff: float, v_max: float):
-    """Yield a list of _Prepared streams per detector.GAZE_BATCH checked (track, visits) pairs.
-
-    One gaze_stream call per list casts the rays of the samples at most
-    v_max fast, within the distance cutoff: those _flatten keeps.
-    """
+    """Yield a list of _Prepared streams per detector.GAZE_BATCH checked (track, visits) pairs (_gaze_batch)."""
     for batch in batches(pairs, detector.GAZE_BATCH):
-        prepared = []
-        positions, normals, cast, cuts = stack_tracks([track for track, _ in batch], v_max)
-        candidates, lams = gaze_stream(positions, normals, layout, cutoff=cutoff, cast=cast)
-        del positions, normals, cast
-        for (track, visits), cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
-            seen = np.flatnonzero(cand >= 0)
-            vac = np.zeros(len(track), dtype=bool)
-            vac[seen] = visits.values[cand[seen], seen]
-            prepared.append(_Prepared(
-                times=track.times,
-                candidates=cand,
-                lams=lam,
-                speeds=track.speeds,
-                visit_at_candidate=vac,
-                visit_ones=int(np.count_nonzero(visits.values)),
-                store_id=track.store_id,
-            ))
-        yield prepared
+        yield _gaze_batch(TrackBatch.join([track for track, _ in batch]), [visits for _, visits in batch],
+                          layout, cutoff, v_max)
         del batch  # before batches takes the next batch
+
+
+def _gaze_batch(tracks: TrackBatch, visits, layout: StoreLayout, cutoff: float, v_max: float):
+    """The _Prepared streams of a batch of tracks and their visit matrices, one per track.
+
+    One gaze_stream call casts the rays of the samples at most v_max fast,
+    within the distance cutoff: those _flatten keeps. Each track's streams
+    are views of the batch's.
+    """
+    candidates, lams = gaze_stream(tracks.positions, tracks.normals, layout, cutoff=cutoff,
+                                   cast=tracks.speeds <= v_max)
+    vac = np.zeros(len(candidates), dtype=bool)
+    cuts = tracks.bounds.tolist()
+    for lo, hi, v in zip(cuts, cuts[1:], visits):
+        seen = np.flatnonzero(candidates[lo:hi] >= 0)
+        vac[lo + seen] = v.values[candidates[lo + seen], seen]
+    return [_Prepared(
+        times=tracks.times[lo:hi],
+        candidates=candidates[lo:hi],
+        lams=lams[lo:hi],
+        speeds=tracks.speeds[lo:hi],
+        visit_at_candidate=vac[lo:hi],
+        visit_ones=int(np.count_nonzero(v.values)),
+        store_id=store_id,
+    ) for lo, hi, v, store_id in zip(cuts, cuts[1:], visits, tracks.store_ids)]
 
 
 def _runs_of(gazed, axes, fold: bool) -> Runs:
@@ -367,22 +371,25 @@ def _merge(parts) -> Runs:
                 tuple(store_id for part in parts for store_id in part.store_ids), runs, folded)
 
 
-def _prepare_range(trajectories, by_traj, n_reviewers: int, layout: StoreLayout, window: int,
+def _prepare_range(read, by_traj, n_reviewers: int, layout: StoreLayout, window: int,
                    axes, fold: bool) -> list[Runs]:
     """prepare_file's stage: the Runs of the trajectories of one range, in a one-item list.
 
-    Each trajectory is voted and built as it is taken, so the error raised
-    is the first failing trajectory's, and each gaze batch is enumerated
-    once gazed, so the worker never holds the whole range's streams.
+    The range is read and built detector.GAZE_BATCH records at a time, and
+    each track of a batch is voted on its own times, in file order,
+    so the error raised is the first failing trajectory's, and the batch's
+    streams are gazed at once (_gaze_batch) and enumerated once gazed, so
+    the worker never holds the whole range's streams.
     """
-    def pairs():
-        for traj in trajectories:
-            visits = labeling.majority_vote(by_traj.get(traj.trajectory_id, []), traj, layout,
-                                            n_reviewers)
-            yield build_track(traj, window), visits
+    def gazed():
+        for tracks in read(detector.GAZE_BATCH, window):
+            visits = [labeling.majority_vote(by_traj.get(tracks.ids[i], []), tracks.track(i), layout,
+                                             n_reviewers) for i in range(len(tracks))]
+            # the gaze casts within the largest delta_b and v_b
+            yield _gaze_batch(tracks, visits, layout, float(axes[1][-1]), float(axes[2][-1]))
+            del tracks, visits  # before the next batch is read
 
-    # the gaze casts within the largest delta_b and v_b
-    return [_runs_of(_gaze(pairs(), layout, float(axes[1][-1]), float(axes[2][-1])), axes, fold)]
+    return [_runs_of(gazed(), axes, fold)]
 
 
 def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, grid,

@@ -85,7 +85,7 @@ def _load_config(args):
     try:
         with open(path, "rb") as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 JSON, or nested too deep
         _usage_error(f"config {path}: {exc}")
     if not isinstance(cfg, dict):
         _usage_error(f"config {path}: must be a JSON object, got {json.dumps(cfg):.60}")
@@ -359,9 +359,9 @@ def cmd_eval_cross(args):
     return 0
 
 
-def _trajectory_ids(trajectories):
+def _trajectory_ids(read):
     """analyze's map_file stage: the ids of a range's gap-split trajectories, in file order."""
-    return [traj.trajectory_id for traj in trajectories]
+    return [trajectory_id for pieces in read() for trajectory_id in pieces.ids]
 
 
 def cmd_analyze(args):

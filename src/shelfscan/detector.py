@@ -8,20 +8,24 @@ distance stays within delta_b, and the speed stays within v_b, lasting at
 least t_b seconds. The detector emits stop events plus the per-timestamp
 Boolean matrix downstream metrics count on. Two kernels do the work, here
 and in calibration: gaze_stream casts the rays of many samples at once,
-and runs applies the stop rule to one track's streams, the duration
-condition included. gaze_stream pairs each cast ray with the segments
-its cell of a coarse grid can see within the distance cutoff (every
-segment without one) and solves those (ray, segment) pairs in flat
-chunks of a fixed size. Both callers gaze GAZE_BATCH tracks per gaze_stream
-call and cast only the rays of samples slow enough to stop: detection at
-most v_b fast, calibration at most the grid's largest v_b. A sample that
-is not cast reports no candidate, which the speed condition would reject
-anyway.
+and runs applies the stop rule to the streams of many tracks end to end,
+the duration condition included, each track's ends ending its runs.
+gaze_stream pairs each cast ray with the segments its cell of a coarse
+grid can see within the distance cutoff (every segment without one) and
+solves those (ray, segment) pairs in flat chunks of a fixed size. Both
+callers gaze a kinematics.TrackBatch of GAZE_BATCH records' tracks per
+gaze_stream call and cast only the rays of samples slow enough to stop:
+detection at most v_b fast, calibration at most the grid's largest v_b.
+A sample that is not cast reports no candidate, which the speed
+condition would reject anyway.
 
 detect_file, the pass behind the detect command, runs in
-kinematics.map_file's range workers, and they also format detect's two
-artifacts, so a range comes back as its stops.jsonl and stop_matrix.csv
-bytes and the parent process only writes them.
+kinematics.map_file's range workers: each reads GAZE_BATCH records at a
+time, gap-split in one array pass, builds them in another and applies
+the stop rule to the batch in one gaze_stream and one runs call. The
+workers also format detect's two artifacts, so a range comes back as its
+stops.jsonl and stop_matrix.csv bytes and the parent process only writes
+them.
 
 Numeric conventions (shared by the brute-force cross-check in oracle.py):
 - a hit counts only if its ray parameter exceeds EPS_LAMBDA, so an origin
@@ -48,8 +52,8 @@ from .errors import FrameMismatch, ValidationError
 from .kinematics import (
     DEFAULT_WINDOW,
     KinematicTrack,
+    TrackBatch,
     batches,
-    build_track,
     check_window,
     map_file,
     read_records,
@@ -65,7 +69,8 @@ DURATION_TOL = 1e-9
 
 # (ray, segment) pairs per _solve_pairs call; bounds temp memory
 _PAIRS = 4096
-# tracks per gaze_stream call, in detection and calibration; bounds the arrays a call holds
+# records (or in-memory tracks) per gaze_stream call, in detection and calibration; bounds the
+# arrays a call holds
 GAZE_BATCH = 32
 
 
@@ -242,16 +247,21 @@ def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = 
     return candidates, lam_out
 
 
-def runs(times, candidates, lams, speeds, params: StopParams):
-    """The stop rule on one track's streams: maximal runs of consecutive samples
-    with one candidate (-1 is none), lams <= delta_b and speeds <= v_b, lasting t_b.
+def runs(times, candidates, lams, speeds, params: StopParams, bounds=None):
+    """The stop rule on tracks' streams end to end: maximal runs of consecutive samples
+    of one track with one candidate (-1 is none), lams <= delta_b and speeds <= v_b,
+    lasting t_b.
 
-    Returns (starts, ends, shelf0) arrays: each stop's first and last
-    sample (inclusive) and its 0-based shelf.
+    Track i is samples bounds[i]:bounds[i + 1]; None is one track. Returns
+    (starts, ends, shelf0) arrays: each stop's first and last sample
+    (inclusive) and its 0-based shelf, in sample order.
     """
     key = np.where((lams <= params.delta_b) & (speeds <= params.v_b), candidates, -1)
     # the key changes at every run boundary; the -2 pads (no key is -2) add both ends
-    edges = np.flatnonzero(np.diff(key, prepend=-2, append=-2))
+    edge = np.diff(key, prepend=-2, append=-2) != 0
+    if bounds is not None:
+        edge[bounds] = True  # a track's ends end its runs
+    edges = np.flatnonzero(edge)
     starts, ends = edges[:-1], edges[1:] - 1
     keep = (key[starts] >= 0) & (times[ends] - times[starts] + DURATION_TOL >= params.t_b)
     return starts[keep], ends[keep], key[starts[keep]]
@@ -259,22 +269,34 @@ def runs(times, candidates, lams, speeds, params: StopParams):
 
 def check_store(track, layout: StoreLayout):
     """Return the track, or raise FrameMismatch unless it was recorded in the layout's store."""
-    if track.store_id != layout.store_id:
-        raise FrameMismatch(
-            f"track belongs to store {track.store_id!r}, layout to {layout.store_id!r}"
-        )
+    check_stores([track.store_id], layout)
     return track
 
 
-def stack_tracks(tracks, v_max: float):
-    """The tracks' gaze_stream inputs end to end, and the indices that split them back.
+def check_stores(store_ids, layout: StoreLayout) -> None:
+    """Raise FrameMismatch for the first store id that is not the layout's."""
+    for store_id in store_ids:
+        if store_id != layout.store_id:
+            raise FrameMismatch(f"track belongs to store {store_id!r}, layout to {layout.store_id!r}")
 
-    The inputs are positions, normals and the cast mask of the samples at most v_max fast.
+
+def _detect_batch(tracks: TrackBatch, layout: StoreLayout, params: StopParams):
+    """The stops of a batch of tracks: (track, starts, ends, events), one gaze_stream and one runs call.
+
+    Only the samples at most v_b fast are cast: runs rejects every other
+    sample, so no run loses one. track, starts and ends give each event's
+    track and its first and last sample in the batch. Callers check stores.
     """
-    positions = np.concatenate([t.positions for t in tracks])
-    normals = np.concatenate([t.normals for t in tracks])
-    cast = np.concatenate([t.speeds for t in tracks]) <= v_max
-    return positions, normals, cast, np.cumsum([len(t) for t in tracks])[:-1]
+    candidates, lams = gaze_stream(tracks.positions, tracks.normals, layout, cutoff=params.delta_b,
+                                   cast=tracks.speeds <= params.v_b)
+    times, speeds = tracks.times, tracks.speeds
+    starts, ends, shelves = runs(times, candidates, lams, speeds, params, tracks.bounds)
+    track = np.searchsorted(tracks.bounds, starts, side="right") - 1
+    events = [StopEvent(tracks.ids[i], shelf0 + 1, t_s=float(times[s]), t_f=float(times[e]),
+                        duration=float(times[e] - times[s]), min_lambda=float(lams[s:e + 1].min()),
+                        mean_speed=float(speeds[s:e + 1].mean()))
+              for i, s, e, shelf0 in zip(track.tolist(), starts.tolist(), ends.tolist(), shelves.tolist())]
+    return track, starts, ends, events
 
 
 def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams):
@@ -284,34 +306,11 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
     (n_shelves, n_samples) Boolean StopMatrix marking every sample of
     every qualifying run.
     """
-    [(_, events, spans)] = _detect_batches([check_store(track, layout)], layout, params)
+    _, starts, ends, events = _detect_batch(TrackBatch.join([check_store(track, layout)]), layout, params)
     values = np.zeros((layout.n_shelves, len(track)), dtype=bool)
-    for (s, e, shelf0) in spans:
-        values[shelf0, s:e + 1] = True
+    for s, e, ev in zip(starts.tolist(), ends.tolist(), events):
+        values[ev.shelf_id - 1, s:e + 1] = True
     return events, StopMatrix(trajectory_id=track.trajectory_id, times=track.times, values=values)
-
-
-def _detect_batches(tracks, layout: StoreLayout, params: StopParams):
-    """Yield (track, events, spans) per track, one gaze_stream call per GAZE_BATCH tracks taken.
-
-    Only the samples at most v_b fast are cast: runs rejects every other
-    sample, so no run loses one. spans lists each event's first and last
-    sample and 0-based shelf. Callers check stores.
-    """
-    for batch in batches(tracks, GAZE_BATCH):
-        positions, normals, cast, cuts = stack_tracks(batch, params.v_b)
-        candidates, lams = gaze_stream(positions, normals, layout, cutoff=params.delta_b, cast=cast)
-        del positions, normals, cast
-        for track, cand, lam in zip(batch, np.split(candidates, cuts), np.split(lams, cuts)):
-            times = track.times
-            starts, ends, shelves = runs(times, cand, lam, track.speeds, params)
-            spans = list(zip(starts.tolist(), ends.tolist(), shelves.tolist()))
-            yield track, [StopEvent(track.trajectory_id, shelf0 + 1, t_s=float(times[s]),
-                                    t_f=float(times[e]), duration=float(times[e] - times[s]),
-                                    min_lambda=float(lam[s:e + 1].min()),
-                                    mean_speed=float(track.speeds[s:e + 1].mean()))
-                          for s, e, shelf0 in spans], spans
-        del batch, track, cand, lam, candidates, lams  # hold nothing of it as batches takes the next
 
 
 def write_stop_events(events, path) -> None:
@@ -329,13 +328,20 @@ def read_stop_events(path) -> list[StopEvent]:
 
 
 def detect_many(tracks, layout: StoreLayout, params: StopParams):
-    """Detect stops on many tracks, one gaze_stream call per GAZE_BATCH tracks.
+    """Detect stops on many tracks, one _detect_batch call per GAZE_BATCH tracks.
 
     Returns one event list per input track, in input order. Every track is
     store-checked before any is detected.
     """
     tracks = [check_store(track, layout) for track in tracks]
-    return [events for _, events, _ in _detect_batches(tracks, layout, params)]
+    found = []
+    for batch in batches(tracks, GAZE_BATCH):
+        per_track = [[] for _ in batch]
+        which, _, _, events = _detect_batch(TrackBatch.join(batch), layout, params)
+        for i, ev in zip(which.tolist(), events):
+            per_track[i].append(ev)
+        found += per_track
+    return found
 
 
 # stop_matrix.csv's header, as csv.writer writes it; detect_file's rows follow it
@@ -349,28 +355,31 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]  # less the empty last field's delimiter and the line end
 
 
-def _detect_range(trajectories, layout: StoreLayout, params: StopParams, window: int):
+def _detect_range(read, layout: StoreLayout, params: StopParams, window: int):
     """detect_file's stage: [(n_tracks, n_events, stops, rows)] for one range.
 
     stops holds the range's stops.jsonl lines (record_line of each event)
     and rows its stop_matrix.csv rows, one per stopped sample, each the
     bytes csv.writer writes for [trajectory_id, shelf_id, k, repr(t), 1];
-    both are UTF-8, so only bytes cross the pipe. Each trajectory is built
-    and store-checked as _detect_batches takes it, so the error raised is
-    the one of the first trajectory that fails.
+    both are UTF-8, so only bytes cross the pipe. The range is read and
+    built GAZE_BATCH records at a time, and each batch is store-checked and
+    detected whole (_detect_batch), so the error raised is the one of the
+    first trajectory that fails.
     """
-    tracks = (check_store(build_track(traj, window), layout) for traj in trajectories)
     n_tracks, lines, rows = 0, [], []
-    for track, events, spans in _detect_batches(tracks, layout, params):
-        n_tracks += 1
-        if not events:
-            continue
-        field = _csv_field(track.trajectory_id)
-        for ev, (s, e, _) in zip(events, spans):
+    for tracks in read(GAZE_BATCH, window):
+        check_stores(tracks.store_ids, layout)
+        n_tracks += len(tracks)
+        which, starts, ends, events = _detect_batch(tracks, layout, params)
+        bounds, track = tracks.bounds.tolist(), None
+        for i, s, e, ev in zip(which.tolist(), starts.tolist(), ends.tolist(), events):
+            if i != track:  # a track's events are consecutive
+                track, field = i, _csv_field(ev.trajectory_id)
             lines.append(record_line(ev))
             head = f"{field},{ev.shelf_id},"
             rows += [f"{head}{k},{t!r},1\r\n"
-                     for k, t in enumerate(track.times[s:e + 1].tolist(), start=s)]
+                     for k, t in enumerate(tracks.times[s:e + 1].tolist(), start=s - bounds[i])]
+        del tracks  # hold no batch as the next is read
     return [(n_tracks, len(lines), "".join(lines).encode(), "".join(rows).encode())]
 
 

@@ -26,7 +26,7 @@ DT = 0.1  # tracking time step, seconds
 DT_TOL = 1e-6
 GAP_FACTOR = 1.5  # gaps longer than GAP_FACTOR * DT split a record
 DEFAULT_WINDOW = 5
-_COUNT_BLOCK = 1 << 20  # bytes read at a time while counting the lines before a range
+_BLOCK = 1 << 20  # bytes a reader's buffer holds: a record line is about 65 kB
 
 
 def wrap_angle(theta):
@@ -69,17 +69,18 @@ class Trajectory:
         if outside.size:
             raise ValidationError(f"theta {outside[0]} outside (-pi, pi]",
                                   element=self.trajectory_id)
-        steps = np.diff(self.times)
-        uneven = np.flatnonzero(np.abs(steps - DT) > DT_TOL)
+        uneven = np.flatnonzero(np.abs(np.diff(self.times) - DT) > DT_TOL)
         if uneven.size:
-            k = uneven[0]
-            raise ValidationError(
-                f"non-uniform time step {steps[k]:.6f}s at t={self.times[k + 1]}",
-                element=self.trajectory_id,
-            )
+            raise _uneven_step(self.times, uneven[0], self.trajectory_id)
 
     def __len__(self):
         return len(self.times)
+
+
+def _uneven_step(times, k, trajectory_id: str) -> ValidationError:
+    """The error of a trajectory whose step from times[k] to times[k + 1] strays more than DT_TOL from DT."""
+    return ValidationError(f"non-uniform time step {times[k + 1] - times[k]:.6f}s at t={times[k + 1]}",
+                           element=trajectory_id)
 
 
 @dataclass(frozen=True)
@@ -126,47 +127,210 @@ def low_pass_positions(positions: np.ndarray, window: int = DEFAULT_WINDOW) -> n
     check_window(window)
     if window > n:
         raise InvalidWindow(f"window {window} exceeds sample count {n}")
+    return _smooth(positions, np.array([0, n]), window)
+
+
+def _smooth(positions, bounds, window: int) -> np.ndarray:
+    """low_pass_positions of each piece bounds[i]:bounds[i + 1], over fit_window(window, its length).
+
+    Each piece has its own prefix sums, so every value rounds as it would
+    in the piece alone. A sample whose window lies inside its piece takes
+    one slice difference over the whole array; the rest (each piece's
+    clipped ends, and every sample of a piece narrower than `window`) are
+    indexed.
+    """
     if window == 1:
         return positions.copy()
-    half = window // 2
-    cum = np.zeros((n + 1, 2))
-    np.cumsum(positions, axis=0, out=cum[1:])
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half + 1, n)
-    return (cum[hi] - cum[lo]) / (hi - lo)[:, None]
+    n, half = len(positions), window // 2
+    cum = np.empty((n, 2))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        np.cumsum(positions[lo:hi], axis=0, out=cum[lo:hi])
+    out = np.empty((n, 2))
+    if n >= window:
+        out[half + 1:n - half] = (cum[window:] - cum[:n - window]) / window
+    first, size = bounds[:-1], np.diff(bounds)
+    fit = np.minimum(window, size)
+    fit = np.maximum(fit - (fit % 2 == 0), 1)  # fit_window of each piece
+    full = fit == window
+    # the samples the slice got wrong: a piece's first half + 1 and last half, or all of a narrowed one
+    head, tail = np.where(full, half + 1, size), np.where(full, half, 0)
+    piece = np.repeat(np.tile(np.arange(len(size)), 2), np.concatenate([head, tail]))
+    at = _ranges(np.concatenate([first, first + size - tail]), np.concatenate([head, tail]))
+    base, reach, length = first[piece], fit[piece] // 2, size[piece]
+    lo = np.maximum(at - base - reach, 0)
+    hi = np.minimum(at - base + reach + 1, length)
+    # cum at base + hi - 1 less cum at base + lo - 1, the empty prefix being 0
+    below = np.where((lo > 0)[:, None], cum[base + np.maximum(lo - 1, 0)], 0.0)
+    out[at] = (cum[base + hi - 1] - below) / (hi - lo)[:, None]
+    return out
 
 
-def _speeds(positions: np.ndarray, times: np.ndarray) -> np.ndarray:
-    # central differences inside, one-sided at the two ends
+def _ranges(starts, lengths) -> np.ndarray:
+    """The integers of every [starts[i], starts[i] + lengths[i]), range after range."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _speeds(positions: np.ndarray, times: np.ndarray, bounds) -> np.ndarray:
+    """Each piece's speeds: central differences inside, one-sided at its two ends."""
     v = np.empty(len(positions))
-    v[1:-1] = np.hypot(
-        positions[2:, 0] - positions[:-2, 0], positions[2:, 1] - positions[:-2, 1]
-    ) / (times[2:] - times[:-2])
-    v[0] = math.hypot(*(positions[1] - positions[0])) / (times[1] - times[0])
-    v[-1] = math.hypot(*(positions[-1] - positions[-2])) / (times[-1] - times[-2])
+    with np.errstate(divide="ignore", invalid="ignore"):  # across two pieces: a value set below
+        v[1:-1] = np.hypot(
+            positions[2:, 0] - positions[:-2, 0], positions[2:, 1] - positions[:-2, 1]
+        ) / (times[2:] - times[:-2])
+    first, last = bounds[:-1], bounds[1:] - 1
+    for at, lo, hi in ((first, first, first + 1), (last, last - 1, last)):
+        moved = positions[hi] - positions[lo]
+        # math.hypot, not np.hypot: the two round some pairs differently
+        v[at] = np.array([math.hypot(dx, dy) for dx, dy in moved.tolist()]) / (times[hi] - times[lo])
     return v
 
 
+@dataclass(frozen=True, eq=False)
+class Pieces:
+    """Gap-split trajectories of consecutive records end to end, as split_records returns them.
+
+    Piece i is rows bounds[i]:bounds[i + 1] of times, positions (raw) and
+    thetas (in (-pi, pi]); ids, store_ids and lines (its record's line in
+    the file, 0 outside one) hold one entry per piece.
+    """
+
+    ids: list
+    store_ids: list
+    lines: list
+    bounds: np.ndarray       # (k + 1,) int
+    times: np.ndarray        # (n,) seconds
+    positions: np.ndarray    # (n, 2) raw, meters
+    thetas: np.ndarray       # (n,) radians
+
+    def trajectories(self) -> list[Trajectory]:
+        """Each piece as a Trajectory."""
+        return [Trajectory(self.ids[i], self.store_ids[i], *(a[lo:hi] for a in (
+                    self.times, self.positions, self.thetas)))
+                for i, (lo, hi) in enumerate(zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist()))]
+
+
+@dataclass(frozen=True, eq=False)
+class TrackBatch:
+    """Kinematic streams of consecutive tracks end to end, which the detector and calibration gaze at once.
+
+    Track i is samples bounds[i]:bounds[i + 1]; ids and store_ids hold
+    one entry per track.
+    """
+
+    ids: list
+    store_ids: list
+    bounds: np.ndarray       # (k + 1,) int
+    times: np.ndarray        # (n,) seconds
+    positions: np.ndarray    # (n, 2) smoothed, meters
+    normals: np.ndarray      # (n, 2) unit heading vectors
+    speeds: np.ndarray       # (n,) m/s
+
+    def __len__(self):
+        return len(self.ids)
+
+    def track(self, i: int) -> KinematicTrack:
+        """Track i, its arrays views of the batch's."""
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return KinematicTrack(self.ids[i], self.store_ids[i], self.times[lo:hi],
+                              self.positions[lo:hi], self.normals[lo:hi], self.speeds[lo:hi])
+
+    @classmethod
+    def join(cls, tracks) -> "TrackBatch":
+        """A non-empty list of KinematicTracks end to end."""
+        return cls([t.trajectory_id for t in tracks], [t.store_id for t in tracks],
+                   np.concatenate([[0], np.cumsum([len(t) for t in tracks])]),
+                   *(np.concatenate([getattr(t, name) for t in tracks])
+                     for name in ("times", "positions", "normals", "speeds")))
+
+
+def build_tracks(pieces: Pieces, window: int = DEFAULT_WINDOW) -> TrackBatch:
+    """The kinematic streams of every piece, each stream derived in one pass over all of them.
+
+    A piece shorter than `window` is smoothed over fit_window(window, its
+    length) samples, as build_track smooths a trajectory; an even or
+    non-positive window raises InvalidWindow.
+    """
+    positions = _smooth(pieces.positions, pieces.bounds, check_window(window))
+    return TrackBatch(pieces.ids, pieces.store_ids, pieces.bounds, pieces.times, positions,
+                      np.column_stack([np.cos(pieces.thetas), np.sin(pieces.thetas)]),
+                      _speeds(positions, pieces.times, pieces.bounds))
+
+
 def build_track(traj: Trajectory, window: int = DEFAULT_WINDOW) -> KinematicTrack:
-    """Derive the kinematic streams used by the stop detector.
+    """Derive the kinematic streams used by the stop detector: build_tracks of one piece.
 
     A trajectory shorter than `window` is smoothed over fit_window(window,
     len(traj)) samples, so every trajectory a reader returns can be built;
     an even or non-positive window raises InvalidWindow.
     """
-    positions = low_pass_positions(traj.positions, fit_window(check_window(window), len(traj)))
-    return KinematicTrack(
-        trajectory_id=traj.trajectory_id,
-        store_id=traj.store_id,
-        times=traj.times,
-        positions=positions,
-        normals=np.column_stack([np.cos(traj.thetas), np.sin(traj.thetas)]),
-        speeds=_speeds(positions, traj.times),
-    )
+    piece = Pieces([traj.trajectory_id], [traj.store_id], [0], np.array([0, len(traj)]),
+                   traj.times, traj.positions, traj.thetas)
+    return build_tracks(piece, window).track(0)
+
+
+def split_records(records):
+    """Gap-split records, each (trajectory_id, store_id, (n, 4) [t, x, y, theta] rows, line), at once.
+
+    Returns (pieces, error). Rows holding a non-finite value are dropped
+    first, so they split a record like a dropout, and a record whose rows
+    are out of order is sorted stably on t. Any time gap exceeding
+    GAP_FACTOR * DT starts a new piece; the pieces of a record that split
+    get a "~<i>" id suffix, i counting every piece, and pieces shorter than
+    3 samples are dropped. A piece with a time step more than DT_TOL from DT
+    fails as Trajectory would fail it: error is (line, ValidationError) of
+    the first such record, and pieces holds only the records before it.
+    Otherwise error is None.
+    """
+    rows = np.concatenate([np.empty((0, 4)), *(rec[2] for rec in records)])
+    record = np.repeat(np.arange(len(records)), [len(rec[2]) for rec in records])
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).all(axis=1)
+        rows, record = rows[finite], record[finite]
+    same = record[1:] == record[:-1]
+    times = rows[:, 0].copy()
+    down = np.flatnonzero(times[1:] < times[:-1])
+    down = down[same[down]]
+    if down.size:
+        for r in np.unique(record[down]).tolist():
+            lo, hi = np.searchsorted(record, [r, r + 1])
+            rows[lo:hi] = rows[lo:hi][np.argsort(rows[lo:hi, 0], kind="stable")]
+        times = rows[:, 0].copy()
+    steps = np.diff(times)
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = ~same | (steps > GAP_FACTOR * DT)
+    first = np.flatnonzero(start)
+    size = np.diff(first, append=len(rows))
+    owner = record[first]
+    index = np.arange(len(first)) - np.searchsorted(owner, owner)  # among its record's pieces
+    split = np.bincount(owner, minlength=len(records)) > 1
+    kept = size >= 3
+
+    def name(p):
+        trajectory_id = records[owner[p]][0]
+        return f"{trajectory_id}~{index[p]}" if split[owner[p]] else trajectory_id
+
+    error = None
+    uneven = np.flatnonzero(np.abs(steps - DT) > DT_TOL)
+    uneven = uneven[~start[1:][uneven]]  # steps inside a piece
+    piece = np.searchsorted(first, uneven, side="right") - 1
+    uneven, piece = uneven[kept[piece]], piece[kept[piece]]
+    if uneven.size:
+        p = piece[0]
+        error = records[owner[p]][3], _uneven_step(times, uneven[0], name(p))
+        kept &= owner < owner[p]
+    if not kept.all():
+        rows, times = rows[np.repeat(kept, size)], times[np.repeat(kept, size)]
+    owners = owner[kept].tolist()
+    pieces = Pieces([name(p) for p in np.flatnonzero(kept).tolist()],
+                    [records[r][1] for r in owners], [records[r][3] for r in owners],
+                    np.concatenate([[0], np.cumsum(size[kept])]), times, rows[:, 1:3],
+                    wrap_angle(rows[:, 3]))
+    return pieces, error
 
 
 def split_on_gaps(trajectory_id: str, store_id: str, rows) -> list[Trajectory]:
-    """Split a record's [t, x, y, theta] rows at tracking dropouts.
+    """Split a record's [t, x, y, theta] rows at tracking dropouts: split_records of one record.
 
     Rows holding a non-finite value are dropped first, so they split the
     record like a dropout. Rows are then sorted on t, and any time gap
@@ -175,23 +339,17 @@ def split_on_gaps(trajectory_id: str, store_id: str, rows) -> list[Trajectory]:
     than 3 samples are dropped.
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
-    rows = rows[np.isfinite(rows).all(axis=1)]
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    pieces = np.split(rows, np.flatnonzero(np.diff(rows[:, 0]) > GAP_FACTOR * DT) + 1)
-    multiple = len(pieces) > 1
-    return [
-        Trajectory(f"{trajectory_id}~{i}" if multiple else trajectory_id, store_id,
-                   piece[:, 0], piece[:, 1:3], wrap_angle(piece[:, 3]))
-        for i, piece in enumerate(pieces)
-        if len(piece) >= 3
-    ]
+    pieces, error = split_records([(trajectory_id, store_id, rows, 0)])
+    if error:
+        raise error[1]
+    return pieces.trajectories()
 
 
 def _sample_rows(samples, where: str, strict: bool) -> np.ndarray:
     """A record's samples as an (n, 4) float array; each must be a list of four JSON numbers.
 
     np.array would read true as 1 next to floats, so `strict` (set when the
-    line holds a JSON boolean) checks every value by type.
+    line may hold a JSON boolean) has _checked_rows check every value by type.
     """
     if not isinstance(samples, list):
         raise ParseError(f"{where}: samples must be a list, got {type(samples).__name__}")
@@ -201,11 +359,16 @@ def _sample_rows(samples, where: str, strict: bool) -> np.ndarray:
     except ValueError:  # ragged rows
         fast = False
     if not fast:
-        for k, row in enumerate(samples):
-            if type(row) is not list or len(row) != 4 or any(type(v) not in (int, float) for v in row):
-                raise ParseError(f"{where}: sample {k} is not a list of four numbers: {row!r:.80}")
-        rows = np.array(samples, dtype=float).reshape(-1, 4)
+        rows = _checked_rows(samples, where)
     return rows.astype(float, copy=False)
+
+
+def _checked_rows(samples: list, where: str) -> np.ndarray:
+    """_sample_rows' per-value path: each sample checked to be a list of four JSON numbers."""
+    for k, row in enumerate(samples):
+        if type(row) is not list or len(row) != 4 or any(type(v) not in (int, float) for v in row):
+            raise ParseError(f"{where}: sample {k} is not a list of four numbers: {row!r:.80}")
+    return np.array(samples, dtype=float).reshape(-1, 4)
 
 
 def read_lines(path, start: int = 0, stop: int | None = None):
@@ -216,10 +379,10 @@ def read_lines(path, start: int = 0, stop: int | None = None):
     before start are read to count their newlines. Lines are bytes, stripped
     of surrounding whitespace.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_BLOCK) as fh:
         lineno = 0
         while fh.tell() < start:
-            block = fh.read(min(start - fh.tell(), _COUNT_BLOCK))
+            block = fh.read(min(start - fh.tell(), _BLOCK))
             if not block:
                 break
             lineno += block.count(b"\n")
@@ -293,7 +456,7 @@ def parse_record(line: bytes, where: str):
     orjson decodes every line on which it gives json's outcome
     (_orjson_record); json decodes the rest, each malformed record among them.
     """
-    strict = b"true" in line or b"false" in line
+    strict = _may_hold_literal(line)
     record = _orjson_record(line, where, strict)
     if record is not None:
         return record
@@ -305,6 +468,25 @@ def parse_record(line: bytes, where: str):
             RecursionError) as exc:
         raise ParseError(f"{where}: bad trajectory record: {exc!r}") from exc
     return trajectory_id, store_id, rows
+
+
+# the bytes that may follow a JSON literal: a delimiter or whitespace
+_AFTER_LITERAL = np.zeros(256, dtype=bool)
+_AFTER_LITERAL[list(b",]} \t\r\n")] = True
+
+
+def _may_hold_literal(line: bytes) -> bool:
+    """Whether a line may hold a JSON true or false: an 'e' before a delimiter, whitespace or the end.
+
+    Both literals end in 'e' and no JSON number does, so a line without
+    such an 'e' holds neither; an id that merely contains an 'e' is not
+    one. A string holding "e," or "e " is flagged too, which costs only
+    the per-value check.
+    """
+    a = np.frombuffer(line, np.uint8)
+    if not len(a):
+        return False
+    return bool(a[-1] == 0x65) or bool(_AFTER_LITERAL[a[np.flatnonzero(a[:-1] == 0x65) + 1]].any())
 
 
 # orjson is given a line only if the line cannot nest deeper than this: orjson 3.8 recurses
@@ -538,42 +720,70 @@ def _byte_ranges(path, jobs: int):
     return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
 
 
+# records per batch a stage reads when it names no size
+_READ_BATCH = 32
+
+
 def _read_range(path, start: int, stop: int, stage, stage_args):
-    """Run a stage on the trajectories read and gap-split from one byte range, as it takes them."""
+    """Run a stage on the records of one byte range, read a batch at a time as it takes them.
+
+    The stage is called as stage(read, *stage_args), and read(size, window)
+    yields the range's records `size` at a time (_READ_BATCH by default),
+    parsed and gap-split by split_records into one Pieces batch each, in
+    file order, or with a window the TrackBatch that build_tracks makes of
+    each, the Pieces dropped. A read error ends the reading: the records
+    before it register their ids, and its own record its trajectory_id.
+    Past a stage error, the range is read on for read errors.
+    """
+    lines = read_lines(path, start, stop)
     ids, known, errors = [], [], []
 
-    def trajectories():
-        for lineno, line in read_lines(path, start, stop):
-            try:
-                trajectory_id, store_id, rows = parse_record(line, f"{path}:{lineno}")
-                ids.append((trajectory_id, lineno))
-                pieces = split_on_gaps(trajectory_id, store_id, rows)
-            except ShelfScanError as exc:
-                errors.append((lineno, exc))
+    def read(size=_READ_BATCH, window=None):
+        while not errors:
+            records = []
+            for lineno, line in islice(lines, size):  # each line is dropped once parsed
+                try:
+                    records.append((*parse_record(line, f"{path}:{lineno}"), lineno))
+                except ShelfScanError as exc:
+                    errors.append((lineno, exc))
+                    break
+            if not records and not errors:
                 return
-            known.extend((traj.trajectory_id, lineno) for traj in pieces)
-            yield from pieces
+            pieces, error = split_records(records)
+            if error:  # on a line before any that failed to parse
+                errors[:] = [error]
+                records = [rec for rec in records if rec[3] <= error[0]]
+            ids.extend((rec[0], rec[3]) for rec in records)
+            known.extend(zip(pieces.ids, pieces.lines))
+            del records
+            if errors:
+                return
+            batch = pieces if window is None else build_tracks(pieces, window)
+            del pieces
+            yield batch
+            del batch  # before the next batch is parsed
 
-    reader = trajectories()
     try:
-        output, late = stage(reader, *stage_args), None
+        output, late = stage(read, *stage_args), None
     except ShelfScanError as exc:
         output, late = None, exc
-    for _ in reader:  # after a stage error, read on for read errors
+    for _ in read():  # after a stage error, read on for read errors
         pass
     return _RangeResult(output, ids, known, errors[0] if errors else None, late)
 
 
 def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> list:
-    """Run `stage(trajectories, *stage_args)` on each byte range of a JSONL trajectory file.
+    """Run `stage(read, *stage_args)` on each byte range of a JSONL trajectory file.
 
     The file is cut into up to `jobs` ranges at newlines (_byte_ranges),
     each read by a child that fork_map forks for it, or in process if
     there is one. A range's stage output comes back pickled, so a stage
     returns picklable items; the stage itself is inherited, not pickled.
-    `trajectories` yields a range's gap-split trajectories in file order
-    as the stage takes them, and the stage returns a list. Returns the
-    lists joined in file order.
+    read(size, window) yields a range's records in file order, `size` at a
+    time, each batch parsed and gap-split into one Pieces (split_records)
+    as the stage takes it, or, given a window, built into one TrackBatch
+    (build_tracks). The stage returns a list. Returns the lists joined in
+    file order.
 
     Callers check the stage's arguments first, so every error raised here
     comes from the file, and none depends on `jobs`. It is the read error
@@ -615,7 +825,12 @@ def read_trajectories(path) -> list[Trajectory]:
     record used, raises ParseError. Records are gap-split (non-finite rows
     count as dropouts); sub-minimum fragments are silently discarded.
     """
-    return map_file(path, list, (), jobs=1)
+    return map_file(path, _trajectories, (), jobs=1)
+
+
+def _trajectories(read) -> list[Trajectory]:
+    """read_trajectories' map_file stage: every gap-split trajectory of a range, in file order."""
+    return [traj for pieces in read() for traj in pieces.trajectories()]
 
 
 # JSONL bytes per sample of a trajectory_record line, about: 71.6 to 72.1 on noisy synthetic stores

@@ -69,6 +69,8 @@ def check_panel(n_reviewers: int) -> None:
 def majority_vote(labels, traj: Trajectory, layout: StoreLayout, n_reviewers: int) -> VisitMatrix:
     """Fuse reviewer intervals into the per-timestamp visit matrix.
 
+    Only traj's trajectory_id and times are read, so a KinematicTrack, such
+    as one piece of a kinematics.TrackBatch, is voted on the same way.
     `n_reviewers` is the panel size, which may exceed the number of
     reviewers that actually cast labels.
     """
@@ -152,7 +154,8 @@ def read_label_manifest(path) -> tuple[int, list[str]]:
             doc = json.load(fh)
         roster = [str(r) for r in doc.get("reviewers", [])]
         n = json_int(doc, "n_reviewers")
-    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:  # RecursionError: nested deeper than json decodes
         raise ParseError(f"cannot parse label manifest {path}: {exc!r}") from exc
     return n, roster
 

@@ -173,7 +173,7 @@ def load_layout(path) -> StoreLayout:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"cannot parse layout file {path}: {exc}") from exc
     return layout_from_dict(doc)
 

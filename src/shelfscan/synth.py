@@ -440,7 +440,7 @@ def read_scenario(path) -> ScenarioSpec:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"cannot parse scenario file {path}: {exc}") from exc
     return scenario_from_dict(doc)
 
@@ -467,6 +467,6 @@ def read_ground_truth(path) -> GroundTruth:
             str(tid): tuple((int(s), float(t0), float(t1)) for s, t0, t1 in eps)
             for tid, eps in doc.items()
         }
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot parse ground truth file {path}: {exc!r}") from exc
     return GroundTruth(episodes=episodes)

@@ -1131,6 +1131,40 @@ def test_a_line_nested_too_deep_exits_1_naming_its_line(synth_dir, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["layout", "manifest", "spec"])
+def test_a_side_file_nested_too_deep_exits_1_with_a_parse_error(synth_dir, tmp_path, capsys, where):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_LINE)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes((synth_dir / "labels.jsonl").read_bytes())
+    manifest = tmp_path / "labels.manifest.json"
+    manifest.write_text(DEEP_LINE if where == "manifest" else '{"n_reviewers": 1, "reviewers": ["auto"]}')
+    layout = deep if where == "layout" else synth_dir / "layout.json"
+    argv = {
+        "layout": ["detect", "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55"],
+        "manifest": ["calibrate", f"--labels={labels}", *SMALL_GRID],
+        "spec": ["synth", "--spec", str(deep)],
+    }[where]
+    if where != "spec":
+        argv += [f"--layout={layout}", f"--trajectories={synth_dir / 'trajectories.jsonl'}"]
+    code = run([*argv, "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 1 and record["error"] == "ParseError"
+    assert "recursion" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_nested_too_deep_is_a_usage_error(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(DEEP_LINE)
+    out = tmp_path / "out"
+    assert run(["detect", "--config", str(cfg), "--layout", str(synth_dir / "layout.json"),
+                "--trajectories", str(synth_dir / "trajectories.jsonl"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config {cfg}: maximum recursion depth")
+    assert not out.exists()
+
+
 def _artifacts(out):
     """Every file in out, with the generated_at line of JSON reports left out; none if out is missing."""
     return {path.name: [line for line in path.read_text().splitlines() if '"generated_at"' not in line]

@@ -7,6 +7,7 @@ the same ParseError text.
 
 import json
 import math
+import uuid
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shelfscan import cli
+from shelfscan import cli, kinematics
 from shelfscan.errors import ParseError
 from shelfscan.kinematics import _sample_rows, fork_map, parse_record, read_lines, read_trajectories
 
@@ -74,7 +75,9 @@ NUMBER = st.one_of(
     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-0", "-0.0",
                      "4.9e-324", "2.4703282292062327e-324", "1.7976931348623157e308", "1E5"]),
 )
-VALUE = st.one_of(NUMBER, NUMBER, NUMBER,
+# a literal, perhaps with whitespace before its delimiter
+LITERAL = st.tuples(st.sampled_from(["true", "false"]), st.sampled_from(["", " ", "\t", "\r", "\n"])).map("".join)
+VALUE = st.one_of(NUMBER, NUMBER, NUMBER, LITERAL,
                   st.sampled_from(["true", "false", "null", '"1.0"', "[1.0]", "{}"]))
 PLAIN_STRING = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 STRING = st.one_of(
@@ -82,8 +85,10 @@ STRING = st.one_of(
     PLAIN_STRING.map(lambda s: json.dumps(s, ensure_ascii=False)),
     st.sampled_from(['"\\ud800"', '"x\\udfff"', '"\\ud83d\\ude00"', '"\\u00e9\\n"', '"[{]}"']),
 )
-ID = st.one_of(STRING, STRING, NUMBER, st.sampled_from(["123456789012345678901234567890", "null",
-                                                        "[]", "true"]))
+UUID = st.uuids().map(lambda u: json.dumps(str(u)))
+ID = st.one_of(STRING, STRING, NUMBER, UUID,
+               st.sampled_from(["123456789012345678901234567890", "null", "[]", "true", '"true"', '"false"',
+                                '"e"', '"e,"']))
 
 
 @st.composite
@@ -94,7 +99,7 @@ def lines(draw):
            else st.lists(PLAIN_NUMBER, min_size=4, max_size=4))
     rows = draw(st.lists(row, max_size=5))
     samples = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
-    ids = ID if odd else PLAIN_STRING.map(json.dumps)
+    ids = ID if odd else st.one_of(PLAIN_STRING.map(json.dumps), UUID)
     pairs = [("trajectory_id", draw(ids)), ("store_id", draw(ids)), ("samples", samples)]
     if draw(st.booleans()):
         pairs.insert(draw(st.integers(0, 3)), draw(st.sampled_from(pairs)))  # a duplicate key
@@ -136,6 +141,20 @@ def test_orjson_and_json_give_the_same_outcome(line):
     record_line([["0.1", "123456789012345678901234567890", "2.0"]]),  # ragged, and its repr shows the integer
     record_line([["0.1", "1" + "0" * 400, "2.0", "0.5"]]),
     record_line([["0.1", "true", "2.0", "0.5"]]),
+    record_line([["true", "1.0", "2.0", "0.5"]]),  # a literal at a row's start
+    record_line([["0.1", "1.0", "2.0", "false"]]),  # and at its end
+    record_line([["0.1", "1.0", "2.0", "0.5"], ["false", "1.0", "2.0", "true"]]),
+    record_line([["0.1", "true\t", "2.0", "0.5"]]),  # whitespace before the delimiter
+    record_line([["0.1", "1.0", "2.0", "false\r"]]),
+    record_line([["0.1", "1.0", "2.0", "true\n"]]),
+    record_line([["0.1", "1.0", "false\r\n\t ", "0.5"]]),
+    record_line([["0.1", "1.0", "2.0", "0.5"]], trajectory_id='"true"', store_id='"false"'),
+    record_line([["0.1", "1.0", "2.0", "0.5"]], trajectory_id='"3fa85f64-5717-4562-b3fc-2c963f66afa6"'),
+    record_line([["0.1", "1.0", "2.0", "0.5"]], trajectory_id='"123e4567-e89b-12d3-a456-4266141740ee"'),
+    record_line([["0.1", "1.0", "2.0", "0.5"]], trajectory_id='"a e, b"'),  # a string flagged as may-hold
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [[0, 1, 2, 3]]} true',
+    b"true",
+    b"false ",
     record_line([["0.1", "1.0", "2.0", "0.5"]], trajectory_id="123456789012345678901234567890"),
     record_line([["0.1", "1.0", "2.0", "0.5"]], store_id="-123456789012345678901234567890"),
     record_line([["0.1", "1.0", "2.0", "0.5"]], trajectory_id="12", store_id="0.1"),
@@ -202,6 +221,26 @@ def test_a_clean_synth_store_is_decoded_by_orjson_alone(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "loads", no_json_loads)
     assert [outcome(parse_record, line) for line in lines] == want
     assert len(read_trajectories(store / "trajectories.jsonl")) == len(lines) == 12
+
+
+def test_a_store_of_uuid_ids_never_checks_values_one_by_one(tmp_path, monkeypatch):
+    """The boolean pre-check flags no UUID id, though hex ids hold an 'e' (one ends in it)."""
+    store = tmp_path / "store"
+    assert cli.main(["synth", "--population", "12", "--shelves", "9", "--noise", "0.05",
+                     "--seed", "4", "--out", str(store)]) == 0
+    ids = ["3fa85f64-5717-4562-b3fc-2c963f66afee", "123e4567-e89b-12d3-a456-426614174000"]
+    ids += [str(uuid.UUID(int=int(k) << 64 | 0xE0E)) for k in range(10)]
+    path = tmp_path / "uuid.jsonl"
+    with open(path, "w") as fh:
+        for trajectory_id, (_, line) in zip(ids, read_lines(store / "trajectories.jsonl")):
+            rec = json.loads(line)
+            fh.write(json.dumps({**rec, "trajectory_id": trajectory_id, "store_id": trajectory_id}) + "\n")
+
+    def per_value(samples, where):
+        raise AssertionError(f"{where}: values checked one by one")
+
+    monkeypatch.setattr(kinematics, "_checked_rows", per_value)
+    assert [traj.trajectory_id for traj in read_trajectories(path)] == ids
 
 
 @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
