@@ -8,14 +8,15 @@ pooled F1.
 The expensive part of evaluating a grid point is the geometry, and the
 geometry does not depend on the thresholds. Each trajectory is therefore
 reduced once to its per-sample candidate/distance/speed streams, in gaze
-batches of detector.GAZE_BATCH trajectories. Only the rays of samples at
-most the grid's largest v_b fast are cast, so the default grid, whose
-largest v_b is 1.5 m/s, saves nothing by it. The sweep then makes one
-vectorized pass over each batch per delta_b value, which finds each run
-once, with the region of (delta_b, v_b) it exists over, and the three
-axes are filled from those runs by cumulative sums. A sweep costs
-O(n log n) per delta_b for n samples, whatever the sizes of the t_b and
-v_b axes.
+batches of kinematics.GAZE_BATCH trajectories, each batch kept whole as one
+_Prepared: its trips' streams end to end, with each trip's bounds. Only
+the rays of samples at most the grid's largest v_b fast are cast, so the
+default grid, whose largest v_b is 1.5 m/s, saves nothing by it. The
+sweep then makes one vectorized pass over each batch per delta_b value,
+which finds each run once, with the region of (delta_b, v_b) it exists
+over, and the three axes are filled from those runs by cumulative sums. A
+sweep costs O(n log n) per delta_b for n samples, whatever the sizes of
+the t_b and v_b axes.
 
 The runs that qualify at some t_b are enumerated once per dataset and
 grid, each kept once as seven int32 values (28 B): trip, four
@@ -40,16 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import detector, labeling
+from . import kinematics, labeling
 from .detector import (
     DURATION_TOL,
     StopMatrix,
     StopParams,
     check_store,
+    check_stores,
     detect_stops,
     gaze_stream,
     runs,
@@ -220,19 +221,21 @@ def score_dataset(dataset, layout: StoreLayout, params: StopParams) -> MetricsRe
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Threshold-independent reduction of one (track, visits) pair, for one grid.
+    """Threshold-independent reduction of a gaze batch of (track, visits) pairs, for one grid.
 
-    A sample faster than the grid's largest v_b has no candidate: no grid
-    point counts it, so its ray is not cast.
+    The streams hold the batch's trips end to end: trip i is samples
+    bounds[i]:bounds[i + 1]. A sample faster than the grid's largest v_b
+    has no candidate: no grid point counts it, so its ray is not cast.
     """
 
-    times: np.ndarray
+    times: np.ndarray           # (k,)
     candidates: np.ndarray      # (k,) 0-based shelf index, -1 none
     lams: np.ndarray            # (k,) nearest-hit distance
     speeds: np.ndarray          # (k,)
     visit_at_candidate: np.ndarray  # (k,) bool, visit truth at the candidate shelf
-    visit_ones: int             # total truth ones across all shelves
-    store_id: str = ""          # the track's store, checked against the layout it is used with
+    bounds: np.ndarray          # (m + 1,) int
+    visit_ones: np.ndarray      # (m,) int64, each trip's truth ones across all shelves
+    store_ids: list             # each trip's store, checked against the layout it is used with
 
 
 @dataclass(frozen=True)
@@ -277,8 +280,7 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
         if dataset.runs is None and not fold:
             raise ValidationError(
                 "runs folded into tables serve calibrate only, and the test side of cross_store_eval")
-        for store_id in dict.fromkeys(dataset.store_ids):
-            check_store(SimpleNamespace(store_id=store_id), layout)
+        check_stores(dataset.store_ids, layout)
         return dataset
     dataset = list(dataset)
     for track, visits in dataset:
@@ -296,19 +298,19 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
 
 
 def _gaze(pairs, layout: StoreLayout, cutoff: float, v_max: float):
-    """Yield a list of _Prepared streams per detector.GAZE_BATCH checked (track, visits) pairs (_gaze_batch)."""
-    for batch in batches(pairs, detector.GAZE_BATCH):
+    """Yield the _Prepared batch of each kinematics.GAZE_BATCH checked (track, visits) pairs (_gaze_batch)."""
+    for batch in batches(pairs, kinematics.GAZE_BATCH):
         yield _gaze_batch(TrackBatch.join([track for track, _ in batch]), [visits for _, visits in batch],
                           layout, cutoff, v_max)
         del batch  # before batches takes the next batch
 
 
-def _gaze_batch(tracks: TrackBatch, visits, layout: StoreLayout, cutoff: float, v_max: float):
-    """The _Prepared streams of a batch of tracks and their visit matrices, one per track.
+def _gaze_batch(tracks: TrackBatch, visits, layout: StoreLayout, cutoff: float, v_max: float) -> _Prepared:
+    """The one _Prepared of a batch of tracks and their visit matrices, the tracks' bounds kept.
 
     One gaze_stream call casts the rays of the samples at most v_max fast,
-    within the distance cutoff: those _flatten keeps. Each track's streams
-    are views of the batch's.
+    within the distance cutoff: those _flatten keeps. Each track's visit
+    matrix is read at its own samples' candidates.
     """
     candidates, lams = gaze_stream(tracks.positions, tracks.normals, layout, cutoff=cutoff,
                                    cast=tracks.speeds <= v_max)
@@ -317,43 +319,35 @@ def _gaze_batch(tracks: TrackBatch, visits, layout: StoreLayout, cutoff: float, 
     for lo, hi, v in zip(cuts, cuts[1:], visits):
         seen = np.flatnonzero(candidates[lo:hi] >= 0)
         vac[lo + seen] = v.values[candidates[lo + seen], seen]
-    return [_Prepared(
-        times=tracks.times[lo:hi],
-        candidates=candidates[lo:hi],
-        lams=lams[lo:hi],
-        speeds=tracks.speeds[lo:hi],
-        visit_at_candidate=vac[lo:hi],
-        visit_ones=int(np.count_nonzero(v.values)),
-        store_id=store_id,
-    ) for lo, hi, v, store_id in zip(cuts, cuts[1:], visits, tracks.store_ids)]
+    return _Prepared(tracks.times, candidates, lams, tracks.speeds, vac, tracks.bounds,
+                     np.array([np.count_nonzero(v.values) for v in visits], dtype=np.int64),
+                     tracks.store_ids)
 
 
 def _runs_of(gazed, axes, fold: bool) -> Runs:
-    """The Runs of lists of _Prepared streams, such as _gaze yields, each enumerated as it arrives.
+    """The Runs of _Prepared batches, such as _gaze yields, each enumerated as it arrives.
 
-    A list's trips are numbered after the earlier lists', as _merge numbers
-    ranges. With fold, each list's runs are added into the difference
-    tables of _fold_tables as they are found, none is kept, and the tables
-    are integrated once, at the end.
+    A batch's trips are numbered after the earlier batches', as _merge
+    numbers ranges. With fold, each batch's runs are added into the
+    difference tables of _fold_tables as they are found, none is kept, and
+    the tables are integrated once, at the end.
     """
-    visit_ones, store_ids = [], []
+    visit_ones, store_ids = [np.zeros(0, np.int64)], []
 
     def found():
         for prepared in gazed:
-            offset = len(visit_ones)
-            visit_ones.extend(prep.visit_ones for prep in prepared)
-            store_ids.extend(prep.store_id for prep in prepared)
-            if prepared:
-                batch = _enumerate_runs(prepared, *axes)
-                batch[0] += offset
-                yield batch
+            batch = _enumerate_runs(prepared, *axes)
+            batch[0] += len(store_ids)
+            visit_ones.append(prepared.visit_ones)
+            store_ids.extend(prepared.store_ids)
+            yield batch
 
     runs = folded = None
     if fold:  # the truth ones are summed from visit_ones where the tables are used
         folded = _fold_tables(found(), axes)  # a worker holds one batch's runs beside the tables
     else:
         runs = np.concatenate([np.zeros((7, 0), np.int32), *found()], axis=1)
-    return Runs(axes, np.array(visit_ones, dtype=np.int64), tuple(store_ids), runs, folded)
+    return Runs(axes, np.concatenate(visit_ones), tuple(store_ids), runs, folded)
 
 
 def _merge(parts) -> Runs:
@@ -375,14 +369,14 @@ def _prepare_range(read, by_traj, n_reviewers: int, layout: StoreLayout, window:
                    axes, fold: bool) -> list[Runs]:
     """prepare_file's stage: the Runs of the trajectories of one range, in a one-item list.
 
-    The range is read and built detector.GAZE_BATCH records at a time, and
-    each track of a batch is voted on its own times, in file order,
+    The range is read and built kinematics.GAZE_BATCH records at a time,
+    and each track of a batch is voted on its own times, in file order,
     so the error raised is the first failing trajectory's, and the batch's
     streams are gazed at once (_gaze_batch) and enumerated once gazed, so
     the worker never holds the whole range's streams.
     """
     def gazed():
-        for tracks in read(detector.GAZE_BATCH, window):
+        for tracks in read(window):
             visits = [labeling.majority_vote(by_traj.get(tracks.ids[i], []), tracks.track(i), layout,
                                              n_reviewers) for i in range(len(tracks))]
             # the gaze casts within the largest delta_b and v_b
@@ -428,9 +422,9 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
 
 
 def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
-    """Every run of the trajectories that counts at some grid point, each once, in a (7, k) int32 array.
+    """Every run of a _Prepared batch that counts at some grid point, each once, in a (7, k) int32 array.
 
-    A column is a run: its trip (index into prepared), its four corners in
+    A column is a run: its trip in the batch, its four corners in
     the flattened (nT+1, nD+1, nV+1) difference table of _count_tables, its
     length and its hits (samples whose candidate shelf has a visit). A
     sample passes at (delta_b index d, v_axis index v) exactly when d >= D,
@@ -442,8 +436,8 @@ def _enumerate_runs(prepared, t_axis, d_axis, v_axis):
     Q(D|dL|dR, R|rL|rR), its corners in row upto, the number of t_axis
     values its duration qualifies at. A run with upto 0 is not kept.
 
-    One vectorized pass over the trajectories per delta_b index di, whose
-    memory callers bound by passing a gaze batch at a time. A block is a
+    One vectorized pass over the batch per delta_b index di, whose memory
+    the gaze batch bounds. A block is a
     maximal stretch of consecutive samples, in one trajectory, that pass
     the candidate and distance conditions at di with one candidate; its
     runs at some v_b are the nodes of its max-Cartesian tree on rank
@@ -516,26 +510,24 @@ def _fold_tables(batches, axes):
 
 
 def _flatten(prepared, d_axis, v_axis):
-    """The samples that meet the conditions at some grid point, of all trajectories in order.
+    """The samples of a _Prepared batch that meet the conditions at some grid point, in order.
 
-    Returns their trip indices, speed ranks in v_axis (the first v_b index
-    whose speed condition they meet), times, the first delta_b index whose
-    distance condition they meet, whether each continues the previous one
-    (next sample of the same trajectory, same candidate) and the visit
-    truth. Filtering trip by trip keeps the unfiltered streams out of memory.
+    Returns their trip indices (from the batch's bounds), speed ranks in
+    v_axis (the first v_b index whose speed condition they meet), times,
+    the first delta_b index whose distance condition they meet, whether
+    each continues the previous one (next sample of the same trip, same
+    candidate) and the visit truth.
     """
-    parts = []
-    for i, prep in enumerate(prepared):
-        keep = np.flatnonzero(
-            (prep.candidates >= 0) & (prep.lams <= d_axis[-1]) & (prep.speeds <= v_axis[-1]))
-        cand = prep.candidates[keep]
-        link = np.zeros(len(keep), dtype=bool)
-        link[1:] = (keep[1:] == keep[:-1] + 1) & (cand[1:] == cand[:-1])
-        d_first = np.searchsorted(d_axis, prep.lams[keep], side="left").astype(np.int32)
-        v_rank = np.searchsorted(v_axis, prep.speeds[keep], side="left").astype(np.int32)
-        parts.append((np.full(len(keep), i, dtype=np.int32), v_rank, prep.times[keep], d_first,
-                      link, prep.visit_at_candidate[keep]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    keep = np.flatnonzero(
+        (prepared.candidates >= 0) & (prepared.lams <= d_axis[-1]) & (prepared.speeds <= v_axis[-1]))
+    trip = (np.searchsorted(prepared.bounds, keep, side="right") - 1).astype(np.int32)
+    cand = prepared.candidates[keep]
+    link = np.zeros(len(keep), dtype=bool)
+    # the next sample of the batch is the next of the trip only inside a trip
+    link[1:] = (keep[1:] == keep[:-1] + 1) & (cand[1:] == cand[:-1]) & (trip[1:] == trip[:-1])
+    d_first = np.searchsorted(d_axis, prepared.lams[keep], side="left").astype(np.int32)
+    v_rank = np.searchsorted(v_axis, prepared.speeds[keep], side="left").astype(np.int32)
+    return trip, v_rank, prepared.times[keep], d_first, link, prepared.visit_at_candidate[keep]
 
 
 def _tree_runs(rank, new_block, n_v):
@@ -575,16 +567,15 @@ def _tree_runs(rank, new_block, n_v):
 
 
 def counts_at(prepared, params: StopParams) -> ConfusionCounts:
-    """Pooled confusion counts of prepared trajectories at one grid point."""
-    tp = fp = fn = 0
-    for prep in prepared:
-        s, e, _ = runs(prep.times, prep.candidates, prep.lams, prep.speeds, params)
-        hits = np.concatenate([[0], np.cumsum(prep.visit_at_candidate)])
-        run_tp = int((hits[e + 1] - hits[s]).sum())
-        tp += run_tp
-        fp += int((e - s + 1).sum()) - run_tp
-        fn += prep.visit_ones - run_tp
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn)
+    """Pooled confusion counts of a _Prepared batch's trips at one grid point: one runs call.
+
+    The pointwise reference the swept tables are tested against.
+    """
+    s, e, _ = runs(prepared.times, prepared.candidates, prepared.lams, prepared.speeds, params,
+                   prepared.bounds)
+    hits = np.concatenate([[0], np.cumsum(prepared.visit_at_candidate)])
+    tp = int((hits[e + 1] - hits[s]).sum())
+    return ConfusionCounts(tp=tp, fp=int((e - s + 1).sum()) - tp, fn=int(prepared.visit_ones.sum()) - tp)
 
 
 def check_request(grid, window: int = DEFAULT_WINDOW, protocol: str = "calibrate", p: float = 1.0,

@@ -35,7 +35,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import detector
+from . import kinematics
 from .detector import (
     STOP_MATRIX_HEADER,
     StopParams,
@@ -444,7 +444,7 @@ def _synth_batch(trajectories, layout, params, window):
 def cmd_synth(args):
     """Generate the scenario in process, then format its records and plant its labels in batches.
 
-    Each batch of detector.GAZE_BATCH trajectories goes to a child that
+    Each batch of kinematics.GAZE_BATCH trajectories goes to a child that
     fork_map forks for it, which returns its JSONL bytes and planted
     labels; the records are written in file order as the batches come
     back. A child leaves through os._exit, so the bytes buffered in the
@@ -457,7 +457,7 @@ def cmd_synth(args):
 
     cfg = _load_config(args)
     jobs = _jobs(args, cfg)
-    params = window = None
+    params = None
     if args.plant:
         from . import labeling  # here, so the batch children inherit it
 
@@ -466,7 +466,7 @@ def cmd_synth(args):
         except ValueError:
             _usage_error(f"--plant takes three comma-separated numbers T,D,V, got {args.plant!r}")
         params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)  # rejects bad values before any write
-        window = check_window(int(_opt(args, cfg, "window")))
+    window = check_window(int(_opt(args, cfg, "window")))  # checked whether or not it plants
     if args.spec:
         _require_paths(args.spec)
         spec = synth.read_scenario(args.spec)
@@ -480,7 +480,7 @@ def cmd_synth(args):
     trajectories, truth, layout = synth.generate(spec)
     save_layout(layout, _artifact(args, "layout.json"))
     workers = range_count(RECORD_BYTES_PER_SAMPLE * sum(map(len, trajectories)), jobs)
-    tasks = ((batch, layout, params, window) for batch in batches(trajectories, detector.GAZE_BATCH))
+    tasks = ((batch, layout, params, window) for batch in batches(trajectories, kinematics.GAZE_BATCH))
     labels = []
     with open(_artifact(args, "trajectories.jsonl"), "wb") as fh:
         for lines, planted in fork_map(_synth_batch, tasks, workers):
@@ -504,7 +504,7 @@ def cmd_oracle_check(args):
     seed = non_negative("seed", int(_opt(args, cfg, "seed")))
     scenarios = non_negative("scenarios", int(_opt(args, cfg, "scenarios", 100)))
     max_len = synth.check_max_len(int(_opt(args, cfg, "max_len", 2000)))
-    window = int(_opt(args, cfg, "window"))
+    window = check_window(int(_opt(args, cfg, "window")))
     checked = 0
     mismatch = None
     for i in range(scenarios):

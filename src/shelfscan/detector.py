@@ -13,11 +13,12 @@ the duration condition included, each track's ends ending its runs.
 gaze_stream pairs each cast ray with the segments its cell of a coarse
 grid can see within the distance cutoff (every segment without one) and
 solves those (ray, segment) pairs in flat chunks of a fixed size. Both
-callers gaze a kinematics.TrackBatch of GAZE_BATCH records' tracks per
-gaze_stream call and cast only the rays of samples slow enough to stop:
-detection at most v_b fast, calibration at most the grid's largest v_b.
-A sample that is not cast reports no candidate, which the speed
-condition would reject anyway.
+callers gaze a kinematics.TrackBatch of kinematics.GAZE_BATCH records'
+tracks per gaze_stream call and cast only the rays of samples slow
+enough to stop: detection at most v_b fast, calibration at most the
+grid's largest v_b. A sample that is not cast reports no candidate,
+which the speed condition would reject anyway. Both apply runs to the
+batch's streams with the tracks' bounds.
 
 detect_file, the pass behind the detect command, runs in
 kinematics.map_file's range workers: each reads GAZE_BATCH records at a
@@ -48,6 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kinematics
 from .errors import FrameMismatch, ValidationError
 from .kinematics import (
     DEFAULT_WINDOW,
@@ -69,9 +71,6 @@ DURATION_TOL = 1e-9
 
 # (ray, segment) pairs per _solve_pairs call; bounds temp memory
 _PAIRS = 4096
-# records (or in-memory tracks) per gaze_stream call, in detection and calibration; bounds the
-# arrays a call holds
-GAZE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -247,20 +246,20 @@ def gaze_stream(positions, normals, layout: StoreLayout, cutoff: float | None = 
     return candidates, lam_out
 
 
-def runs(times, candidates, lams, speeds, params: StopParams, bounds=None):
+def runs(times, candidates, lams, speeds, params: StopParams, bounds):
     """The stop rule on tracks' streams end to end: maximal runs of consecutive samples
     of one track with one candidate (-1 is none), lams <= delta_b and speeds <= v_b,
     lasting t_b.
 
-    Track i is samples bounds[i]:bounds[i + 1]; None is one track. Returns
-    (starts, ends, shelf0) arrays: each stop's first and last sample
-    (inclusive) and its 0-based shelf, in sample order.
+    Track i is samples bounds[i]:bounds[i + 1], as in a kinematics.TrackBatch
+    (detection) or a calibration batch (counts_at). Returns (starts, ends,
+    shelf0) arrays: each stop's first and last sample (inclusive) and its
+    0-based shelf, in sample order.
     """
     key = np.where((lams <= params.delta_b) & (speeds <= params.v_b), candidates, -1)
     # the key changes at every run boundary; the -2 pads (no key is -2) add both ends
     edge = np.diff(key, prepend=-2, append=-2) != 0
-    if bounds is not None:
-        edge[bounds] = True  # a track's ends end its runs
+    edge[bounds] = True  # a track's ends end its runs
     edges = np.flatnonzero(edge)
     starts, ends = edges[:-1], edges[1:] - 1
     keep = (key[starts] >= 0) & (times[ends] - times[starts] + DURATION_TOL >= params.t_b)
@@ -328,14 +327,14 @@ def read_stop_events(path) -> list[StopEvent]:
 
 
 def detect_many(tracks, layout: StoreLayout, params: StopParams):
-    """Detect stops on many tracks, one _detect_batch call per GAZE_BATCH tracks.
+    """Detect stops on many tracks, one _detect_batch call per kinematics.GAZE_BATCH tracks.
 
     Returns one event list per input track, in input order. Every track is
     store-checked before any is detected.
     """
     tracks = [check_store(track, layout) for track in tracks]
     found = []
-    for batch in batches(tracks, GAZE_BATCH):
+    for batch in batches(tracks, kinematics.GAZE_BATCH):
         per_track = [[] for _ in batch]
         which, _, _, events = _detect_batch(TrackBatch.join(batch), layout, params)
         for i, ev in zip(which.tolist(), events):
@@ -367,7 +366,7 @@ def _detect_range(read, layout: StoreLayout, params: StopParams, window: int):
     first trajectory that fails.
     """
     n_tracks, lines, rows = 0, [], []
-    for tracks in read(GAZE_BATCH, window):
+    for tracks in read(window):
         check_stores(tracks.store_ids, layout)
         n_tracks += len(tracks)
         which, starts, ends, events = _detect_batch(tracks, layout, params)

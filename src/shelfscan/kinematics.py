@@ -27,6 +27,9 @@ DT_TOL = 1e-6
 GAP_FACTOR = 1.5  # gaps longer than GAP_FACTOR * DT split a record
 DEFAULT_WINDOW = 5
 _BLOCK = 1 << 20  # bytes a reader's buffer holds: a record line is about 65 kB
+# records a range's reader takes at a time, and tracks per gaze_stream call in detection and
+# calibration (the gaze batch); bounds the arrays a batch holds
+GAZE_BATCH = 32
 
 
 def wrap_angle(theta):
@@ -720,28 +723,24 @@ def _byte_ranges(path, jobs: int):
     return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
 
 
-# records per batch a stage reads when it names no size
-_READ_BATCH = 32
-
-
 def _read_range(path, start: int, stop: int, stage, stage_args):
     """Run a stage on the records of one byte range, read a batch at a time as it takes them.
 
-    The stage is called as stage(read, *stage_args), and read(size, window)
-    yields the range's records `size` at a time (_READ_BATCH by default),
-    parsed and gap-split by split_records into one Pieces batch each, in
-    file order, or with a window the TrackBatch that build_tracks makes of
-    each, the Pieces dropped. A read error ends the reading: the records
-    before it register their ids, and its own record its trajectory_id.
-    Past a stage error, the range is read on for read errors.
+    The stage is called as stage(read, *stage_args), and read(window)
+    yields the range's records GAZE_BATCH at a time, parsed and gap-split
+    by split_records into one Pieces batch each, in file order, or with a
+    window the TrackBatch that build_tracks makes of each, the Pieces
+    dropped. A read error ends the reading: the records before it register
+    their ids, and its own record its trajectory_id. Past a stage error,
+    the range is read on for read errors.
     """
     lines = read_lines(path, start, stop)
     ids, known, errors = [], [], []
 
-    def read(size=_READ_BATCH, window=None):
+    def read(window=None):
         while not errors:
             records = []
-            for lineno, line in islice(lines, size):  # each line is dropped once parsed
+            for lineno, line in islice(lines, GAZE_BATCH):  # each line is dropped once parsed
                 try:
                     records.append((*parse_record(line, f"{path}:{lineno}"), lineno))
                 except ShelfScanError as exc:
@@ -779,7 +778,7 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
     each read by a child that fork_map forks for it, or in process if
     there is one. A range's stage output comes back pickled, so a stage
     returns picklable items; the stage itself is inherited, not pickled.
-    read(size, window) yields a range's records in file order, `size` at a
+    read(window) yields a range's records in file order, GAZE_BATCH at a
     time, each batch parsed and gap-split into one Pieces (split_records)
     as the stage takes it, or, given a window, built into one TrackBatch
     (build_tracks). The stage returns a list. Returns the lists joined in

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shelfscan import detector, generate, population_scenario
+from shelfscan import generate, kinematics, population_scenario
 from shelfscan.detector import DURATION_TOL, StopEvent, StopParams, detect_many, gaze_stream, runs
 from shelfscan.errors import ParseError, ValidationError
 from shelfscan.kinematics import (
@@ -253,7 +253,7 @@ def test_detect_many_on_split_records_equals_per_track_events(monkeypatch, gaze_
     params = StopParams(2.0, 1.2, 0.55)
     want = [ref_events(track, layout, params) for track in tracks]
     assert sum(map(len, want)) > 0
-    monkeypatch.setattr(detector, "GAZE_BATCH", gaze_batch)
+    monkeypatch.setattr(kinematics, "GAZE_BATCH", gaze_batch)
     assert detect_many(tracks, layout, params) == want
     joined = TrackBatch.join(tracks)
     assert [joined.track(i).trajectory_id for i in range(len(tracks))] == pieces.ids

@@ -241,44 +241,69 @@ def _stream(draw, n, values):
     return np.array(out[:n])
 
 
+@dataclasses.dataclass(frozen=True)
+class Trip:
+    """One trip's streams: what a _Prepared batch holds of each trip between its bounds."""
+
+    times: np.ndarray
+    candidates: np.ndarray
+    lams: np.ndarray
+    speeds: np.ndarray
+    visit_at_candidate: np.ndarray
+    visit_ones: int
+    store_id: str = ""
+
+
+def join(trips) -> _Prepared:
+    """The _Prepared batch of trips end to end, as _gaze_batch makes one of a gaze batch."""
+    def column(name, dtype):  # an empty batch too
+        return np.concatenate([np.zeros(0, dtype), *(getattr(trip, name) for trip in trips)])
+
+    return _Prepared(column("times", float), column("candidates", np.int64), column("lams", float),
+                     column("speeds", float), column("visit_at_candidate", bool),
+                     np.cumsum([0, *(len(trip.times) for trip in trips)]), ones(trips),
+                     [trip.store_id for trip in trips])
+
+
+def _trip(draw, n, t0):
+    vac = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return Trip(
+        times=t0 + np.arange(n) * DT,
+        candidates=_stream(draw, n, (0, 0, 0, 1, -1)).astype(np.int64),
+        lams=_stream(draw, n, _D_AXIS + (math.inf,)).astype(np.float64),
+        speeds=np.array([draw(st.sampled_from(_SPEEDS)) for _ in range(n)], dtype=np.float64),
+        visit_at_candidate=vac,
+        visit_ones=int(vac.sum()) + draw(st.integers(0, 3)),
+    )
+
+
 @st.composite
 def prepared_streams(draw):
-    trips = []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(0, 30))
-        vac = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-        t0 = draw(st.sampled_from((0.0, 0.05, 3.7)))
-        trips.append(_Prepared(
-            times=t0 + np.arange(n) * DT,
-            candidates=_stream(draw, n, (0, 0, 0, 1, -1)).astype(np.int64),
-            lams=_stream(draw, n, _D_AXIS + (math.inf,)).astype(np.float64),
-            speeds=np.array([draw(st.sampled_from(_SPEEDS)) for _ in range(n)], dtype=np.float64),
-            visit_at_candidate=vac,
-            visit_ones=int(vac.sum()) + draw(st.integers(0, 3)),
-        ))
+    trips = [_trip(draw, draw(st.integers(0, 30)), draw(st.sampled_from((0.0, 0.05, 3.7))))
+             for _ in range(draw(st.integers(1, 3)))]
     axis = lambda values: np.array(sorted(draw(st.sets(st.sampled_from(values), min_size=2, max_size=4))))
     return trips, axis(_T_VALUES), axis(_D_AXIS), axis(_V_AXIS)
 
 
 def sweep(prepared, *axes):
-    """The CalibrationResult of the trips' streams, folded as calibrate folds a range's."""
+    """The CalibrationResult of a batch's streams, folded as calibrate folds a range's."""
     return _best(_runs_of([prepared], axes, fold=True).count_tables(), axes)[1]
 
 
-def ones(prepared):
-    return np.array([prep.visit_ones for prep in prepared], dtype=np.int64)
+def ones(trips):
+    return np.array([trip.visit_ones for trip in trips], dtype=np.int64)
 
 
 @given(prepared_streams())
 @settings(max_examples=100, deadline=None)
 def test_sweep_tables_match_pointwise_counts(streams):
     prepared, t_axis, d_axis, v_axis = streams
-    result = sweep(prepared, t_axis, d_axis, v_axis)
+    result = sweep(join(prepared), t_axis, d_axis, v_axis)
     tp, fp, fn = result.count_tables
     for ti, t_b in enumerate(t_axis):
         for di, delta_b in enumerate(d_axis):
             for vi, v_b in enumerate(v_axis):
-                want = counts_at(prepared, StopParams(float(t_b), float(delta_b), float(v_b)))
+                want = counts_at(join(prepared), StopParams(float(t_b), float(delta_b), float(v_b)))
                 got = (tp[ti, di, vi], fp[ti, di, vi], fn[ti, di, vi])
                 assert got == (want.tp, want.fp, want.fn)
 
@@ -293,10 +318,10 @@ def _trip_mask(data, prepared):
 def test_masked_tables_match_subset_sweep(streams, data):
     prepared, *axes = streams
     mask = _trip_mask(data, prepared)
-    tp, s_ones, v_ones = _count_tables(_enumerate_runs(prepared, *axes), ones(prepared), axes, mask)
+    tp, s_ones, v_ones = _count_tables(_enumerate_runs(join(prepared), *axes), ones(prepared), axes, mask)
     subset = [prep for prep, keep in zip(prepared, mask) if keep]
     if subset:
-        want_tp, want_fp, want_fn = sweep(subset, *axes).count_tables
+        want_tp, want_fp, want_fn = sweep(join(subset), *axes).count_tables
     else:
         want_tp = want_fp = want_fn = np.zeros(tuple(len(axis) for axis in axes), dtype=np.int64)
     assert np.array_equal(tp, want_tp)
@@ -309,13 +334,13 @@ def test_masked_tables_match_subset_sweep(streams, data):
 def test_held_out_counts_by_complement_match_pointwise_counts(streams, data):
     prepared, *axes = streams
     mask = _trip_mask(data, prepared)
-    runs = _enumerate_runs(prepared, *axes)
+    runs = _enumerate_runs(join(prepared), *axes)
     every, subset = _count_tables(runs, ones(prepared), axes), _count_tables(runs, ones(prepared), axes, mask)
     held = [prep for prep, keep in zip(prepared, mask) if not keep]
     for _ in range(5):
         index = tuple(data.draw(st.integers(0, len(axis) - 1)) for axis in axes)
         params = StopParams(*(float(axis[i]) for axis, i in zip(axes, index)))
-        assert _counts(every, index) - _counts(subset, index) == counts_at(held, params)
+        assert _counts(every, index) - _counts(subset, index) == counts_at(join(held), params)
 
 
 @given(prepared_streams(), st.data())
@@ -325,21 +350,71 @@ def test_runs_of_contiguous_ranges_merge_to_one_enumeration(streams, data):
     prepared, *axes = streams
     cuts = sorted(data.draw(st.lists(st.integers(0, len(prepared)), max_size=3)))
     ranges = [prepared[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(prepared)])]
-    whole = _runs_of([prepared], axes, fold=False)
-    split = _merge([_runs_of([trips], axes, fold=False) for trips in ranges])
-    batched = _runs_of(ranges, axes, fold=False)
+    whole = _runs_of([join(prepared)], axes, fold=False)
+    split = _merge([_runs_of([join(trips)], axes, fold=False) for trips in ranges])
+    batched = _runs_of(map(join, ranges), axes, fold=False)
     mask = _trip_mask(data, prepared)
     for got, want in ((split.count_tables(), whole.count_tables()),
                       (split.count_tables(mask), whole.count_tables(mask)),
                       (batched.count_tables(), whole.count_tables()),
                       (batched.count_tables(mask), whole.count_tables(mask)),
-                      (_merge([_runs_of([trips], axes, fold=True) for trips in ranges]).count_tables(),
+                      (_merge([_runs_of([join(trips)], axes, fold=True) for trips in ranges]).count_tables(),
                        whole.count_tables()),
-                      (_runs_of(ranges, axes, fold=True).count_tables(), whole.count_tables())):
+                      (_runs_of(map(join, ranges), axes, fold=True).count_tables(), whole.count_tables())):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
     for runs in (split, batched):
         assert np.array_equal(runs.visit_ones, ones(prepared))
         assert runs.store_ids == whole.store_ids
+
+
+def glued(trips, d_axis, v_axis):
+    """The trips, each one's times continuing the previous one's, with first and last samples on candidate 0.
+
+    Those samples pass at the smallest delta_b and v_b, so a run would span
+    two adjacent trips if their bounds were ignored.
+    """
+    out, end = [], None
+    for trip in trips:
+        n = len(trip.times)
+        if n:
+            times = trip.times if end is None else end + DT * np.arange(1, n + 1)
+            streams = [trip.candidates.copy(), trip.lams.copy(), trip.speeds.copy()]
+            for stream, value in zip(streams, (0, d_axis[0], 0.0)):
+                stream[[0, -1]] = value
+            trip = dataclasses.replace(trip, times=times, candidates=streams[0], lams=streams[1],
+                                       speeds=streams[2])
+            end = times[-1]
+        out.append(trip)
+    return out
+
+
+@given(prepared_streams())
+@settings(max_examples=100, deadline=None)
+def test_batch_enumeration_equals_each_trip_enumerated_alone(streams):
+    trips, *axes = streams
+    trips = glued(trips, axes[1], axes[2])
+    alone = []
+    for i, trip in enumerate(trips):
+        runs = _enumerate_runs(join([trip]), *axes)
+        runs[0] = i
+        alone.append(runs)
+    got, want = _enumerate_runs(join(trips), *axes), np.concatenate(alone, axis=1)
+    assert got.dtype == want.dtype
+    assert sorted(map(tuple, got.T.tolist())) == sorted(map(tuple, want.T.tolist()))
+
+
+@given(prepared_streams(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_batch_counts_at_equal_the_sum_over_one_trip_batches(streams, data):
+    trips, *axes = streams
+    # glued trips, a copy of the first whose times restart, and an empty trip
+    trips = glued(trips, axes[1], axes[2])
+    trips.append(trips[0])
+    trips.insert(data.draw(st.integers(0, len(trips))), _trip(data.draw, 0, 0.0))
+    for index in np.ndindex(*(len(axis) for axis in axes)):
+        params = StopParams(*(float(axis[i]) for axis, i in zip(axes, index)))
+        want = sum((counts_at(join([trip]), params) for trip in trips), ConfusionCounts())
+        assert counts_at(join(trips), params) == want
 
 
 def test_sweep_of_a_block_longer_than_8192_samples_matches_pointwise_counts(single_shelf_layout):
@@ -380,13 +455,13 @@ def test_stored_runs_all_qualify_at_some_t_b(streams):
     """No stored run sits in t_b row 0, which reaches no table, and the tables stay pointwise exact."""
     prepared, *axes = streams
     n_d, n_v = len(axes[1]), len(axes[2])
-    runs = _runs_of([prepared], axes, fold=False)
+    runs = _runs_of([join(prepared)], axes, fold=False)
     for cells in runs.runs[1:5]:
         assert (cells // ((n_d + 1) * (n_v + 1)) > 0).all()
     tables = runs.count_tables()
     for index in np.ndindex(tables[0].shape):
         params = StopParams(*(float(axis[i]) for axis, i in zip(axes, index)))
-        assert _counts(tables, index) == counts_at(prepared, params)
+        assert _counts(tables, index) == counts_at(join(prepared), params)
 
 
 @given(prepared_streams())
@@ -398,8 +473,9 @@ def test_each_run_is_stored_once(streams):
              for delta_b in d_axis for v_b in v_axis
              for trip, prep in enumerate(prepared)
              for s, e in zip(*detector.runs(prep.times, prep.candidates, prep.lams, prep.speeds,
-                                            StopParams(float(t_axis[0]), float(delta_b), float(v_b)))[:2])}
-    assert _runs_of([prepared], (t_axis, d_axis, v_axis), fold=False).runs.shape[1] == len(spans)
+                                            StopParams(float(t_axis[0]), float(delta_b), float(v_b)),
+                                            [0, len(prep.times)])[:2])}
+    assert _runs_of([join(prepared)], (t_axis, d_axis, v_axis), fold=False).runs.shape[1] == len(spans)
 
 
 def test_folded_runs_serve_the_cross_store_test_side_only():
@@ -422,7 +498,7 @@ def test_subset_without_candidates_gives_zero_tables(streams, data):
     # the masked trips see no shelf; the others keep theirs, so the enumeration is not empty
     prepared = [dataclasses.replace(prep, candidates=np.full(len(prep.times), -1)) if keep else prep
                 for prep, keep in zip(prepared, mask)]
-    tp, s_ones, v_ones = _count_tables(_enumerate_runs(prepared, *axes), ones(prepared), axes, mask)
+    tp, s_ones, v_ones = _count_tables(_enumerate_runs(join(prepared), *axes), ones(prepared), axes, mask)
     assert tp.shape == s_ones.shape == tuple(len(axis) for axis in axes)
     assert not tp.any() and not s_ones.any()
     assert v_ones == sum(prep.visit_ones for prep, keep in zip(prepared, mask) if keep)
@@ -440,7 +516,7 @@ def test_eval_repeats_match_subset_sweeps_and_pointwise_counts(streams, others, 
     n = len(prepared)
     n_cal = math.ceil(0.5 * n)
     # the Runs prepare_file's range stage makes of the streams
-    cal_runs, test_runs = (_runs_of([trips], axes, fold=False) for trips in (prepared, test_side))
+    cal_runs, test_runs = (_runs_of([join(trips)], axes, fold=False) for trips in (prepared, test_side))
     reports = [cross_store_eval(cal_runs, _ANY_STORE, test_runs, _ANY_STORE, _FixedGrid(*axes),
                                 p=0.5, seed=seed, repeats=3)]
     if n_cal < n:
@@ -450,8 +526,8 @@ def test_eval_repeats_match_subset_sweeps_and_pointwise_counts(streams, others, 
         for params, score in zip(report.params_per_repeat, report.scores, strict=True):
             order = rng.permutation(n) if n_cal < n else range(n)
             held = test_side if report.protocol == "cross-store" else [prepared[i] for i in order[n_cal:]]
-            assert params == sweep([prepared[i] for i in order[:n_cal]], *axes).best_params
-            assert score == precision_recall_f1(counts_at(held, params)).f1
+            assert params == sweep(join([prepared[i] for i in order[:n_cal]]), *axes).best_params
+            assert score == precision_recall_f1(counts_at(join(held), params)).f1
 
 
 def test_empty_dataset_rejected():

@@ -611,12 +611,13 @@ def shelf_layout(tmp_path):
 def range_cuts(monkeypatch):
     """Let map_file cut a range per byte, so small files reach forked workers.
 
-    Detection and calibration also batch 2 tracks at a time, so a range
+    A range is also read 2 records at a time (kinematics.GAZE_BATCH), and
+    detection and calibration gaze each such batch whole, so a range
     fills several batches. Returns the list of cuts made, one list of
     (start, stop) ranges per file read.
     """
     monkeypatch.setattr(kinematics, "_MIN_RANGE", 1)
-    monkeypatch.setattr(detector, "GAZE_BATCH", 2)
+    monkeypatch.setattr(kinematics, "GAZE_BATCH", 2)
     cuts, byte_ranges = [], kinematics._byte_ranges
 
     def spy(path, jobs):
@@ -937,7 +938,7 @@ def synth_batches(monkeypatch):
     Returns the list of (workers, batches) synth passed to fork_map, one pair per call.
     """
     monkeypatch.setattr(kinematics, "_MIN_RANGE", 1)
-    monkeypatch.setattr(detector, "GAZE_BATCH", 3)
+    monkeypatch.setattr(kinematics, "GAZE_BATCH", 3)
     calls, fork_map = [], cli.fork_map
 
     def spy(fn, tasks, workers):
@@ -1442,6 +1443,8 @@ def _request(command, store):
         "eval-same": _inputs(store) + SMALL_GRID,
         "eval-cross": _inputs(store, "-a") + _inputs(store, "-b") + SMALL_GRID,
         "analyze": [f"--layout={store / 'layout.json'}", f"--trajectories={store / 'trajectories.jsonl'}"],
+        "synth": ["--population", "2"],
+        "oracle-check": ["--scenarios", "0"],  # takes no --jobs
     }[command]
 
 
@@ -1497,6 +1500,8 @@ BAD_REQUESTS = [  # (name, command, fault, error, message)
      *BAD_WINDOW),
     ("stops", "analyze", _stops("{not json\n"), "ParseError", "stops.jsonl:1: bad stop event"),
     ("purchases", "analyze", _headless_purchases, "ParseError", "purchases CSV must have columns"),
+    ("window", "synth", _flags("--window", "4"), *BAD_WINDOW),
+    ("window", "oracle-check", _flags("--window", "4"), *BAD_WINDOW),
 ]
 
 
@@ -1506,7 +1511,8 @@ BAD_REQUESTS = [  # (name, command, fault, error, message)
 def test_bad_request_exits_1_before_reading_a_trajectory(synth_dir, tmp_path, capsys, no_ingest, jobs,
                                                          command, fault, error, message):
     out = tmp_path / "out"
-    code = run([command, *_request(command, synth_dir), *fault(synth_dir, tmp_path), "--jobs", jobs,
+    jobs = [] if command == "oracle-check" else ["--jobs", jobs]
+    code = run([command, *_request(command, synth_dir), *fault(synth_dir, tmp_path), *jobs,
                 "--out", str(out)])
     record = json.loads(capsys.readouterr().err)
     assert code == 1 and record["error"] == error and message in record["message"]
