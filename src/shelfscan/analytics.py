@@ -10,6 +10,7 @@ conversion rates.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,20 +127,30 @@ def conversion_rates(stats: ShelfStats, purchases, incidence: bool = False) -> C
 
 
 def read_purchases(path) -> list[PurchaseRecord]:
-    """Read purchase records from a CSV with header trajectory_id, shelf_id, quantity."""
+    """Read purchase records from a UTF-8 CSV with header trajectory_id, shelf_id, quantity.
+
+    A byte that is not UTF-8, a row csv refuses or a row that is no PurchaseRecord is a ParseError
+    naming the file and the line: the bad byte's, or the row's last line as csv counts lines.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: bad purchase record: {exc}") from exc  # its repr holds the file
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    lines = reader.reader  # its line_num counts the row an error is raised in; DictReader's does not
+    required = {"trajectory_id", "shelf_id", "quantity"}
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"trajectory_id", "shelf_id", "quantity"}
+    try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ParseError(f"{path}: purchases CSV must have columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
-                out.append(PurchaseRecord(
-                    trajectory_id=row["trajectory_id"],
-                    shelf_id=int(row["shelf_id"]),
-                    quantity=int(row["quantity"]),
-                ))
+                out.append(PurchaseRecord(row["trajectory_id"], int(row["shelf_id"]), int(row["quantity"])))
             except (ValueError, TypeError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad purchase record: {exc!r}") from exc
+                raise ParseError(f"{path}:{lines.line_num}: bad purchase record: {exc!r}") from exc
+    except csv.Error as exc:  # a field over csv's size limit, or a NUL byte before Python 3.11
+        raise ParseError(f"{path}:{lines.line_num}: bad purchase record: {exc!r}") from exc
     return out

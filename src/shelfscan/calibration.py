@@ -131,21 +131,22 @@ class CalibrationResult:
     f1_table: np.ndarray | None = field(repr=False, default=None)         # (nT, nD, nV)
     count_tables: tuple | None = field(repr=False, default=None)          # (tp, fp, fn) arrays
 
-    def score_rows(self):
-        """Yield (t_b, delta_b, v_b, tp, fp, fn, precision, recall, f1) per grid point.
+    def grid_lines(self):
+        """Yield grid.csv: its header line, then one string of all v_b lines per (t_b, delta_b).
 
-        The count tables are scored by _scores one t_b row at a time, and
-        each (t_b, delta_b) line becomes Python values only as it is yielded.
+        _scores runs once per t_b row and each axis value is formatted once. Floats are
+        written as their repr, which needs no quoting, and lines end in \\r\\n, as in csv.writer.
         """
+        yield "t_b,delta_b,v_b,tp,fp,fn,precision,recall,f1\r\n"
         if self.f1_table is None:
             return
-        t_axis, d_axis, v_axis = ([float(x) for x in axis] for axis in self.grid_axes)
-        for ti, tv in enumerate(t_axis):
+        t_axis, d_axis, v_axis = ([repr(float(x)) for x in axis] for axis in self.grid_axes)
+        for ti, t in enumerate(t_axis):
             row = tuple(table[ti] for table in self.count_tables)
             columns = (*row, *_scores(*row))
-            for di, dv in enumerate(d_axis):
-                for vv, *values in zip(v_axis, *(column[di].tolist() for column in columns)):
-                    yield (tv, dv, vv, *values)
+            for di, d in enumerate(d_axis):
+                yield "".join(f"{t},{d},{v},{tp},{fp},{fn},{p!r},{r!r},{f1!r}\r\n"
+                              for v, tp, fp, fn, p, r, f1 in zip(v_axis, *(c[di].tolist() for c in columns)))
 
 
 @dataclass(frozen=True)

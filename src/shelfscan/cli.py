@@ -44,7 +44,7 @@ from .detector import (
     detect_stops,
     read_stop_events,
 )
-from .errors import ShelfScanError, UnknownTrajectory, non_negative
+from .errors import ParseError, ShelfScanError, UnknownTrajectory, non_negative
 from .kinematics import (
     DEFAULT_WINDOW,
     RECORD_BYTES_PER_SAMPLE,
@@ -55,7 +55,9 @@ from .kinematics import (
     fork_map,
     map_file,
     range_count,
+    read_document,
     trajectory_record,
+    write_document,
 )
 
 # no command calls these three; perfbench/tracer.py wraps them by these names
@@ -83,12 +85,9 @@ def _load_config(args):
     if not path:
         return {}
     try:
-        with open(path, "rb") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 JSON, or nested too deep
-        _usage_error(f"config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        _usage_error(f"config {path}: must be a JSON object, got {json.dumps(cfg):.60}")
+        cfg = read_document(path, "config")
+    except (OSError, ParseError) as exc:  # a ParseError's cause names the fault, without the path
+        _usage_error(f"config {path}: {exc.__cause__ or exc}")
 
     def number(value):
         return type(value) in (int, float)  # a bool is neither
@@ -187,12 +186,6 @@ def _artifact(args, name):
     return os.path.join(args.out, name)
 
 
-def _write_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs, fold=False):
     """calibration.prepare_file on a trajectory file and its labels, on the grid.
 
@@ -266,13 +259,10 @@ def cmd_calibrate(args):
         "config": _resolved_config(args, cfg, ["window", "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
-    _write_json(report, _artifact(args, "calibration.json"))
+    write_document(report, _artifact(args, "calibration.json"))
     if args.dump_grid:
         with open(_artifact(args, "grid.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_b", "delta_b", "v_b", "tp", "fp", "fn", "precision", "recall", "f1"])
-            for row in result.score_rows():
-                writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            fh.writelines(result.grid_lines())
     _say(f"calibrate: best F1 {result.best_f1:.4f} at "
           f"(t_b={result.best_params.t_b:.3g}, delta_b={result.best_params.delta_b:.3g}, "
           f"v_b={result.best_params.v_b:.3g})")
@@ -319,7 +309,7 @@ def cmd_eval_same(args):
                                                "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
-    _write_json(doc, _artifact(args, "eval.json"))
+    write_document(doc, _artifact(args, "eval.json"))
     _write_repeats(reports, _artifact(args, "eval_repeats.csv"))
     for rep in reports:
         _say(f"eval-same: p={rep.p:g} mean F1 {rep.mean:.4f} +/- {rep.stderr:.4f} "
@@ -353,7 +343,7 @@ def cmd_eval_cross(args):
                                                "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
-    _write_json(doc, _artifact(args, "eval.json"))
+    write_document(doc, _artifact(args, "eval.json"))
     _write_repeats([report], _artifact(args, "eval_repeats.csv"))
     _say(f"eval-cross: {layout_a.store_id} -> {layout_b.store_id} mean F1 {report.mean:.4f}")
     return 0
@@ -385,6 +375,8 @@ def cmd_analyze(args):
         for tid, evs in by_traj.items()
     ]
     stats = analytics.shelf_stats(vectors)
+    # a purchase the trips or the layout lack is an error before any artifact is opened
+    conv = None if purchases is None else analytics.conversion_rates(stats, purchases, bool(args.incidence))
     with open(_artifact(args, "shelf_stats.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shelf_id", "avg_visits_per_trip"])
@@ -403,8 +395,7 @@ def cmd_analyze(args):
         },
         "generated_at": _timestamp(),
     }
-    if purchases is not None:
-        conv = analytics.conversion_rates(stats, purchases, incidence=bool(args.incidence))
+    if conv is not None:
         with open(_artifact(args, "conversion.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["shelf_id", "avg_visits_per_trip", "avg_purchases_per_trip",
@@ -418,7 +409,7 @@ def cmd_analyze(args):
                     "" if rate is None else repr(rate * 100.0),
                 ])
         summary["n_purchase_records"] = len(purchases)
-    _write_json(summary, _artifact(args, "summary.json"))
+    write_document(summary, _artifact(args, "summary.json"))
     _say(f"analyze: {stats.n_trips} trips, "
           f"{stats.overall_avg_visits:.3f} average visits per trip")
     return 0
@@ -544,7 +535,7 @@ def cmd_oracle_check(args):
         "config": {"seed": seed, "max_len": max_len, "window": window},
         "generated_at": _timestamp(),
     }
-    _write_json(report, _artifact(args, "oracle_check.json"))
+    write_document(report, _artifact(args, "oracle_check.json"))
     _say(f"oracle-check: {'PASS' if mismatch is None else 'FAIL'} "
           f"({checked} trajectories over {scenarios} scenarios)")
     return 0 if mismatch is None else 1

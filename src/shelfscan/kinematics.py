@@ -450,6 +450,32 @@ def write_records(records, path) -> None:
         fh.writelines(map(record_line, records))
 
 
+def read_document(path, what: str) -> dict:
+    """The JSON object of a side file: a layout, label manifest, scenario, ground truth or config.
+
+    json.loads decodes its bytes, as read_records decodes each line: UTF-8,
+    UTF-16 or UTF-32, with or without a BOM. An OSError passes unchanged; any
+    other fault, a value that is not an object too, is ParseError("cannot
+    parse {what} {path}: ...") raised from the error that says what is wrong.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+        if type(doc) is not dict:
+            raise TypeError(f"must be a JSON object, got a {type(doc).__name__}")
+    except (ValueError, TypeError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"cannot parse {what} {path}: {exc}") from exc
+    return doc
+
+
+def write_document(doc: dict, path) -> None:
+    """Write a JSON document as read_document reads it: indented, keys sorted, one final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def parse_record(line: bytes, where: str):
     """(trajectory_id, store_id, (n, 4) sample rows) of one JSONL trajectory record.
 

@@ -11,7 +11,6 @@ abstentions included.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import (
     UnknownTrajectory,
     ValidationError,
 )
-from .kinematics import DT, Trajectory, json_int, read_records, write_records
+from .kinematics import DT, Trajectory, json_int, read_document, read_records, write_document, write_records
 from .layout import StoreLayout
 
 
@@ -149,18 +148,14 @@ def read_label_manifest(path) -> tuple[int, list[str]]:
     An n_reviewers that is not a JSON integer (2.7, 2.0, true, "3") raises
     ParseError naming the file, as does a file that is not a JSON object.
     """
+    doc = read_document(path, "label manifest")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         roster = [str(r) for r in doc.get("reviewers", [])]
         n = json_int(doc, "n_reviewers")
-    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError,
-            RecursionError) as exc:  # RecursionError: nested deeper than json decodes
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"cannot parse label manifest {path}: {exc!r}") from exc
     return n, roster
 
 
 def write_label_manifest(n_reviewers: int, reviewers, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"n_reviewers": n_reviewers, "reviewers": list(reviewers)}, fh, indent=2)
-        fh.write("\n")
+    write_document({"n_reviewers": n_reviewers, "reviewers": list(reviewers)}, path)

@@ -12,14 +12,14 @@ counterclockwise from the +x axis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ShelfScanError, ValidationError
+from .kinematics import read_document, write_document
 
 MIN_SEGMENT_LENGTH = 1e-9
 UNIT_NORM_TOL = 1e-6
@@ -169,48 +169,33 @@ def _parse_segment(pair) -> Segment2D:
 
 
 def load_layout(path) -> StoreLayout:
-    """Load and validate a store layout from its JSON file."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ParseError(f"cannot parse layout file {path}: {exc}") from exc
-    return layout_from_dict(doc)
+    """Load and validate a store layout from its JSON file (kinematics.read_document)."""
+    return layout_from_dict(read_document(path, "layout file"))
 
 
-def _with_element(exc: ValidationError, element: str) -> ValidationError:
-    if exc.element is None:
-        return ValidationError(str(exc), element=element)
-    return exc
+def _elements(doc: dict, key: str, name: str, build) -> list:
+    """build(item) for each item of doc[key]; a ValidationError that names no element names the item."""
+    out = []
+    for item in doc.get(key, []):
+        try:
+            out.append(build(item))
+        except ValidationError as exc:
+            if exc.element is not None:
+                raise
+            raise ValidationError(str(exc), element=f"{name} {item.get('id')}") from exc
+    return out
 
 
 def layout_from_dict(doc: dict) -> StoreLayout:
+    """The StoreLayout of a layout document: a value or key that does not convert is a ParseError."""
     try:
-        shelves = []
-        for s in doc.get("shelves", []):
-            try:
-                shelves.append(
-                    Shelf(id=int(s["id"]), face=_parse_segment(s["face"]), normal=tuple(s["normal"]))
-                )
-            except ValidationError as exc:
-                raise _with_element(exc, f"shelf {s.get('id')}") from exc
-        obstacles = []
-        for o in doc.get("obstacles", []):
-            try:
-                obstacles.append(Obstacle(id=int(o["id"]), segment=_parse_segment(o["segment"])))
-            except ValidationError as exc:
-                raise _with_element(exc, f"obstacle {o.get('id')}") from exc
-        portals = []
-        for p in doc.get("portals", []):
-            try:
-                portals.append(Portal(
-                    id=int(p["id"]),
-                    segment=_parse_segment(p["segment"]),
-                    entrance=bool(p.get("entrance", True)),
-                    exit=bool(p.get("exit", True)),
-                ))
-            except ValidationError as exc:
-                raise _with_element(exc, f"portal {p.get('id')}") from exc
+        shelves = _elements(doc, "shelves", "shelf", lambda s: Shelf(
+            id=int(s["id"]), face=_parse_segment(s["face"]), normal=tuple(s["normal"])))
+        obstacles = _elements(doc, "obstacles", "obstacle", lambda o: Obstacle(
+            id=int(o["id"]), segment=_parse_segment(o["segment"])))
+        portals = _elements(doc, "portals", "portal", lambda p: Portal(
+            id=int(p["id"]), segment=_parse_segment(p["segment"]),
+            entrance=bool(p.get("entrance", True)), exit=bool(p.get("exit", True))))
         area = doc.get("area_m2")
         return StoreLayout(
             store_id=str(doc["store_id"]),
@@ -220,7 +205,9 @@ def layout_from_dict(doc: dict) -> StoreLayout:
             portals=tuple(portals),
             area_m2=None if area is None else float(area),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except ShelfScanError:
+        raise  # a value the layout types reject keeps its own error
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed layout document: {exc!r}") from exc
 
 
@@ -251,6 +238,4 @@ def layout_to_dict(layout: StoreLayout) -> dict:
 
 
 def save_layout(layout: StoreLayout, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(layout_to_dict(layout), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(layout_to_dict(layout), path)

@@ -13,7 +13,6 @@ Generation is deterministic given the scenario seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
@@ -21,7 +20,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import InfeasibleScript, ParseError, ShelfScanError, ValidationError, non_negative
-from .kinematics import DT, Trajectory, wrap_angle
+from .kinematics import DT, Trajectory, read_document, wrap_angle, write_document
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
 
@@ -437,36 +436,25 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
 
 
 def read_scenario(path) -> ScenarioSpec:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ParseError(f"cannot parse scenario file {path}: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_document(path, "scenario file"))
 
 
 def write_scenario(spec: ScenarioSpec, path) -> None:
-    """Write a scenario as indented JSON: asdict(spec), which read_scenario reads back."""
-    with open(path, "w") as fh:
-        json.dump(asdict(spec), fh, indent=2)
-        fh.write("\n")
+    """Write a scenario as a JSON document: asdict(spec), which read_scenario reads back."""
+    write_document(asdict(spec), path)
 
 
 def write_ground_truth(truth: GroundTruth, path) -> None:
-    doc = {tid: [list(ep) for ep in eps] for tid, eps in truth.episodes.items()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document({tid: [list(ep) for ep in eps] for tid, eps in truth.episodes.items()}, path)
 
 
 def read_ground_truth(path) -> GroundTruth:
+    doc = read_document(path, "ground truth file")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         episodes = {
             str(tid): tuple((int(s), float(t0), float(t1)) for s, t0, t1 in eps)
             for tid, eps in doc.items()
         }
-    except (OSError, json.JSONDecodeError, TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"cannot parse ground truth file {path}: {exc!r}") from exc
     return GroundTruth(episodes=episodes)

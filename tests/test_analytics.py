@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,4 +158,12 @@ def test_read_purchases_requires_header(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("traj,shelf\na,1\n")
     with pytest.raises(ParseError):
+        read_purchases(path)
+
+
+
+def test_a_bad_purchase_row_after_a_quoted_newline_names_its_own_line(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text('trajectory_id,shelf_id,quantity\n"a\nb",1,2\nc,one,1\n')
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}:4: bad purchase record: ValueError(")):
         read_purchases(path)

@@ -190,7 +190,11 @@ def test_grid_table_matches_independent_rescoring():
     grid = ParamGrid(t_b=(1.0, 7.0, 0.75), delta_b=(0.8, 1.6, 0.4), v_b=(0.3, 0.7, 0.2))
     result = calibrate(dataset, layout, grid)
     best_seen = -1.0
-    rows = list(result.score_rows())
+    lines = "".join(result.grid_lines()).split("\r\n")
+    assert lines[0] == "t_b,delta_b,v_b,tp,fp,fn,precision,recall,f1" and lines[-1] == ""
+    kinds = (float, float, float, int, int, int, float, float, float)
+    rows = [tuple(kind(field) for kind, field in zip(kinds, line.split(","), strict=True))
+            for line in lines[1:-1]]
     assert len(rows) == 9 * 3 * 3
     for t_b, delta_b, v_b, tp, fp, fn, precision, recall, f1 in rows:
         rep = score_dataset(dataset, layout, StopParams(t_b, delta_b, v_b))

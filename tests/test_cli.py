@@ -360,6 +360,19 @@ def test_analyze_outputs(synth_dir, tmp_path):
             assert row["conversion_pct"] == ""
 
 
+@pytest.mark.parametrize("row, error", [("nope,1,1", "InconsistentPopulation"),
+                                        ("trip-00000,10,1", "ShelfOutOfRange")])
+def test_analyze_that_rejects_a_purchase_writes_nothing(synth_dir, tmp_path, capsys, row, error):
+    stops, purchases, out = tmp_path / "stops.jsonl", tmp_path / "purchases.csv", tmp_path / "out"
+    stops.write_text("")
+    purchases.write_text(f"trajectory_id,shelf_id,quantity\ntrip-00000,1,1\n{row}\n")
+    code = run(["analyze", f"--layout={synth_dir / 'layout.json'}",
+                f"--trajectories={synth_dir / 'trajectories.jsonl'}", f"--stops={stops}",
+                f"--purchases={purchases}", "--out", str(out)])
+    assert code == 1 and json.loads(capsys.readouterr().err)["error"] == error
+    assert not out.exists()
+
+
 def test_oracle_check_deterministic(tmp_path):
     outs = []
     for name in ("o1", "o2"):
@@ -1132,27 +1145,67 @@ def test_a_line_nested_too_deep_exits_1_naming_its_line(synth_dir, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("where", ["layout", "manifest", "spec"])
-def test_a_side_file_nested_too_deep_exits_1_with_a_parse_error(synth_dir, tmp_path, capsys, where):
-    deep = tmp_path / "deep.json"
-    deep.write_text(DEEP_LINE)
+def _side_file_request(synth_dir, tmp_path, where):
+    """(path, argv): where a command reads its layout, labels manifest or scenario spec, and its argv."""
+    side = tmp_path / {"layout": "layout.json", "manifest": "labels.manifest.json", "spec": "spec.json"}[where]
     labels = tmp_path / "labels.jsonl"
     labels.write_bytes((synth_dir / "labels.jsonl").read_bytes())
-    manifest = tmp_path / "labels.manifest.json"
-    manifest.write_text(DEEP_LINE if where == "manifest" else '{"n_reviewers": 1, "reviewers": ["auto"]}')
-    layout = deep if where == "layout" else synth_dir / "layout.json"
     argv = {
         "layout": ["detect", "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55"],
         "manifest": ["calibrate", f"--labels={labels}", *SMALL_GRID],
-        "spec": ["synth", "--spec", str(deep)],
+        "spec": ["synth", "--spec", str(side)],
     }[where]
     if where != "spec":
+        layout = side if where == "layout" else synth_dir / "layout.json"
         argv += [f"--layout={layout}", f"--trajectories={synth_dir / 'trajectories.jsonl'}"]
-    code = run([*argv, "--out", str(tmp_path / "out")])
-    record = json.loads(capsys.readouterr().err)
-    assert code == 1 and record["error"] == "ParseError"
-    assert "recursion" in record["message"]
+    return side, [*argv, "--out", str(tmp_path / "out")]
+
+
+SIDE_FILE_FAULTS = {  # (content, the start of what the ParseError says is wrong)
+    "nested too deep": (DEEP_LINE.encode(), "maximum recursion depth exceeded"),
+    "not UTF-8": (b'{"store_id": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 14"),
+    "a JSON array": (b"[]", "must be a JSON object, got a list"),
+    "a JSON string": (b'"layout"', "must be a JSON object, got a str"),
+}
+
+
+@pytest.mark.parametrize("fault", SIDE_FILE_FAULTS)
+@pytest.mark.parametrize("where, what", [("layout", "layout file"), ("manifest", "label manifest"),
+                                         ("spec", "scenario file")])
+def test_a_side_file_that_is_not_a_json_object_exits_1_with_one_parse_error(synth_dir, tmp_path, capsys,
+                                                                             where, what, fault):
+    side, argv = _side_file_request(synth_dir, tmp_path, where)
+    content, cause = SIDE_FILE_FAULTS[fault]
+    side.write_bytes(content)
+    code = run(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith(f"cannot parse {what} {side}: {cause}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["layout", "manifest", "spec"])
+def test_a_side_file_that_is_a_directory_exits_2_with_one_line(synth_dir, tmp_path, capsys, where):
+    side, argv = _side_file_request(synth_dir, tmp_path, where)
+    side.mkdir()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno 21] Is a directory")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+@pytest.mark.parametrize("where", ["layout", "manifest", "spec"])
+def test_a_side_file_with_a_bom_is_read(synth_dir, tmp_path, where, encoding):
+    side, argv = _side_file_request(synth_dir, tmp_path, where)
+    if where == "spec":
+        write_scenario(population_scenario(5, 2, n_shelves=9), side)
+    else:
+        side.write_bytes((synth_dir / side.name).read_bytes())
+    side.write_bytes(side.read_text().encode(encoding))
+    assert run(argv) == 0
 
 
 def test_a_config_nested_too_deep_is_a_usage_error(synth_dir, tmp_path, capsys):
@@ -1471,9 +1524,14 @@ def _stops(content):
     return fault
 
 
-def _headless_purchases(store, tmp_path):
-    (tmp_path / "purchases.csv").write_text("trip,shelf\n")
-    return [*_stops("")(store, tmp_path), f"--purchases={tmp_path / 'purchases.csv'}"]
+def _purchases(content: bytes):
+    def fault(store, tmp_path):
+        (tmp_path / "purchases.csv").write_bytes(content)
+        return [*_stops("")(store, tmp_path), f"--purchases={tmp_path / 'purchases.csv'}"]
+    return fault
+
+
+PURCHASES_HEADER = b"trajectory_id,shelf_id,quantity\n"
 
 
 UNSTEPPED = ["--t-b-range", "1.0", "1.0000000000000002", "1e-17"]  # the t_b axis repeats 1.0
@@ -1499,7 +1557,15 @@ BAD_REQUESTS = [  # (name, command, fault, error, message)
     ("window", "analyze", lambda store, tmp_path: [*_stops("")(store, tmp_path), "--window", "4"],
      *BAD_WINDOW),
     ("stops", "analyze", _stops("{not json\n"), "ParseError", "stops.jsonl:1: bad stop event"),
-    ("purchases", "analyze", _headless_purchases, "ParseError", "purchases CSV must have columns"),
+    ("purchases", "analyze", _purchases(b"trip,shelf\n"), "ParseError", "purchases CSV must have columns"),
+    ("purchases-not-utf8", "analyze", _purchases(PURCHASES_HEADER + b"trip-00000,1,\xff\n"), "ParseError",
+     "purchases.csv:2: bad purchase record: 'utf-8' codec can't decode byte 0xff in position 45"),
+    ("purchases-oversized-field", "analyze",
+     _purchases(PURCHASES_HEADER + b"trip-00000,1,1\n" + b"x" * 131_073 + b",1,1\n"), "ParseError",
+     "purchases.csv:3: bad purchase record: Error('field larger than field limit (131072)')"),
+    ("purchases-after-a-blank-line", "analyze",
+     _purchases(PURCHASES_HEADER + b"trip-00000,1,1\n\ntrip-00000,one,1\n"), "ParseError",
+     "purchases.csv:4: bad purchase record: ValueError("),
     ("window", "synth", _flags("--window", "4"), *BAD_WINDOW),
     ("window", "oracle-check", _flags("--window", "4"), *BAD_WINDOW),
 ]

@@ -100,6 +100,18 @@ def test_parse_error_on_missing_keys(tmp_path):
         load_layout(write_layout_doc(tmp_path, {"shelves": []}))
 
 
+@pytest.mark.parametrize("edit", [
+    {"area_m2": "big"},
+    {"shelves": [{**MINIMAL["shelves"][0], "id": "one"}]},
+    {"shelves": [{**MINIMAL["shelves"][0], "face": [[0, 0, 0], [2, 0]]}]},
+    {"shelves": [{**MINIMAL["shelves"][0], "normal": ["up", 1]}]},
+    {"shelves": ["shelf 1"]},
+])
+def test_a_value_that_does_not_convert_is_a_parse_error(tmp_path, edit):
+    with pytest.raises(ParseError, match="^malformed layout document: "):
+        load_layout(write_layout_doc(tmp_path, {**MINIMAL, **edit}))
+
+
 def two_shelves_one_obstacle():
     return StoreLayout(
         store_id="two",

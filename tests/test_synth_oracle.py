@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -21,7 +22,7 @@ from shelfscan import (
     random_scenario,
     stand_point,
 )
-from shelfscan.errors import InfeasibleScript, ValidationError
+from shelfscan.errors import InfeasibleScript, ParseError, ValidationError
 from shelfscan.kinematics import fit_window
 from shelfscan.synth import (
     GroundTruth,
@@ -190,6 +191,17 @@ def test_ground_truth_round_trip(tmp_path):
     path = tmp_path / "truth.json"
     write_ground_truth(truth, path)
     assert read_ground_truth(path) == truth
+
+
+@pytest.mark.parametrize("content, cause", [
+    (b'[["trip-00000", 1, 0.0, 1.0]]', "must be a JSON object, got a list"),
+    (b'{"trip-00000": [[1, 0.0, 1.0]], "\xff": []}', "'utf-8' codec can't decode byte 0xff"),
+])
+def test_ground_truth_not_a_json_object_or_not_utf8_is_a_parse_error(tmp_path, content, cause):
+    path = tmp_path / "truth.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="^" + re.escape(f"cannot parse ground truth file {path}: {cause}")):
+        read_ground_truth(path)
 
 
 def margin_script(layout, visits, speed_ratio=1.8, v_b=0.5):
