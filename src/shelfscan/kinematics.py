@@ -14,8 +14,9 @@ import json
 import math
 import os
 import pickle
+import struct
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -400,11 +401,10 @@ def read_lines(path, start: int = 0, stop: int | None = None):
                 yield lineno, line
 
 
-def json_int(rec: dict, key: str) -> int:
-    """rec[key], which must be a JSON integer: TypeError for a bool, float, string or other value."""
-    value = rec[key]
+def json_int(value, name: str) -> int:
+    """`value`, which must be a JSON integer: TypeError naming it `name` for a bool, float, string or other."""
     if type(value) is not int:
-        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
     return value
 
 
@@ -429,7 +429,7 @@ def read_records(path, cls, what: str) -> list:
     for lineno, line in read_lines(path):
         try:
             rec = json.loads(line)
-            values = [json_int(rec, name) if kind is int else kind(rec[name]) for name, kind in columns]
+            values = [json_int(rec[name], name) if kind is int else kind(rec[name]) for name, kind in columns]
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}:{lineno}: bad {what}: {exc!r}") from exc
         out.append(cls(*values))
@@ -482,90 +482,87 @@ def parse_record(line: bytes, where: str):
     Record shape: {"trajectory_id", "store_id", "samples": [[t, x, y, theta], ...]}.
     A malformed record or sample row, or one nested deeper than json can
     decode, raises ParseError; `where` ("path:line") prefixes its message.
-    orjson decodes every line on which it gives json's outcome
-    (_orjson_record); json decodes the rest, each malformed record among them.
+
+    A record whose samples are rows of four plain numbers, as every
+    trajectory_record line's are, takes one fast path (_plain_record),
+    wherever its samples key sits. Let s be the index just past the colon
+    that follows the first '"samples"' (JSON whitespace may part them) and
+    e the index just past the last ']]'. A line takes it only if all of
+    these hold:
+    - line[s:e] less its digits, '.-+eE' and whitespace is
+      '[' + '[,,,],' * (n - 1) + '[,,,]]' for some n >= 1, so the samples
+      hold no literal, string, NaN, nesting or ragged row;
+    - the head, line[:s] + '0' + line[e:], has no '[' and one '{', and
+      orjson decodes it as an object whose trajectory_id and store_id are
+      strings and whose samples is 0, with two '"' for each key and each
+      string value;
+    - orjson decodes line[s:e].
+    json decodes every other line, each malformed record among them, and
+    json's outcome is the one both paths give.
     """
-    strict = _may_hold_literal(line)
-    record = _orjson_record(line, where, strict)
+    record = _plain_record(line)
     if record is not None:
         return record
     try:
         rec = json.loads(line)
         trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
-        rows = _sample_rows(rec["samples"], where, strict)
+        rows = _sample_rows(rec["samples"], where, b"true" in line or b"false" in line)
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, OverflowError,
             RecursionError) as exc:
         raise ParseError(f"{where}: bad trajectory record: {exc!r}") from exc
     return trajectory_id, store_id, rows
 
 
-# the bytes that may follow a JSON literal: a delimiter or whitespace
-_AFTER_LITERAL = np.zeros(256, dtype=bool)
-_AFTER_LITERAL[list(b",]} \t\r\n")] = True
+_SAMPLES_KEY = b'"samples"'
+_WHITESPACE = b" \t\n\r"
+_NUMBER_BYTES = b"0123456789.-+eE" + _WHITESPACE  # what a row of plain numbers holds besides '[', ',' and ']'
 
 
-def _may_hold_literal(line: bytes) -> bool:
-    """Whether a line may hold a JSON true or false: an 'e' before a delimiter, whitespace or the end.
+def _plain_record(line: bytes):
+    """parse_record's result for a line that passes its three checks, else None.
 
-    Both literals end in 'e' and no JSON number does, so a line without
-    such an 'e' holds neither; an id that merely contains an 'e' is not
-    one. A string holding "e," or "e " is flagged too, which costs only
-    the per-value check.
+    Only whitespace may part '"samples"' from its colon, so a string value
+    "samples" is not taken for the key. Two quotes for each key and string
+    value of the head leave none for an escaped quote or a duplicate key,
+    so the line is the head with its 0 replaced by the samples. The
+    skeleton fixes the order of the samples' brackets and commas but not
+    which side of a bracket a number sits on ('[1[,2,3,4]]' has the
+    skeleton of '[[1,2,3,4]]'), so orjson decodes the samples as JSON,
+    never nested more than two deep. It refuses what JSON does not allow
+    ('01', '+1', '.5', '1.', a number beyond the double range), which json
+    reads its own way, and a number it reads rounds to the double that
+    float() gives it, as np.array rounds json's. struct packs the values
+    into one float array, converting each as float() does: no dtype is
+    discovered.
     """
-    a = np.frombuffer(line, np.uint8)
-    if not len(a):
-        return False
-    return bool(a[-1] == 0x65) or bool(_AFTER_LITERAL[a[np.flatnonzero(a[:-1] == 0x65) + 1]].any())
-
-
-# orjson is given a line only if the line cannot nest deeper than this: orjson 3.8 recurses
-# without a limit and overflows the C stack somewhere past 100,000 levels
-_ORJSON_DEPTH = 1 << 12
-
-
-def _orjson_record(line: bytes, where: str, strict: bool):
-    """parse_record's result through orjson, or None where json's outcome could differ.
-
-    It is None for a line orjson refuses (NaN, Infinity, a number beyond
-    the double range, a lone surrogate, a BOM, bytes that are not UTF-8,
-    malformed JSON), for a record that does not parse (the error text is
-    json's), for an id that is not a JSON string (orjson reads an integer
-    beyond 64 bits as a float, and str() would show it as one), and for a
-    line with a '[' or '{' beyond the record's own (json refuses deep
-    nesting, orjson does not). Such an integer among the samples gives the
-    same row either way: orjson rounds it to the nearest double, as
-    float() does.
-    """
-    a = np.frombuffer(line, np.uint8)
-    opens = np.count_nonzero(a == 0x5B) + np.count_nonzero(a == 0x7B)  # '[' and '{'
-    if opens > _ORJSON_DEPTH and _nesting_bound(a) > _ORJSON_DEPTH:
+    k = line.find(_SAMPLES_KEY) + len(_SAMPLES_KEY)
+    s = line.find(b":", k) + 1
+    e = line.rfind(b"]]") + 2
+    if k < len(_SAMPLES_KEY) or s <= k or line[k:s - 1].strip(_WHITESPACE) or e <= s:
+        return None
+    samples = line[s:e]
+    skeleton = samples.translate(None, _NUMBER_BYTES)
+    n = (len(skeleton) - 1) // 6
+    if n < 1 or skeleton != b"[" + b"[,,,]," * (n - 1) + b"[,,,]]":
+        return None
+    head = line[:s] + b"0" + line[e:]
+    if b"[" in head or head.count(b"{") != 1:
         return None
     import orjson  # here, not at the top: only a process that reads a trajectory loads it
 
     try:
-        rec = orjson.loads(line)
-        trajectory_id, store_id = rec["trajectory_id"], rec["store_id"]
-        if type(trajectory_id) is not str or type(store_id) is not str:
-            return None
-        rows = _sample_rows(rec["samples"], where, strict)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):  # json words the error
+        rec = orjson.loads(head)
+        lists = orjson.loads(samples)
+    except orjson.JSONDecodeError:
         return None
-    if opens != len(rows) + 2:  # a '[' or '{' beyond the record's own: json says how deep is too deep
+    trajectory_id, store_id = rec.get("trajectory_id"), rec.get("store_id")
+    strings = len(rec) + sum(type(value) is str for value in rec.values())
+    if (head.count(b'"') != 2 * strings or type(trajectory_id) is not str or type(store_id) is not str
+            or type(rec.get("samples")) is not int):
         return None
+    rows = np.empty((n, 4))
+    struct.pack_into(f"{4 * n}d", rows, 0, *chain.from_iterable(lists))
     return trajectory_id, store_id, rows
-
-
-def _nesting_bound(a: np.ndarray) -> int:
-    """An upper bound on how deep the JSON text in the byte array `a` nests.
-
-    Each '[' or '{' may open a level, but a '[' right after '],' or '], '
-    opens one that the ']' before it closed: no quote lies between the two,
-    so both are inside a string or neither is.
-    """
-    i = np.flatnonzero(a[3:] == 0x5B) + 3  # a '[' among the first 3 bytes counts below
-    paired = ((a[i - 1] == 0x2C) & (a[i - 2] == 0x5D)
-              | (a[i - 1] == 0x20) & (a[i - 2] == 0x2C) & (a[i - 3] == 0x5D))
-    return 3 + len(i) - int(np.count_nonzero(paired)) + int(np.count_nonzero(a == 0x7B))
 
 
 def default_jobs() -> int:

@@ -145,13 +145,16 @@ def write_labels(labels, path) -> None:
 def read_label_manifest(path) -> tuple[int, list[str]]:
     """Read the sidecar manifest: panel size and reviewer roster.
 
-    An n_reviewers that is not a JSON integer (2.7, 2.0, true, "3") raises
+    An n_reviewers that is not a JSON integer (2.7, 2.0, true, "3"), or
+    reviewers that are not a JSON list of strings ("auto"), raises
     ParseError naming the file, as does a file that is not a JSON object.
     """
     doc = read_document(path, "label manifest")
     try:
-        roster = [str(r) for r in doc.get("reviewers", [])]
-        n = json_int(doc, "n_reviewers")
+        roster = doc.get("reviewers", [])
+        if type(roster) is not list or any(type(r) is not str for r in roster):
+            raise TypeError(f"reviewers must be a JSON list of strings, got {roster!r}")
+        n = json_int(doc["n_reviewers"], "n_reviewers")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"cannot parse label manifest {path}: {exc!r}") from exc
     return n, roster

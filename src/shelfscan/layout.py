@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParseError, ShelfScanError, ValidationError
-from .kinematics import read_document, write_document
+from .kinematics import json_int, read_document, write_document
 
 MIN_SEGMENT_LENGTH = 1e-9
 UNIT_NORM_TOL = 1e-6
@@ -187,14 +187,17 @@ def _elements(doc: dict, key: str, name: str, build) -> list:
 
 
 def layout_from_dict(doc: dict) -> StoreLayout:
-    """The StoreLayout of a layout document: a value or key that does not convert is a ParseError."""
+    """The StoreLayout of a layout document: a value or key that does not convert is a ParseError.
+
+    A shelf, obstacle or portal id must be a JSON integer (json_int).
+    """
     try:
         shelves = _elements(doc, "shelves", "shelf", lambda s: Shelf(
-            id=int(s["id"]), face=_parse_segment(s["face"]), normal=tuple(s["normal"])))
+            id=json_int(s["id"], "id"), face=_parse_segment(s["face"]), normal=tuple(s["normal"])))
         obstacles = _elements(doc, "obstacles", "obstacle", lambda o: Obstacle(
-            id=int(o["id"]), segment=_parse_segment(o["segment"])))
+            id=json_int(o["id"], "id"), segment=_parse_segment(o["segment"])))
         portals = _elements(doc, "portals", "portal", lambda p: Portal(
-            id=int(p["id"]), segment=_parse_segment(p["segment"]),
+            id=json_int(p["id"], "id"), segment=_parse_segment(p["segment"]),
             entrance=bool(p.get("entrance", True)), exit=bool(p.get("exit", True))))
         area = doc.get("area_m2")
         return StoreLayout(

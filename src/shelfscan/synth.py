@@ -20,7 +20,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import InfeasibleScript, ParseError, ShelfScanError, ValidationError, non_negative
-from .kinematics import DT, Trajectory, read_document, wrap_angle, write_document
+from .kinematics import DT, Trajectory, json_int, read_document, wrap_angle, write_document
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
 
@@ -449,10 +449,11 @@ def write_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def read_ground_truth(path) -> GroundTruth:
+    """Read a ground truth file as write_ground_truth writes it; a shelf id must be a JSON integer."""
     doc = read_document(path, "ground truth file")
     try:
         episodes = {
-            str(tid): tuple((int(s), float(t0), float(t1)) for s, t0, t1 in eps)
+            str(tid): tuple((json_int(s, "shelf id"), float(t0), float(t1)) for s, t0, t1 in eps)
             for tid, eps in doc.items()
         }
     except (TypeError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""parse_record decodes with orjson where it can, and with json where their outcomes could differ.
+"""parse_record decodes a record of plain sample rows with orjson, and every other line with json.
 
 The reference below is the json-only parser: every line must give the
 same (trajectory_id, store_id, rows) with bit-identical rows, or raise
@@ -7,6 +7,7 @@ the same ParseError text.
 
 import json
 import math
+import re
 import uuid
 from decimal import Decimal, localcontext
 
@@ -49,6 +50,10 @@ def no_json_loads(*args, **kwargs):
     raise AssertionError("json.loads was called")
 
 
+def no_sample_rows(*args, **kwargs):
+    raise AssertionError("_sample_rows was called")
+
+
 @pytest.fixture
 def no_json_decode(monkeypatch):
     """Fail the test if json.loads is called: only orjson may decode."""
@@ -89,25 +94,66 @@ UUID = st.uuids().map(lambda u: json.dumps(str(u)))
 ID = st.one_of(STRING, STRING, NUMBER, UUID,
                st.sampled_from(["123456789012345678901234567890", "null", "[]", "true", '"true"', '"false"',
                                 '"e"', '"e,"']))
+# ids that hold what the fast path looks for, or a non-ASCII character raw or escaped
+TRAP_ID = st.sampled_from(['"\\"samples\\":"', '"x\\"samples\\": [[1, 2, 3, 4]]"', '"]]"', '"[[0, 1, 2, 3]]"',
+                           '"["', '"{"', '"samples"', '"\u00e9"', '"\\u00e9"', '"caf\u00e9 ]]"'])
+# a token JSON refuses, or one it reads its own way, among plain numbers
+BAD_TOKEN = st.sampled_from(["01", "+1", ".5", "1.", "-", "1e", "1e+", "--1", "1.5.2", "0x1", "1 2", "", "00",
+                             "-01", "1e5.5", "1E+2", "1e-2", "-0", "e5", "1-2", "1e400", "NaN", "-Infinity",
+                             "true", "false", "null", '"1.0"', "[1.0]", "[]", "{}"])
+# spellings of a key that json decodes to the key itself
+ESCAPED_KEY = {"trajectory_id": '"trajectory\\u005fid"', "store_id": '"\\u0073tore_id"',
+               "samples": '"sampl\\u0065s"', "extra": '"\\u0065xtra"'}
+# (item, key) separators: json.dumps' default, compact, and other JSON whitespace
+SEPARATORS = [(", ", ": "), (",", ":"), (" ,\n", "\t: ")]
+
+
+@st.composite
+def bracket_moved(draw, samples: str):
+    """`samples` with one or two brackets each swapped with a number beside it: '[1[,2,3,4]]'."""
+    tokens = re.findall(r"[][]|,|[^][,]+", samples)
+    for _ in range(draw(st.integers(1, 2))):
+        number = [t not in "[]," and bool(t.strip()) for t in tokens]
+        swaps = [k for k in range(len(tokens) - 1)
+                 if {tokens[k], tokens[k + 1]} & {"[", "]"} and number[k] != number[k + 1]]
+        if swaps:
+            k = draw(st.sampled_from(swaps))
+            tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
+    return "".join(tokens)
 
 
 @st.composite
 def lines(draw):
-    """A trajectory line: a plain record half the time, else one with values, ids or bytes json reads its own way."""
+    """A trajectory line: a plain record half the time, else one with values, ids or bytes json reads its own way.
+
+    Either kind may have shuffled, duplicate or escaped keys, ids that hold
+    what the fast path looks for, and one of three separator styles. A
+    record of numbers may also have a bracket moved across a number.
+    """
     odd = draw(st.booleans())
+    item_sep, key_sep = draw(st.sampled_from(SEPARATORS))
+    near = draw(st.booleans())  # a plain record but for a bad token or a row of 3 or 5
     row = (st.lists(VALUE, min_size=0, max_size=6) if odd  # ragged rows too
-           else st.lists(PLAIN_NUMBER, min_size=4, max_size=4))
+           else st.lists(st.one_of(PLAIN_NUMBER, PLAIN_NUMBER, PLAIN_NUMBER, BAD_TOKEN), min_size=3, max_size=5)
+           if near else st.lists(PLAIN_NUMBER, min_size=4, max_size=4))
     rows = draw(st.lists(row, max_size=5))
-    samples = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
-    ids = ID if odd else st.one_of(PLAIN_STRING.map(json.dumps), UUID)
+    samples = "[" + item_sep.join("[" + item_sep.join(row) + "]" for row in rows) + "]"
+    if not odd and draw(st.integers(0, 3)) == 0:
+        samples = draw(bracket_moved(samples))
+    ids = st.one_of(ID, TRAP_ID) if odd else st.one_of(PLAIN_STRING.map(json.dumps), UUID, TRAP_ID)
     pairs = [("trajectory_id", draw(ids)), ("store_id", draw(ids)), ("samples", samples)]
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
     if draw(st.booleans()):
         pairs.insert(draw(st.integers(0, 3)), draw(st.sampled_from(pairs)))  # a duplicate key
     if draw(st.booleans()):
-        pairs.insert(draw(st.integers(0, 3)), ("extra", draw(st.one_of(VALUE, STRING))))
+        key = draw(st.sampled_from(["extra", "extra", "samples", 'x"samples']))  # the last two shadow samples
+        pairs.insert(draw(st.integers(0, 3)), (key, draw(st.one_of(VALUE, STRING))))
     if odd and draw(st.integers(0, 4)) == 0:
         del pairs[draw(st.integers(0, len(pairs) - 1))]  # a missing key
-    text = "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+    escaped = draw(st.sets(st.sampled_from(sorted(ESCAPED_KEY)))) if draw(st.integers(0, 3)) == 0 else set()
+    text = "{" + item_sep.join(
+        f"{ESCAPED_KEY[key] if key in escaped else json.dumps(key)}{key_sep}{value}" for key, value in pairs) + "}"
     line = text.encode("utf-8", "surrogatepass")
     damage = draw(st.sampled_from(["none", "bom", "latin-1", "garbage", "truncated"])) if odd else "none"
     if damage == "bom":
@@ -171,6 +217,16 @@ def test_orjson_and_json_give_the_same_outcome(line):
     b'{"trajectory_id":"a","store_id":"s","samples":[[0,1,2,3],[0.1,1,2,3]]}',
     b'{"trajectory_id": "a", "store_id": "s", "samples": []}',
     b'["trajectory_id", "store_id", "samples"]',
+    # a second samples key, escaped or holding an escaped quote, that is an integer in the head
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [[1, 2, 3, 4]], "sampl\\u0065s": 5}',
+    b'{"trajectory_id": "a", "store_id": "s", "x\\"samples": [[1, 2, 3, 4]], "samples": 7}',
+    # an id "samples" before the samples of another key
+    b'{"trajectory_id": "samples", "x": [[1, 2, 3, 4]], "store_id": "s", "samples": 3}',
+    # a number moved across a bracket: the skeleton is a plain record's
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [[1,2,3,]4,[5,6,7,8]]}',
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [1[,2,3,4]]}',
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [[1,2,3,4],5[,6,7,8]]}',
+    b'{"trajectory_id": "a", "store_id": "s", "samples": 1[[,2,3,4]]}',
     b"null",
     b"{}",
 ], ids=lambda line: repr(line[:60]))
@@ -212,19 +268,61 @@ def test_orjson_reads_every_float_string_as_float_does(tmp_path, no_json_decode)
         assert got.tobytes() == want[start:start + 1000].tobytes()
 
 
-def test_a_clean_synth_store_is_decoded_by_orjson_alone(tmp_path, monkeypatch):
+def synth_lines(tmp_path):
+    """The lines of a clean 12-trip synth store."""
     store = tmp_path / "store"
     assert cli.main(["synth", "--population", "12", "--shelves", "9", "--noise", "0.05",
                      "--seed", "4", "--out", str(store)]) == 0
-    lines = [line for _, line in read_lines(store / "trajectories.jsonl")]
+    return [line for _, line in read_lines(store / "trajectories.jsonl")]
+
+
+def test_a_clean_synth_store_is_decoded_by_orjson_alone(tmp_path, monkeypatch):
+    """Its lines, and the same records written compact, all take the fast path: json and _sample_rows stay idle."""
+    lines = synth_lines(tmp_path)
+    lines += [json.dumps(json.loads(line), separators=(",", ":")).encode() for line in lines]
     want = [outcome(reference, line) for line in lines]
+    assert want[:12] == want[12:]
     monkeypatch.setattr(json, "loads", no_json_loads)
+    monkeypatch.setattr(kinematics, "_sample_rows", no_sample_rows)
     assert [outcome(parse_record, line) for line in lines] == want
-    assert len(read_trajectories(store / "trajectories.jsonl")) == len(lines) == 12
+    path = tmp_path / "compact.jsonl"
+    path.write_bytes(b"\n".join(lines[12:]) + b"\n")
+    assert len(read_trajectories(path)) == len(lines) // 2 == 12
+
+
+@pytest.mark.parametrize("spell", [
+    lambda rec: json.dumps(rec, sort_keys=True),  # samples first
+    lambda rec: json.dumps({**rec, "device": "tag-7", "rate_hz": 10, "raw": None, "ok": True}),
+    lambda rec: json.dumps(rec, separators=(", ", " : ")),
+], ids=["samples-first", "extra-scalar-keys", "space-before-colon"])
+def test_a_record_spelled_otherwise_takes_the_fast_path(spell, tmp_path, monkeypatch):
+    line = synth_lines(tmp_path)[0]
+    other = spell(json.loads(line)).encode()
+    want = outcome(reference, other)
+    assert want == outcome(reference, line)
+    monkeypatch.setattr(json, "loads", no_json_loads)
+    monkeypatch.setattr(kinematics, "_sample_rows", no_sample_rows)
+    assert outcome(parse_record, other) == want
+
+
+@pytest.mark.parametrize("spell", [
+    lambda rec: json.dumps({**rec, "tags": ["a"]}),
+    lambda rec: json.dumps({**rec, "trajectory_id": 'say "hi"'}),
+    lambda rec: json.dumps({**rec, "trajectory_id": "samples"}),
+], ids=["extra-list-key", "quote-in-id", "samples-id"])
+def test_a_record_spelled_otherwise_takes_the_json_path(spell, tmp_path, monkeypatch):
+    line = synth_lines(tmp_path)[0]
+    other = spell(json.loads(line)).encode()
+    want = outcome(reference, other)
+    assert want[1:] == outcome(reference, line)[1:]  # the same store_id and rows, whatever the id
+    calls, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+    assert outcome(parse_record, other) == want
+    assert calls == [other]
 
 
 def test_a_store_of_uuid_ids_never_checks_values_one_by_one(tmp_path, monkeypatch):
-    """The boolean pre-check flags no UUID id, though hex ids hold an 'e' (one ends in it)."""
+    """UUID ids hold 'e's (one ends in it), yet such a store takes the fast path: no value is checked alone."""
     store = tmp_path / "store"
     assert cli.main(["synth", "--population", "12", "--shelves", "9", "--noise", "0.05",
                      "--seed", "4", "--out", str(store)]) == 0

@@ -112,6 +112,23 @@ def test_a_value_that_does_not_convert_is_a_parse_error(tmp_path, edit):
         load_layout(write_layout_doc(tmp_path, {**MINIMAL, **edit}))
 
 
+WITH_OBSTACLE_AND_PORTAL = {
+    **MINIMAL,
+    "obstacles": [{"id": 2, "segment": [[0, 3], [2, 3]]}],
+    "portals": [{"id": 1, "segment": [[3, 0], [3, 1]]}],
+}
+
+
+@pytest.mark.parametrize("key", ["shelves", "obstacles", "portals"])
+@pytest.mark.parametrize("element_id", [1.9, 2.0, True, "3", None])
+def test_an_element_id_that_is_not_a_json_integer_is_a_parse_error(tmp_path, key, element_id):
+    layout = load_layout(write_layout_doc(tmp_path, WITH_OBSTACLE_AND_PORTAL))
+    assert (layout.shelves[0].id, layout.obstacles[0].id, layout.portals[0].id) == (1, 2, 1)
+    doc = {**WITH_OBSTACLE_AND_PORTAL, key: [{**WITH_OBSTACLE_AND_PORTAL[key][0], "id": element_id}]}
+    with pytest.raises(ParseError, match="^malformed layout document: .*id must be a JSON integer"):
+        load_layout(write_layout_doc(tmp_path, doc))
+
+
 def two_shelves_one_obstacle():
     return StoreLayout(
         store_id="two",

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import asdict
@@ -201,6 +202,15 @@ def test_ground_truth_not_a_json_object_or_not_utf8_is_a_parse_error(tmp_path, c
     path = tmp_path / "truth.json"
     path.write_bytes(content)
     with pytest.raises(ParseError, match="^" + re.escape(f"cannot parse ground truth file {path}: {cause}")):
+        read_ground_truth(path)
+
+
+@pytest.mark.parametrize("shelf_id", [1.9, 2.0, True, "3", None])
+def test_ground_truth_shelf_id_that_is_not_a_json_integer_is_a_parse_error(tmp_path, shelf_id):
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({"trip-00000": [[1, 0.0, 1.0], [shelf_id, 2.0, 3.0]]}))
+    with pytest.raises(ParseError, match="^" + re.escape(f"cannot parse ground truth file {path}: TypeError(")
+                       + ".shelf id must be a JSON integer, got " + re.escape(repr(shelf_id))):
         read_ground_truth(path)
 
 
