@@ -9,6 +9,7 @@ conversion rates.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass
@@ -129,11 +130,13 @@ def conversion_rates(stats: ShelfStats, purchases, incidence: bool = False) -> C
 def read_purchases(path) -> list[PurchaseRecord]:
     """Read purchase records from a UTF-8 CSV with header trajectory_id, shelf_id, quantity.
 
-    A byte that is not UTF-8, a row csv refuses or a row that is no PurchaseRecord is a ParseError
-    naming the file and the line: the bad byte's, or the row's last line as csv counts lines.
+    A leading BOM is dropped, as the JSON readers drop it. A byte that is not UTF-8, a row csv
+    refuses or a row that is no PurchaseRecord is a ParseError naming the file and the line: the
+    bad byte's, or the row's last line as csv counts lines.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    data = data.removeprefix(codecs.BOM_UTF8)  # not "utf-8-sig": its error offsets would not count the BOM
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -196,7 +196,7 @@ def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs,
 
     manifest_path = _manifest_path(labels_path)
     _require_paths(manifest_path)
-    n_reviewers, _ = labeling.read_label_manifest(manifest_path)
+    n_reviewers = labeling.read_label_manifest(manifest_path)
     labels = labeling.read_labels(labels_path)
     return calibration.prepare_file(trajectories_path, labels, n_reviewers, layout, grid, window,
                                     jobs=jobs, fold=fold)

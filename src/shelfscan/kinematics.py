@@ -485,20 +485,20 @@ def parse_record(line: bytes, where: str):
 
     A record whose samples are rows of four plain numbers, as every
     trajectory_record line's are, takes one fast path (_plain_record),
-    wherever its samples key sits. Let s be the index just past the colon
-    that follows the first '"samples"' (JSON whitespace may part them) and
-    e the index just past the last ']]'. A line takes it only if all of
-    these hold:
-    - line[s:e] less its digits, '.-+eE' and whitespace is
-      '[' + '[,,,],' * (n - 1) + '[,,,]]' for some n >= 1, so the samples
-      hold no literal, string, NaN, nesting or ragged row;
-    - the head, line[:s] + '0' + line[e:], has no '[' and one '{', and
-      orjson decodes it as an object whose trajectory_id and store_id are
-      strings and whose samples is 0, with two '"' for each key and each
-      string value;
-    - orjson decodes line[s:e].
-    json decodes every other line, each malformed record among them, and
-    json's outcome is the one both paths give.
+    wherever its samples key sits. Let a be the index of the line's first
+    '[' and e the index just past its last ']]'. A line takes it only if
+    all of these hold:
+    - no '[' and exactly one '{' lie outside line[a:e];
+    - line[a:e] less its digits, '.-+eE' and whitespace is
+      '[' + '[,,,],' * (n - 1) + '[,,,]]' for some n >= 1;
+    - orjson decodes the line as an object whose trajectory_id and
+      store_id are strings and whose samples is a list.
+    No '"' is in line[a:e], so it lies wholly inside a string or wholly
+    outside: outside, it is the one list of the line, a list of n rows of
+    four numbers if it is JSON at all, so the samples can only be a list
+    if they are these rows. Both decoders keep a duplicate key's last
+    value. json decodes every other line, each malformed record among
+    them, and json's outcome is the one both paths give.
     """
     record = _plain_record(line)
     if record is not None:
@@ -513,55 +513,43 @@ def parse_record(line: bytes, where: str):
     return trajectory_id, store_id, rows
 
 
-_SAMPLES_KEY = b'"samples"'
-_WHITESPACE = b" \t\n\r"
-_NUMBER_BYTES = b"0123456789.-+eE" + _WHITESPACE  # what a row of plain numbers holds besides '[', ',' and ']'
+_NUMBER_BYTES = b"0123456789.-+eE \t\n\r"  # what a row of plain numbers holds besides '[', ',' and ']'
 
 
 def _plain_record(line: bytes):
     """parse_record's result for a line that passes its three checks, else None.
 
-    Only whitespace may part '"samples"' from its colon, so a string value
-    "samples" is not taken for the key. Two quotes for each key and string
-    value of the head leave none for an escaped quote or a duplicate key,
-    so the line is the head with its 0 replaced by the samples. The
-    skeleton fixes the order of the samples' brackets and commas but not
-    which side of a bracket a number sits on ('[1[,2,3,4]]' has the
-    skeleton of '[[1,2,3,4]]'), so orjson decodes the samples as JSON,
-    never nested more than two deep. It refuses what JSON does not allow
-    ('01', '+1', '.5', '1.', a number beyond the double range), which json
-    reads its own way, and a number it reads rounds to the double that
-    float() gives it, as np.array rounds json's. struct packs the values
-    into one float array, converting each as float() does: no dtype is
-    discovered.
+    The skeleton fixes the order of the brackets and commas but not which
+    side of a bracket a number sits on ('[1[,2,3,4]]' has the skeleton of
+    '[[1,2,3,4]]'); orjson refuses such a line, as it refuses what JSON
+    does not allow ('01', '+1', '.5', '1.', a number beyond the double
+    range), which json reads its own way. With every '[' in line[a:e] and
+    one '{', orjson is never given more than three levels of nesting. A
+    number orjson reads rounds to the double that float() gives it, as
+    np.array rounds json's. struct packs the values into one float array,
+    converting each as float() does: no dtype is discovered.
     """
-    k = line.find(_SAMPLES_KEY) + len(_SAMPLES_KEY)
-    s = line.find(b":", k) + 1
+    a = line.find(b"[")
     e = line.rfind(b"]]") + 2
-    if k < len(_SAMPLES_KEY) or s <= k or line[k:s - 1].strip(_WHITESPACE) or e <= s:
+    if a < 0 or e <= a or line.find(b"[", e) >= 0 or line.count(b"{", 0, a) + line.count(b"{", e) != 1:
         return None
-    samples = line[s:e]
-    skeleton = samples.translate(None, _NUMBER_BYTES)
+    skeleton = line[a:e].translate(None, _NUMBER_BYTES)
     n = (len(skeleton) - 1) // 6
     if n < 1 or skeleton != b"[" + b"[,,,]," * (n - 1) + b"[,,,]]":
-        return None
-    head = line[:s] + b"0" + line[e:]
-    if b"[" in head or head.count(b"{") != 1:
         return None
     import orjson  # here, not at the top: only a process that reads a trajectory loads it
 
     try:
-        rec = orjson.loads(head)
-        lists = orjson.loads(samples)
+        rec = orjson.loads(line)
     except orjson.JSONDecodeError:
         return None
-    trajectory_id, store_id = rec.get("trajectory_id"), rec.get("store_id")
-    strings = len(rec) + sum(type(value) is str for value in rec.values())
-    if (head.count(b'"') != 2 * strings or type(trajectory_id) is not str or type(store_id) is not str
-            or type(rec.get("samples")) is not int):
+    if type(rec) is not dict:
+        return None
+    trajectory_id, store_id, samples = rec.get("trajectory_id"), rec.get("store_id"), rec.get("samples")
+    if type(trajectory_id) is not str or type(store_id) is not str or type(samples) is not list:
         return None
     rows = np.empty((n, 4))
-    struct.pack_into(f"{4 * n}d", rows, 0, *chain.from_iterable(lists))
+    struct.pack_into(f"{4 * n}d", rows, 0, *chain.from_iterable(samples))
     return trajectory_id, store_id, rows
 
 

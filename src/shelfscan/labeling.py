@@ -142,8 +142,8 @@ def write_labels(labels, path) -> None:
     write_records(labels, path)
 
 
-def read_label_manifest(path) -> tuple[int, list[str]]:
-    """Read the sidecar manifest: panel size and reviewer roster.
+def read_label_manifest(path) -> int:
+    """Read the sidecar manifest's panel size; its reviewer roster is checked but not returned.
 
     An n_reviewers that is not a JSON integer (2.7, 2.0, true, "3"), or
     reviewers that are not a JSON list of strings ("auto"), raises
@@ -157,7 +157,7 @@ def read_label_manifest(path) -> tuple[int, list[str]]:
         n = json_int(doc["n_reviewers"], "n_reviewers")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"cannot parse label manifest {path}: {exc!r}") from exc
-    return n, roster
+    return n
 
 
 def write_label_manifest(n_reviewers: int, reviewers, path) -> None:

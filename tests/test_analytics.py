@@ -154,6 +154,20 @@ def test_read_purchases_csv(tmp_path):
     assert records == [PurchaseRecord("a", 1, 2), PurchaseRecord("b", 3, 0)]
 
 
+def test_a_purchases_csv_with_a_bom_reads_as_without_it(tmp_path):
+    plain, bom = tmp_path / "p.csv", tmp_path / "bom.csv"
+    plain.write_bytes(b"trajectory_id,shelf_id,quantity\na,1,2\nb,3,0\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_purchases(bom) == read_purchases(plain) == [PurchaseRecord("a", 1, 2), PurchaseRecord("b", 3, 0)]
+
+
+def test_a_bad_byte_in_a_purchases_csv_with_a_bom_names_its_line(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"\xef\xbb\xbftrajectory_id,shelf_id,quantity\na\xff,1,2\n")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: bad purchase record: ")):
+        read_purchases(path)
+
+
 def test_read_purchases_requires_header(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("traj,shelf\na,1\n")

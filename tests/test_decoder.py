@@ -18,15 +18,24 @@ from hypothesis import strategies as st
 
 from shelfscan import cli, kinematics
 from shelfscan.errors import ParseError
-from shelfscan.kinematics import _sample_rows, fork_map, parse_record, read_lines, read_trajectories
+from shelfscan.kinematics import fork_map, parse_record, read_lines, read_trajectories
 
 
 def reference(line: bytes, where: str):
-    """parse_record as json alone decodes a record."""
+    """parse_record as json alone decodes a record, each sample value checked by type.
+
+    It shares no code with the parser, so a fault in either shows.
+    """
     try:
         rec = json.loads(line)
         trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
-        rows = _sample_rows(rec["samples"], where, b"true" in line or b"false" in line)
+        samples = rec["samples"]
+        if not isinstance(samples, list):
+            raise ParseError(f"{where}: samples must be a list, got {type(samples).__name__}")
+        for k, row in enumerate(samples):
+            if type(row) is not list or len(row) != 4 or any(type(v) not in (int, float) for v in row):
+                raise ParseError(f"{where}: sample {k} is not a list of four numbers: {row!r:.80}")
+        rows = np.array(samples, dtype=float).reshape(-1, 4)
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, OverflowError,
             RecursionError) as exc:
         raise ParseError(f"{where}: bad trajectory record: {exc!r}") from exc
@@ -227,6 +236,20 @@ def test_orjson_and_json_give_the_same_outcome(line):
     b'{"trajectory_id": "a", "store_id": "s", "samples": [1[,2,3,4]]}',
     b'{"trajectory_id": "a", "store_id": "s", "samples": [[1,2,3,4],5[,6,7,8]]}',
     b'{"trajectory_id": "a", "store_id": "s", "samples": 1[[,2,3,4]]}',
+    # the samples under an escaped key, or shadowed by a later scalar one
+    b'{"trajectory_id": "a", "store_id": "s", "sampl\\u0065s": [[1, 2, 3, 4]]}',
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [[1, 2, 3, 4]], "samples": 5}',
+    # a bracket or brace in an id before the samples, or ']]' before or after them
+    b'{"trajectory_id": "{", "store_id": "s", "samples": [[1, 2, 3, 4]]}',
+    b'{"trajectory_id": "[", "store_id": "s", "samples": [[1, 2, 3, 4]]}',
+    b'{"trajectory_id": "]]", "store_id": "s", "samples": [[1, 2, 3, 4]]}',
+    b'{"samples": [[1, 2, 3, 4]], "trajectory_id": "]]", "store_id": "s"}',
+    # rows closed apart
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [[1, 2, 3, 4] ]}',
+    b'{"trajectory_id": "a", "store_id": "s", "samples": [[1, 2, 3, 4], [5, 6, 7, 8] ]}',
+    # a top-level array or string
+    b'[{"trajectory_id": "a", "store_id": "s", "samples": [[1, 2, 3, 4]]}]',
+    b'"{[[1, 2, 3, 4]]"',
     b"null",
     b"{}",
 ], ids=lambda line: repr(line[:60]))
@@ -294,12 +317,14 @@ def test_a_clean_synth_store_is_decoded_by_orjson_alone(tmp_path, monkeypatch):
     lambda rec: json.dumps(rec, sort_keys=True),  # samples first
     lambda rec: json.dumps({**rec, "device": "tag-7", "rate_hz": 10, "raw": None, "ok": True}),
     lambda rec: json.dumps(rec, separators=(", ", " : ")),
-], ids=["samples-first", "extra-scalar-keys", "space-before-colon"])
+    lambda rec: json.dumps({**rec, "trajectory_id": 'say "hi"'}),
+    lambda rec: json.dumps({**rec, "trajectory_id": "samples"}),
+], ids=["samples-first", "extra-scalar-keys", "space-before-colon", "quote-in-id", "samples-id"])
 def test_a_record_spelled_otherwise_takes_the_fast_path(spell, tmp_path, monkeypatch):
     line = synth_lines(tmp_path)[0]
     other = spell(json.loads(line)).encode()
     want = outcome(reference, other)
-    assert want == outcome(reference, line)
+    assert want[1:] == outcome(reference, line)[1:]  # the same store_id and rows, whatever the id
     monkeypatch.setattr(json, "loads", no_json_loads)
     monkeypatch.setattr(kinematics, "_sample_rows", no_sample_rows)
     assert outcome(parse_record, other) == want
@@ -307,9 +332,8 @@ def test_a_record_spelled_otherwise_takes_the_fast_path(spell, tmp_path, monkeyp
 
 @pytest.mark.parametrize("spell", [
     lambda rec: json.dumps({**rec, "tags": ["a"]}),
-    lambda rec: json.dumps({**rec, "trajectory_id": 'say "hi"'}),
-    lambda rec: json.dumps({**rec, "trajectory_id": "samples"}),
-], ids=["extra-list-key", "quote-in-id", "samples-id"])
+    lambda rec: json.dumps({**rec, "meta": {"a": 1}}),
+], ids=["extra-list-key", "extra-object-key"])
 def test_a_record_spelled_otherwise_takes_the_json_path(spell, tmp_path, monkeypatch):
     line = synth_lines(tmp_path)[0]
     other = spell(json.loads(line)).encode()

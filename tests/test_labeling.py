@@ -194,7 +194,7 @@ def test_manifest_n_reviewers_must_be_json_integer(tmp_path, n_reviewers):
     with pytest.raises(ParseError, match=f"^cannot parse label manifest {path}: .*n_reviewers must be a JSON integer"):
         read_label_manifest(path)
     write_label_manifest(2, ["a"], path)
-    assert read_label_manifest(path) == (2, ["a"])
+    assert read_label_manifest(path) == 2
 
 
 @pytest.mark.parametrize("reviewers", ["auto", ["a", 2], {"a": 1}, None])
@@ -204,7 +204,7 @@ def test_manifest_reviewers_must_be_a_json_list_of_strings(tmp_path, reviewers):
     with pytest.raises(ParseError, match=f"^cannot parse label manifest {path}: .*reviewers must be a JSON list of strings"):
         read_label_manifest(path)
     path.write_text(json.dumps({"n_reviewers": 2}))
-    assert read_label_manifest(path) == (2, [])
+    assert read_label_manifest(path) == 2
 
 
 def test_manifest_that_is_not_an_object_is_a_parse_error(tmp_path):
