@@ -584,8 +584,11 @@ def check_request(grid, window: int = DEFAULT_WINDOW, protocol: str = "calibrate
     """The grid's three axes, once a calibration's or an evaluation's whole request is checked.
 
     In order: the window, p (in (0, 1) for "same-store", in (0, 1] for
-    "cross-store"), repeats, the seed, and each axis non-empty, finite and
-    strictly increasing. None needs a trajectory, so commands check first.
+    "cross-store"), repeats, the seed, each axis non-empty, finite and
+    strictly increasing, and at most 2**31 difference-table cells, the
+    product of len(axis) + 1 over the axes, so every run corner
+    _enumerate_runs stores fits an int32. None needs a trajectory, so
+    commands check first.
     """
     check_window(window)
     if protocol == "same-store" and not 0.0 < p < 1.0:
@@ -602,6 +605,9 @@ def check_request(grid, window: int = DEFAULT_WINDOW, protocol: str = "calibrate
         axis = np.asarray(axis, dtype=np.float64)
         if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
             raise ValidationError(f"{name} axis must be finite and strictly increasing, got {axis}")
+    cells = math.prod(len(axis) + 1 for axis in axes)
+    if cells > 1 << 31:
+        raise ValidationError(f"parameter grid needs {cells} count-table cells, more than 2**31")
     return axes
 
 

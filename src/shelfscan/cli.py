@@ -47,14 +47,12 @@ from .detector import (
 from .errors import ParseError, ShelfScanError, UnknownTrajectory, non_negative
 from .kinematics import (
     DEFAULT_WINDOW,
-    RECORD_BYTES_PER_SAMPLE,
     batches,
     build_track,
     check_window,
     default_jobs,
     fork_map,
     map_file,
-    range_count,
     read_document,
     trajectory_record,
     write_document,
@@ -439,9 +437,10 @@ def cmd_synth(args):
     fork_map forks for it, which returns its JSONL bytes and planted
     labels; the records are written in file order as the batches come
     back. A child leaves through os._exit, so the bytes buffered in the
-    open trajectories.jsonl are written once, by this process. At most one
-    child runs per 1 MiB of JSONL (range_count, the rule map_file reads
-    the file back by), so a store under 2 MiB is written in process. The
+    open trajectories.jsonl are written once, by this process. The
+    scenario fixes the batch count before any trajectory exists: a store
+    of one batch has nothing to run beside it and is written in process;
+    a store of more batches runs up to --jobs children at a time. The
     artifacts do not depend on --jobs.
     """
     from . import synth
@@ -470,7 +469,7 @@ def cmd_synth(args):
         )
     trajectories, truth, layout = synth.generate(spec)
     save_layout(layout, _artifact(args, "layout.json"))
-    workers = range_count(RECORD_BYTES_PER_SAMPLE * sum(map(len, trajectories)), jobs)
+    workers = jobs if len(spec.scripts) > kinematics.GAZE_BATCH else 1
     tasks = ((batch, layout, params, window) for batch in batches(trajectories, kinematics.GAZE_BATCH))
     labels = []
     with open(_artifact(args, "trajectories.jsonl"), "wb") as fh:

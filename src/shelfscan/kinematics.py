@@ -843,10 +843,6 @@ def _trajectories(read) -> list[Trajectory]:
     return [traj for pieces in read() for traj in pieces.trajectories()]
 
 
-# JSONL bytes per sample of a trajectory_record line, about: 71.6 to 72.1 on noisy synthetic stores
-RECORD_BYTES_PER_SAMPLE = 72
-
-
 def trajectory_record(traj: Trajectory) -> str:
     """One trajectory as the JSONL line parse_record reads, its newline included."""
     rec = {

@@ -166,10 +166,10 @@ def facing_heading(layout: StoreLayout, shelf_id: int, origin) -> float:
     return math.atan2(my - origin[1], mx - origin[0])
 
 
-def _build_timeline(script: ShopperScript, layout: StoreLayout, speed: float,
-                    bounds) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+def _build_timeline(script: ShopperScript, layout: StoreLayout,
+                    speed: float) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """Noise-free positions/thetas plus dwell sample spans per waypoint."""
-    xmin, ymin, xmax, ymax = bounds
+    xmin, ymin, xmax, ymax = layout.bounds
     pos: list[np.ndarray] = []  # one block of samples per leg or dwell
     theta: list[np.ndarray] = []
     episodes: list[tuple[int, int, int]] = []  # (shelf_id, first sample, last sample)
@@ -232,12 +232,11 @@ def generate(spec: ScenarioSpec):
     if spec.walk_speed <= 0:
         raise InfeasibleScript(f"walk speed must be positive, got {spec.walk_speed}")
     layout = make_layout(spec.template, store_id=spec.store_id)
-    bounds = layout.bounds
     rng = np.random.default_rng(spec.seed)
     trajectories = []
     truth: dict[str, tuple[tuple[int, float, float], ...]] = {}
     for script in spec.scripts:
-        pos, theta, spans = _build_timeline(script, layout, spec.walk_speed, bounds)
+        pos, theta, spans = _build_timeline(script, layout, spec.walk_speed)
         if spec.position_noise > 0:
             pos = pos + rng.normal(0.0, spec.position_noise, pos.shape)
         if spec.heading_noise > 0:
@@ -258,6 +257,23 @@ def generate(spec: ScenarioSpec):
     return trajectories, GroundTruth(episodes=truth), layout
 
 
+def _entry(layout: StoreLayout) -> tuple[float, float]:
+    """Where a scripted trip starts and ends: mid-width, 1 m inside the south wall."""
+    xmin, ymin, xmax, _ = layout.bounds
+    return ((xmin + xmax) / 2.0, ymin + 1.0)
+
+
+def _browse(layout: StoreLayout, shelf_id: int, distance: float, dwell: float) -> tuple[Waypoint, Waypoint]:
+    """A standing browse: a staging point flen / 2 + 1 m sideways from the stand point, then the dwell there."""
+    sx, sy = stand_point(layout, shelf_id, distance)
+    face = layout.shelves[shelf_id - 1].face
+    fx, fy = face.vector
+    flen = face.length
+    lateral = flen / 2.0 + 1.0
+    return (Waypoint(target=(sx + lateral * fx / flen, sy + lateral * fy / flen)),
+            Waypoint(target=(sx, sy), dwell=dwell, face_shelf=shelf_id))
+
+
 def browsing_script(layout: StoreLayout, trajectory_id: str, visits,
                     entry: tuple[float, float] | None = None) -> ShopperScript:
     """Script a trip that browses `visits` = [(shelf_id, distance, dwell), ...].
@@ -266,18 +282,11 @@ def browsing_script(layout: StoreLayout, trajectory_id: str, visits,
     sideways in the aisle, so the final approach is a short lateral leg
     rather than a long walk head-on into the face.
     """
-    xmin, ymin, xmax, _ = layout.bounds
     if entry is None:
-        entry = ((xmin + xmax) / 2.0, ymin + 1.0)
+        entry = _entry(layout)
     waypoints = [Waypoint(target=entry)]
-    for shelf_id, distance, dwell in visits:
-        sx, sy = stand_point(layout, shelf_id, distance)
-        shelf = layout.shelves[shelf_id - 1]
-        fx, fy = shelf.face.vector
-        flen = shelf.face.length
-        lateral = flen / 2.0 + 1.0
-        waypoints.append(Waypoint(target=(sx + lateral * fx / flen, sy + lateral * fy / flen)))
-        waypoints.append(Waypoint(target=(sx, sy), dwell=dwell, face_shelf=shelf_id))
+    for visit in visits:
+        waypoints.extend(_browse(layout, *visit))
     waypoints.append(Waypoint(target=entry))
     return ShopperScript(trajectory_id=trajectory_id, waypoints=tuple(waypoints))
 
@@ -297,16 +306,12 @@ def population_scenario(seed: int, n_trajectories: int, n_shelves: int = 19,
     rng = np.random.default_rng(non_negative("seed", seed))
     template = LayoutTemplate(n_shelves=n_shelves)
     layout = make_layout(template, store_id=store_id)
-    xmin, ymin, xmax, _ = layout.bounds
-    entry = ((xmin + xmax) / 2.0, ymin + 1.0)
+    entry = _entry(layout)
     scripts = []
     for i in range(n_trajectories):
         waypoints = [Waypoint(target=entry)]
         for _ in range(int(rng.integers(2, max_visits + 1))):
             shelf_id = int(rng.integers(1, n_shelves + 1))
-            shelf = layout.shelves[shelf_id - 1]
-            fx, fy = shelf.face.vector
-            flen = shelf.face.length
             if rng.random() < 0.35:
                 # creep straight in toward the face at a slow, varied pace
                 creep_speed = float(rng.uniform(0.25, 0.9))
@@ -319,17 +324,9 @@ def population_scenario(seed: int, n_trajectories: int, n_shelves: int = 19,
                     face_shelf=shelf_id,
                     speed=creep_speed,
                 ))
-            else:
-                sx, sy = stand_point(layout, shelf_id, float(rng.uniform(0.3, 2.4)))
-                lateral = flen / 2.0 + 1.0
-                waypoints.append(Waypoint(
-                    target=(sx + lateral * fx / flen, sy + lateral * fy / flen)
-                ))
-                waypoints.append(Waypoint(
-                    target=(sx, sy),
-                    dwell=float(rng.uniform(0.4, 4.5)),
-                    face_shelf=shelf_id,
-                ))
+            else:  # the rng draws the distance, then the dwell
+                waypoints.extend(_browse(layout, shelf_id, float(rng.uniform(0.3, 2.4)),
+                                         float(rng.uniform(0.4, 4.5))))
         waypoints.append(Waypoint(target=entry))
         scripts.append(ShopperScript(trajectory_id=f"trip-{i:05d}", waypoints=tuple(waypoints)))
     return ScenarioSpec(

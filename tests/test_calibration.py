@@ -35,6 +35,7 @@ from shelfscan.calibration import (
     _merge,
     _Prepared,
     _runs_of,
+    check_request,
     counts_at,
 )
 from shelfscan.detector import DURATION_TOL, StopMatrix
@@ -166,6 +167,24 @@ def test_grid_rejects_bad_ranges():
         ParamGrid(t_b=(2.0, 1.0, 0.1))
     with pytest.raises(ValidationError):
         ParamGrid(v_b=(0.1, 1.0, 0.0))
+
+
+# 1000 x 1000 x 4000 points: 1001 * 1001 * 4001 difference-table cells, past what an int32 run corner indexes
+OVERSIZED_GRID = ParamGrid(t_b=(0.1, 100.0, 0.1), delta_b=(0.1, 100.0, 0.1), v_b=(0.005, 20.0, 0.005))
+
+
+def test_grid_with_more_than_2_31_table_cells_rejected_before_any_table():
+    with pytest.raises(ValidationError, match="4009006001 count-table cells"):
+        check_request(OVERSIZED_GRID)
+
+
+@pytest.mark.parametrize("grid", [
+    ParamGrid(),                                                                # the default: 36 x 55 x 141
+    PLANTED_GRID,                                                               # the README's and eval-same's
+    ParamGrid(t_b=(0.5, 4.0, 0.1), delta_b=(0.6, 1.8, 0.3), v_b=(0.1, 1.5, 0.01)),  # calibrate-fine's
+])
+def test_default_and_benchmark_grids_fit_the_table_cell_limit(grid):
+    check_request(grid)
 
 
 def test_single_point_grid_returned_regardless_of_score():

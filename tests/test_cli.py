@@ -946,11 +946,10 @@ SYNTH_DIGESTS = {
 
 @pytest.fixture
 def synth_batches(monkeypatch):
-    """Let synth fork a worker per sample, 3 trajectories per batch, so small stores reach forked workers.
+    """Cut synth's trajectories 3 per batch, so a store of more than 3 reaches forked workers.
 
     Returns the list of (workers, batches) synth passed to fork_map, one pair per call.
     """
-    monkeypatch.setattr(kinematics, "_MIN_RANGE", 1)
     monkeypatch.setattr(kinematics, "GAZE_BATCH", 3)
     calls, fork_map = [], cli.fork_map
 
@@ -978,6 +977,19 @@ def test_synth_artifacts_do_not_depend_on_jobs(tmp_path, request, cut, jobs):
         assert digests == SYNTH_DIGESTS[name]
     if cut:  # 25 and 10 trajectories, 3 per batch
         assert calls == [(int(jobs), 9), (int(jobs), 4)]
+
+
+@pytest.mark.parametrize("population, batches", [(3, 1), (4, 2)])
+def test_synth_forks_workers_only_for_more_than_one_batch(tmp_path, synth_batches, population, batches):
+    """One batch is written in process at any --jobs; two batches run --jobs workers, to the same files."""
+    for jobs in ("1", "2"):
+        assert run(["synth", "--population", str(population), "--shelves", "5", "--seed", "5",
+                    "--plant", "2.0,1.2,0.55", "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert synth_batches == [(1, batches), (1 if batches == 1 else 2, batches)]
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir()) and len(names) == 5
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1535,6 +1547,10 @@ PURCHASES_HEADER = b"trajectory_id,shelf_id,quantity\n"
 
 
 UNSTEPPED = ["--t-b-range", "1.0", "1.0000000000000002", "1e-17"]  # the t_b axis repeats 1.0
+# 1000 x 1000 x 4000 points: 4.01e9 difference-table cells, past what an int32 run corner indexes
+OVERSIZED = ["--t-b-range", "0.1", "100", "0.1", "--delta-b-range", "0.1", "100", "0.1",
+             "--v-b-range", "0.005", "20", "0.005"]
+OVERSIZED_ERROR = ("ValidationError", "parameter grid needs 4009006001 count-table cells, more than 2**31")
 BAD_WINDOW = ("InvalidWindow", "window must be a positive odd sample count, got 4")
 BAD_REQUESTS = [  # (name, command, fault, error, message)
     ("p", "eval-same", _flags("--p", "1.5"), "FractionOutOfRange",
@@ -1544,6 +1560,7 @@ BAD_REQUESTS = [  # (name, command, fault, error, message)
     ("window", "eval-same", _flags("--window", "4"), *BAD_WINDOW),
     ("grid", "eval-same", _flags(*UNSTEPPED), "ValidationError",
      "t_b axis must be finite and strictly increasing"),
+    ("grid-cells", "eval-same", _flags(*OVERSIZED), *OVERSIZED_ERROR),
     ("panel", "eval-same", _empty_panel, "ValidationError",
      "reviewer panel must have at least one member, got 0"),
     ("p", "eval-cross", _flags("--p", "0"), "FractionOutOfRange", "p must lie in (0, 1], got 0.0"),
@@ -1551,6 +1568,7 @@ BAD_REQUESTS = [  # (name, command, fault, error, message)
     ("window", "calibrate", _flags("--window", "4"), *BAD_WINDOW),
     ("grid", "calibrate", _flags(*UNSTEPPED), "ValidationError",
      "t_b axis must be finite and strictly increasing"),
+    ("grid-cells", "calibrate", _flags(*OVERSIZED), *OVERSIZED_ERROR),
     ("panel", "calibrate", _empty_panel, "ValidationError",
      "reviewer panel must have at least one member, got 0"),
     ("window", "detect", _flags("--window", "4"), *BAD_WINDOW),
