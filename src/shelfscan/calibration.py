@@ -8,7 +8,7 @@ pooled F1.
 The expensive part of evaluating a grid point is the geometry, and the
 geometry does not depend on the thresholds. Each trajectory is therefore
 reduced once to its per-sample candidate/distance/speed streams, in gaze
-batches of kinematics.GAZE_BATCH trajectories, each batch kept whole as one
+batches that kinematics.batches cuts, each batch kept whole as one
 _Prepared: its trips' streams end to end, with each trip's bounds. Only
 the rays of samples at most the grid's largest v_b fast are cast, so the
 default grid, whose largest v_b is 1.5 m/s, saves nothing by it. The
@@ -44,12 +44,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import kinematics, labeling
+from . import labeling
 from .detector import (
     DURATION_TOL,
     StopMatrix,
     StopParams,
-    check_store,
     check_stores,
     detect_stops,
     gaze_stream,
@@ -108,18 +107,18 @@ class ParamGrid:
             if not (0 < lo <= hi < math.inf and 0 < step < math.inf):  # False for NaN too
                 raise ValidationError(f"bad {name} range (min {lo}, max {hi}, step {step})")
 
-    @staticmethod
-    def _axis(rng) -> np.ndarray:
-        lo, hi, step = rng
-        try:
-            n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            return lo + np.arange(n) * step
-        except (OverflowError, ValueError):  # a point count past a float's or an array's limit
-            raise ValidationError(
-                f"range (min {lo}, max {hi}, step {step}) has too many points") from None
-
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._axis(self.t_b), self._axis(self.delta_b), self._axis(self.v_b)
+        """The three axes, each lo + k * step for k = 0, 1, ... up to hi; their sizes are checked first."""
+        ranges = self.t_b, self.delta_b, self.v_b
+        counts = []
+        for lo, hi, step in ranges:
+            try:
+                counts.append(int(math.floor((hi - lo) / step + 1e-9)) + 1)
+            except OverflowError:  # a point count past a float's limit
+                raise ValidationError(
+                    f"range (min {lo}, max {hi}, step {step}) has too many points") from None
+        _check_cells(counts)
+        return tuple(lo + np.arange(n) * step for (lo, _, step), n in zip(ranges, counts))
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,7 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
         return dataset
     dataset = list(dataset)
     for track, visits in dataset:
-        check_store(track, layout)
+        check_stores([track.store_id], layout)
         if track.trajectory_id != visits.trajectory_id:
             raise AxisMismatch(
                 f"visit matrix is for {visits.trajectory_id!r}, track is {track.trajectory_id!r}"
@@ -299,11 +298,10 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
 
 
 def _gaze(pairs, layout: StoreLayout, cutoff: float, v_max: float):
-    """Yield the _Prepared batch of each kinematics.GAZE_BATCH checked (track, visits) pairs (_gaze_batch)."""
-    for batch in batches(pairs, kinematics.GAZE_BATCH):
+    """Yield the _Prepared batch (_gaze_batch) of each batch of checked (track, visits) pairs (batches)."""
+    for batch in batches(pairs, lambda pair: len(pair[0])):
         yield _gaze_batch(TrackBatch.join([track for track, _ in batch]), [visits for _, visits in batch],
                           layout, cutoff, v_max)
-        del batch  # before batches takes the next batch
 
 
 def _gaze_batch(tracks: TrackBatch, visits, layout: StoreLayout, cutoff: float, v_max: float) -> _Prepared:
@@ -370,7 +368,7 @@ def _prepare_range(read, by_traj, n_reviewers: int, layout: StoreLayout, window:
                    axes, fold: bool) -> list[Runs]:
     """prepare_file's stage: the Runs of the trajectories of one range, in a one-item list.
 
-    The range is read and built kinematics.GAZE_BATCH records at a time,
+    The range is read and built a batch of records at a time (map_file),
     and each track of a batch is voted on its own times, in file order,
     so the error raised is the first failing trajectory's, and the batch's
     streams are gazed at once (_gaze_batch) and enumerated once gazed, so
@@ -585,10 +583,9 @@ def check_request(grid, window: int = DEFAULT_WINDOW, protocol: str = "calibrate
 
     In order: the window, p (in (0, 1) for "same-store", in (0, 1] for
     "cross-store"), repeats, the seed, each axis non-empty, finite and
-    strictly increasing, and at most 2**31 difference-table cells, the
-    product of len(axis) + 1 over the axes, so every run corner
-    _enumerate_runs stores fits an int32. None needs a trajectory, so
-    commands check first.
+    strictly increasing, and at most 2**31 difference-table cells
+    (_check_cells), which a ParamGrid checks before it builds an axis. None
+    needs a trajectory, so commands check first.
     """
     check_window(window)
     if protocol == "same-store" and not 0.0 < p < 1.0:
@@ -605,10 +602,19 @@ def check_request(grid, window: int = DEFAULT_WINDOW, protocol: str = "calibrate
         axis = np.asarray(axis, dtype=np.float64)
         if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
             raise ValidationError(f"{name} axis must be finite and strictly increasing, got {axis}")
-    cells = math.prod(len(axis) + 1 for axis in axes)
+    _check_cells(len(axis) for axis in axes)
+    return axes
+
+
+def _check_cells(counts) -> None:
+    """Raise ValidationError if axes of these point counts need more than 2**31 difference-table cells.
+
+    A table has len(axis) + 1 cells along each axis, and at most 2**31 of
+    them keep every run corner _enumerate_runs stores within an int32.
+    """
+    cells = math.prod(n + 1 for n in counts)
     if cells > 1 << 31:
         raise ValidationError(f"parameter grid needs {cells} count-table cells, more than 2**31")
-    return axes
 
 
 def calibrate(dataset, layout: StoreLayout, grid: ParamGrid) -> CalibrationResult:

@@ -25,6 +25,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import chain, islice
 
 # No command calls BLAS, yet OpenBLAS starts a thread pool when numpy is
 # imported, and its threads spin for tens of milliseconds of CPU before they
@@ -35,7 +36,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import kinematics
 from .detector import (
     STOP_MATRIX_HEADER,
     StopParams,
@@ -433,15 +433,13 @@ def _synth_batch(trajectories, layout, params, window):
 def cmd_synth(args):
     """Generate the scenario in process, then format its records and plant its labels in batches.
 
-    Each batch of kinematics.GAZE_BATCH trajectories goes to a child that
-    fork_map forks for it, which returns its JSONL bytes and planted
-    labels; the records are written in file order as the batches come
-    back. A child leaves through os._exit, so the bytes buffered in the
-    open trajectories.jsonl are written once, by this process. The
-    scenario fixes the batch count before any trajectory exists: a store
-    of one batch has nothing to run beside it and is written in process;
-    a store of more batches runs up to --jobs children at a time. The
-    artifacts do not depend on --jobs.
+    Each batch (batches) goes to a child that fork_map forks for it, which
+    returns its JSONL bytes and planted labels; the records are written in
+    file order as the batches come back. A child leaves through os._exit,
+    so the bytes buffered in the open trajectories.jsonl are written once,
+    by this process. A store of one batch has nothing to run beside it and
+    is written in process; a store of more runs up to --jobs children at a
+    time. The artifacts do not depend on --jobs.
     """
     from . import synth
 
@@ -469,11 +467,12 @@ def cmd_synth(args):
         )
     trajectories, truth, layout = synth.generate(spec)
     save_layout(layout, _artifact(args, "layout.json"))
-    workers = jobs if len(spec.scripts) > kinematics.GAZE_BATCH else 1
-    tasks = ((batch, layout, params, window) for batch in batches(trajectories, kinematics.GAZE_BATCH))
+    cut = batches(trajectories, len)
+    first = list(islice(cut, 2))  # a second batch, if any, is worth a worker beside the first
+    tasks = ((batch, layout, params, window) for batch in chain(first, cut))
     labels = []
     with open(_artifact(args, "trajectories.jsonl"), "wb") as fh:
-        for lines, planted in fork_map(_synth_batch, tasks, workers):
+        for lines, planted in fork_map(_synth_batch, tasks, jobs if len(first) > 1 else 1):
             fh.write(lines)
             labels.extend(planted)
     synth.write_ground_truth(truth, _artifact(args, "ground_truth.json"))

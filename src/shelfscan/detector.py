@@ -13,17 +13,17 @@ the duration condition included, each track's ends ending its runs.
 gaze_stream pairs each cast ray with the segments its cell of a coarse
 grid can see within the distance cutoff (every segment without one) and
 solves those (ray, segment) pairs in flat chunks of a fixed size. Both
-callers gaze a kinematics.TrackBatch of kinematics.GAZE_BATCH records'
-tracks per gaze_stream call and cast only the rays of samples slow
+callers gaze one kinematics.TrackBatch, a batch that kinematics.batches
+cuts, per gaze_stream call and cast only the rays of samples slow
 enough to stop: detection at most v_b fast, calibration at most the
 grid's largest v_b. A sample that is not cast reports no candidate,
 which the speed condition would reject anyway. Both apply runs to the
 batch's streams with the tracks' bounds.
 
 detect_file, the pass behind the detect command, runs in
-kinematics.map_file's range workers: each reads GAZE_BATCH records at a
-time, gap-split in one array pass, builds them in another and applies
-the stop rule to the batch in one gaze_stream and one runs call. The
+kinematics.map_file's range workers: each reads a batch of records at a
+time, gap-splits it in one array pass, builds it in another and applies
+the stop rule to it in one gaze_stream and one runs call. The
 workers also format detect's two artifacts, so a range comes back as its
 stops.jsonl and stop_matrix.csv bytes and the parent process only writes
 them.
@@ -49,7 +49,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kinematics
 from .errors import FrameMismatch, ValidationError
 from .kinematics import (
     DEFAULT_WINDOW,
@@ -266,12 +265,6 @@ def runs(times, candidates, lams, speeds, params: StopParams, bounds):
     return starts[keep], ends[keep], key[starts[keep]]
 
 
-def check_store(track, layout: StoreLayout):
-    """Return the track, or raise FrameMismatch unless it was recorded in the layout's store."""
-    check_stores([track.store_id], layout)
-    return track
-
-
 def check_stores(store_ids, layout: StoreLayout) -> None:
     """Raise FrameMismatch for the first store id that is not the layout's."""
     for store_id in store_ids:
@@ -305,7 +298,8 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
     (n_shelves, n_samples) Boolean StopMatrix marking every sample of
     every qualifying run.
     """
-    _, starts, ends, events = _detect_batch(TrackBatch.join([check_store(track, layout)]), layout, params)
+    check_stores([track.store_id], layout)
+    _, starts, ends, events = _detect_batch(TrackBatch.join([track]), layout, params)
     values = np.zeros((layout.n_shelves, len(track)), dtype=bool)
     for s, e, ev in zip(starts.tolist(), ends.tolist(), events):
         values[ev.shelf_id - 1, s:e + 1] = True
@@ -327,14 +321,15 @@ def read_stop_events(path) -> list[StopEvent]:
 
 
 def detect_many(tracks, layout: StoreLayout, params: StopParams):
-    """Detect stops on many tracks, one _detect_batch call per kinematics.GAZE_BATCH tracks.
+    """Detect stops on many tracks, one _detect_batch call per batch of tracks (kinematics.batches).
 
     Returns one event list per input track, in input order. Every track is
     store-checked before any is detected.
     """
-    tracks = [check_store(track, layout) for track in tracks]
+    tracks = list(tracks)
+    check_stores([track.store_id for track in tracks], layout)
     found = []
-    for batch in batches(tracks, kinematics.GAZE_BATCH):
+    for batch in batches(tracks, len):
         per_track = [[] for _ in batch]
         which, _, _, events = _detect_batch(TrackBatch.join(batch), layout, params)
         for i, ev in zip(which.tolist(), events):
@@ -361,9 +356,9 @@ def _detect_range(read, layout: StoreLayout, params: StopParams, window: int):
     and rows its stop_matrix.csv rows, one per stopped sample, each the
     bytes csv.writer writes for [trajectory_id, shelf_id, k, repr(t), 1];
     both are UTF-8, so only bytes cross the pipe. The range is read and
-    built GAZE_BATCH records at a time, and each batch is store-checked and
-    detected whole (_detect_batch), so the error raised is the one of the
-    first trajectory that fails.
+    built a batch of records at a time (map_file), and each batch is
+    store-checked and detected whole (_detect_batch), so the error raised
+    is the one of the first trajectory that fails.
     """
     n_tracks, lines, rows = 0, [], []
     for tracks in read(window):

@@ -16,7 +16,7 @@ import os
 import pickle
 import struct
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -28,9 +28,9 @@ DT_TOL = 1e-6
 GAP_FACTOR = 1.5  # gaps longer than GAP_FACTOR * DT split a record
 DEFAULT_WINDOW = 5
 _BLOCK = 1 << 20  # bytes a reader's buffer holds: a record line is about 65 kB
-# records a range's reader takes at a time, and tracks per gaze_stream call in detection and
-# calibration (the gaze batch); bounds the arrays a batch holds
-GAZE_BATCH = 32
+# samples a batch holds at most, unless one item alone holds more (batches): bounds the arrays
+# of a range's read, of a gaze_stream call in detection and calibration, and of a synth child
+BATCH_SAMPLES = 1 << 15
 
 
 def wrap_angle(theta):
@@ -578,15 +578,22 @@ def allowed_cpus() -> list[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def batches(items, size: int):
-    """Lists of `size` consecutive items of an iterable, taken as they come; the last may be shorter.
+def batches(items, samples):
+    """Lists of consecutive items, taken as they come, each of BATCH_SAMPLES samples(item) at most.
 
-    A caller that keeps a batch while the next one is taken holds two at once.
+    A batch closes before the item that would take it past the budget, so
+    that item is taken first; an item over the budget is a batch of its own.
     """
-    items = iter(items)
-    while batch := list(islice(items, size)):
+    batch, total = [], 0
+    for item in items:
+        n = samples(item)
+        if batch and total + n > BATCH_SAMPLES:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += n
+    if batch:
         yield batch
-        del batch
 
 
 # bytes per range at least: a file under twice this is read in one range, in process
@@ -738,8 +745,8 @@ def _read_range(path, start: int, stop: int, stage, stage_args):
     """Run a stage on the records of one byte range, read a batch at a time as it takes them.
 
     The stage is called as stage(read, *stage_args), and read(window)
-    yields the range's records GAZE_BATCH at a time, parsed and gap-split
-    by split_records into one Pieces batch each, in file order, or with a
+    yields the range's records in batches, parsed and gap-split by
+    split_records into one Pieces batch each, in file order, or with a
     window the TrackBatch that build_tracks makes of each, the Pieces
     dropped. A read error ends the reading: the records before it register
     their ids, and its own record its trajectory_id. Past a stage error,
@@ -748,25 +755,26 @@ def _read_range(path, start: int, stop: int, stage, stage_args):
     lines = read_lines(path, start, stop)
     ids, known, errors = [], [], []
 
-    def read(window=None):
-        while not errors:
-            records = []
-            for lineno, line in islice(lines, GAZE_BATCH):  # each line is dropped once parsed
-                try:
-                    records.append((*parse_record(line, f"{path}:{lineno}"), lineno))
-                except ShelfScanError as exc:
-                    errors.append((lineno, exc))
-                    break
-            if not records and not errors:
+    def parsed():
+        for lineno, line in lines:  # each line is dropped once parsed
+            try:
+                yield (*parse_record(line, f"{path}:{lineno}"), lineno)
+            except ShelfScanError as exc:
+                errors.append((lineno, exc))
                 return
+
+    cut = batches(parsed(), lambda rec: len(rec[2]))
+
+    def read(window=None):
+        while not errors and (records := next(cut, None)):
             pieces, error = split_records(records)
-            if error:  # on a line before any that failed to parse
+            if error:  # on a line before any that failed to parse, the record read past the batch too
                 errors[:] = [error]
                 records = [rec for rec in records if rec[3] <= error[0]]
             ids.extend((rec[0], rec[3]) for rec in records)
             known.extend(zip(pieces.ids, pieces.lines))
-            del records
-            if errors:
+            records.clear()  # batches holds this list until it takes the next batch
+            if errors:  # the look-ahead record failed to parse, or this batch to split
                 return
             batch = pieces if window is None else build_tracks(pieces, window)
             del pieces
@@ -789,11 +797,10 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
     each read by a child that fork_map forks for it, or in process if
     there is one. A range's stage output comes back pickled, so a stage
     returns picklable items; the stage itself is inherited, not pickled.
-    read(window) yields a range's records in file order, GAZE_BATCH at a
-    time, each batch parsed and gap-split into one Pieces (split_records)
-    as the stage takes it, or, given a window, built into one TrackBatch
-    (build_tracks). The stage returns a list. Returns the lists joined in
-    file order.
+    read(window) yields a range's records in file order, a batch at a time
+    as the stage takes them, each gap-split into one Pieces, or, given a
+    window, built into one TrackBatch (_read_range). The stage returns a
+    list. Returns the lists joined in file order.
 
     Callers check the stage's arguments first, so every error raised here
     comes from the file, and none depends on `jobs`. It is the read error

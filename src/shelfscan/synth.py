@@ -83,6 +83,11 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # False for NaN too
                 raise ValidationError(f"{name} must be a finite std >= 0, got {value}")
+        seen = set()
+        for script in self.scripts:  # generate keys ground truth by id, and readers reject a reused one
+            if script.trajectory_id in seen:
+                raise ValidationError(f"trajectory_id {script.trajectory_id!r} is used by two scripts")
+            seen.add(script.trajectory_id)
 
 
 @dataclass(frozen=True)

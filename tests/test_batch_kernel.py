@@ -236,10 +236,10 @@ def ref_events(track, layout, params):
             for s, e, shelf0 in zip(starts.tolist(), ends.tolist(), shelves.tolist())]
 
 
-@pytest.mark.parametrize("gaze_batch", [1, 3, 7, 32])
-def test_detect_many_on_split_records_equals_per_track_events(monkeypatch, gaze_batch):
+@pytest.mark.parametrize("budget", [1, 500, 1500, 1 << 15])  # samples per gaze batch
+def test_detect_many_on_split_records_equals_per_track_events(monkeypatch, budget):
     trajs, _, layout = generate(population_scenario(3, 8, noise=0.05))
-    rng = np.random.default_rng(gaze_batch)
+    rng = np.random.default_rng(budget)
     records = []
     for i, traj in enumerate(trajs):
         rows = np.column_stack([traj.times, traj.positions, traj.thetas])
@@ -253,7 +253,7 @@ def test_detect_many_on_split_records_equals_per_track_events(monkeypatch, gaze_
     params = StopParams(2.0, 1.2, 0.55)
     want = [ref_events(track, layout, params) for track in tracks]
     assert sum(map(len, want)) > 0
-    monkeypatch.setattr(kinematics, "GAZE_BATCH", gaze_batch)
+    monkeypatch.setattr(kinematics, "BATCH_SAMPLES", budget)
     assert detect_many(tracks, layout, params) == want
     joined = TrackBatch.join(tracks)
     assert [joined.track(i).trajectory_id for i in range(len(tracks))] == pieces.ids

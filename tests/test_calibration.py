@@ -178,6 +178,12 @@ def test_grid_with_more_than_2_31_table_cells_rejected_before_any_table():
         check_request(OVERSIZED_GRID)
 
 
+def test_grid_axis_of_a_million_million_points_rejected_before_it_is_built():
+    # an axis array of 1e12 points would take 7.3 TiB: the cells are counted from the range instead
+    with pytest.raises(ValidationError, match=r"needs 35999996400072 count-table cells, more than 2\*\*31"):
+        check_request(ParamGrid(t_b=(0.1, 1e6, 1e-6), delta_b=(0.6, 1.8, 0.3), v_b=(0.25, 0.85, 0.15)))
+
+
 @pytest.mark.parametrize("grid", [
     ParamGrid(),                                                                # the default: 36 x 55 x 141
     PLANTED_GRID,                                                               # the README's and eval-same's

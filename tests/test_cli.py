@@ -238,9 +238,11 @@ def test_eval_same_enumerates_once_per_range(tmp_path, monkeypatch, range_cuts):
     _assert_golden(tmp_path, "eval-same", "--jobs", "2")
     store = tmp_path / "a"
     records = (store / "trajectories.jsonl").read_bytes()
-    # range_cuts batches 2 trajectories per gaze_stream call
-    batches = sum(math.ceil(records[lo:hi].count(b"\n") / 2) for lo, hi in range_cuts[-1])
-    assert len(range_cuts[-1]) == 2 and batches == 13
+    # range_cuts cuts each range's records into gaze batches of 1200 samples at most
+    sizes = [[len(json.loads(line)["samples"]) for line in records[lo:hi].splitlines()]
+             for lo, hi in range_cuts[-1]]
+    batches = sum(len(list(kinematics.batches(part, lambda n: n))) for part in sizes)
+    assert len(range_cuts[-1]) == 2 and batches == 14
     assert calls.read_text().count("call") == batches
     calls.unlink()
     assert run(["eval-same", *_inputs(store), "--p", "0.5", "--repeats", "4", "--seed", "3", *SMALL_GRID,
@@ -624,13 +626,14 @@ def shelf_layout(tmp_path):
 def range_cuts(monkeypatch):
     """Let map_file cut a range per byte, so small files reach forked workers.
 
-    A range is also read 2 records at a time (kinematics.GAZE_BATCH), and
-    detection and calibration gaze each such batch whole, so a range
-    fills several batches. Returns the list of cuts made, one list of
-    (start, stop) ranges per file read.
+    A range is also read in batches of 1200 samples at most
+    (kinematics.BATCH_SAMPLES), one to three of the test stores' records
+    each, and detection and calibration gaze each such batch whole, so a
+    range fills several batches, most of them of two records or more. Returns the list of cuts made, one list
+    of (start, stop) ranges per file read.
     """
     monkeypatch.setattr(kinematics, "_MIN_RANGE", 1)
-    monkeypatch.setattr(kinematics, "GAZE_BATCH", 2)
+    monkeypatch.setattr(kinematics, "BATCH_SAMPLES", 1200)
     cuts, byte_ranges = [], kinematics._byte_ranges
 
     def spy(path, jobs):
@@ -732,6 +735,20 @@ def test_bad_noise_or_walk_speed_exits_1_before_writing(tmp_path, capsys, how, e
     assert run(["synth", "--population", "2", *how, "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == error and message in record["message"]
+    assert not out.exists()
+
+
+def test_spec_reusing_a_trajectory_id_exits_1_before_writing(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_scenario(population_scenario(5, 3), spec)
+    doc = read_json(spec)
+    doc["scripts"][1]["trajectory_id"] = "trip-00000"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "s"
+    assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError"
+    assert "trajectory_id 'trip-00000' is used by two scripts" in record["message"]
     assert not out.exists()
 
 
@@ -946,11 +963,11 @@ SYNTH_DIGESTS = {
 
 @pytest.fixture
 def synth_batches(monkeypatch):
-    """Cut synth's trajectories 3 per batch, so a store of more than 3 reaches forked workers.
+    """Cut synth's trajectories into batches of 1500 samples at most, so a store of 4 reaches forked workers.
 
     Returns the list of (workers, batches) synth passed to fork_map, one pair per call.
     """
-    monkeypatch.setattr(kinematics, "GAZE_BATCH", 3)
+    monkeypatch.setattr(kinematics, "BATCH_SAMPLES", 1500)
     calls, fork_map = [], cli.fork_map
 
     def spy(fn, tasks, workers):
@@ -975,11 +992,11 @@ def test_synth_artifacts_do_not_depend_on_jobs(tmp_path, request, cut, jobs):
         assert run(["synth", *flags, "--jobs", jobs, "--out", str(out)]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == SYNTH_DIGESTS[name]
-    if cut:  # 25 and 10 trajectories, 3 per batch
-        assert calls == [(int(jobs), 9), (int(jobs), 4)]
+    if cut:  # 25 and 10 trajectories, of 12,884 and 5,020 samples, in batches of 1500 samples at most
+        assert calls == [(int(jobs), 11), (int(jobs), 5)]
 
 
-@pytest.mark.parametrize("population, batches", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("population, batches", [(3, 1), (4, 2)])  # 1417 and 2051 samples
 def test_synth_forks_workers_only_for_more_than_one_batch(tmp_path, synth_batches, population, batches):
     """One batch is written in process at any --jobs; two batches run --jobs workers, to the same files."""
     for jobs in ("1", "2"):
@@ -1569,6 +1586,8 @@ BAD_REQUESTS = [  # (name, command, fault, error, message)
     ("grid", "calibrate", _flags(*UNSTEPPED), "ValidationError",
      "t_b axis must be finite and strictly increasing"),
     ("grid-cells", "calibrate", _flags(*OVERSIZED), *OVERSIZED_ERROR),
+    ("grid-axis", "calibrate", _flags("--t-b-range", "0.1", "1000000", "0.000001"), "ValidationError",
+     "parameter grid needs 35999996400072 count-table cells, more than 2**31"),  # 1e12 t_b points
     ("panel", "calibrate", _empty_panel, "ValidationError",
      "reviewer panel must have at least one member, got 0"),
     ("window", "detect", _flags("--window", "4"), *BAD_WINDOW),

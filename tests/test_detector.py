@@ -19,7 +19,7 @@ from shelfscan import (
     detect_stops,
     gaze_stream,
 )
-from shelfscan import detector
+from shelfscan import detector, kinematics
 from shelfscan.detector import TIE_TOL, _segment_cells, read_stop_events, write_stop_events
 from shelfscan.errors import FrameMismatch, ParseError, ValidationError
 from shelfscan.oracle import _scan_ray
@@ -426,8 +426,9 @@ def test_detect_many_matches_detect_stops_and_ignores_jobs():
     params = StopParams(1.0, 1.4, 0.6)
     tracks = [build_track(t, window=5) for t in trajs]
     singles = [detect_stops(t, layout, params)[0] for t in tracks]
-    # 300 tracks make ten gaze batches, the last of them 12 tracks
-    assert any(singles[:288]) and any(singles[288:])
+    # 300 tracks of up to 150 samples make two gaze batches or more; the last and the others find stops
+    last = len(list(kinematics.batches(tracks, len))[-1])
+    assert last < len(tracks) and any(singles[:-last]) and any(singles[-last:])
     assert detect_many(tracks, layout, params) == singles
 
 

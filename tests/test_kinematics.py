@@ -20,9 +20,11 @@ from shelfscan import (
 from shelfscan import kinematics
 from shelfscan.errors import InvalidWindow, ParseError, TooShort, ValidationError
 from shelfscan.kinematics import (
+    batches,
     default_jobs,
     fit_window,
     fork_map,
+    map_file,
     range_count,
     read_records,
     read_trajectories,
@@ -301,6 +303,80 @@ def test_written_population_reads_back_exactly(tmp_path):
         assert np.array_equal(got.thetas, want.thetas)
     write_trajectories(back, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 60))
+def test_batches_cut_consecutive_items_within_the_sample_budget(sizes, budget):
+    taken = []
+
+    def items():  # item i has sizes[i] samples; taken counts what batches has drawn
+        for i in range(len(sizes)):
+            taken.append(i)
+            yield i
+
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinematics, "BATCH_SAMPLES", budget)
+        for batch in batches(items(), sizes.__getitem__):
+            assert batch and len(taken) <= sum(map(len, got)) + len(batch) + 1  # one item read ahead at most
+            got.append(batch)
+    assert [i for batch in got for i in batch] == list(range(len(sizes)))
+    for batch, following in zip(got, got[1:] + [None]):
+        total = sum(sizes[i] for i in batch)
+        assert total <= budget or len(batch) == 1
+        if following:  # the batch closed only because the next item would not fit
+            assert total + sizes[following[0]] > budget
+
+
+def _reader_file(path, lengths, jitter=(), broken=()):
+    """Records r0, r1, ... of the given sample counts: a jittered one fails its step check, a broken one parsing."""
+    lines = []
+    for i, n in enumerate(lengths):
+        samples = [[k * DT, 0.01 * k, 1.0, 0.2] for k in range(n)]
+        if i in jitter:
+            samples[n // 2][0] += 1e-4
+        line = json.dumps({"trajectory_id": f"r{i}", "store_id": "s", "samples": samples})
+        lines.append(line[:-5] if i in broken else line)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def test_reader_batches_records_by_samples(tmp_path, monkeypatch):
+    """A range is read in batches of 20 samples at most; a record of more is a batch of its own."""
+    monkeypatch.setattr(kinematics, "BATCH_SAMPLES", 20)
+    path = tmp_path / "t.jsonl"
+    _reader_file(path, [6, 8, 5, 30, 7, 7, 12, 3])
+
+    def stage(read):
+        return [(pieces.ids, len(pieces.times)) for pieces in read()]
+
+    assert map_file(path, stage, (), jobs=1) == [
+        (["r0", "r1", "r2"], 19), (["r3"], 30), (["r4", "r5"], 14), (["r6", "r7"], 15)]
+
+
+@pytest.mark.parametrize("lengths, jitter, broken", [
+    ([6, 8, 10], {1}, {2}),         # r2, read past the batch [r0, r1], does not parse
+    ([6, 8, 10, 9], {1, 3}, ()),    # the next batch [r2, r3] fails its step check too
+])
+def test_reader_split_error_wins_over_later_lines(tmp_path, monkeypatch, lengths, jitter, broken):
+    """A batch's step error is raised, and no part of the batch reaches the stage.
+
+    The reader parses one record past each batch, and once the stage is
+    done it reads on for read errors: neither may replace the earlier
+    line's error.
+    """
+    monkeypatch.setattr(kinematics, "BATCH_SAMPLES", 20)
+    path = tmp_path / "t.jsonl"
+    _reader_file(path, lengths, jitter, broken)
+    seen = []
+
+    def stage(read):
+        seen.extend(pieces.ids for pieces in read())
+        return []
+
+    with pytest.raises(ValidationError, match="non-uniform time step") as exc:
+        map_file(path, stage, (), jobs=1)
+    assert exc.value.element == "r1" and seen == []
 
 
 GOOD_ROW = [0.0, 1.0, 2.0, 0.5]

@@ -182,6 +182,13 @@ def test_scenario_keys_left_out_take_the_dataclass_defaults():
     assert scenario_from_dict(doc) == spec
 
 
+def test_spec_reusing_a_trajectory_id_rejected():
+    doc = asdict(population_scenario(5, 3))
+    doc["scripts"][2]["trajectory_id"] = "trip-00000"
+    with pytest.raises(ValidationError, match="trajectory_id 'trip-00000' is used by two scripts"):
+        scenario_from_dict(doc)
+
+
 def test_negative_spec_seed_rejected():
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         scenario_from_dict({**asdict(random_scenario(6)), "seed": -1})
