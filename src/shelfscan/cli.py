@@ -39,16 +39,19 @@ import numpy as np
 from .detector import (
     STOP_MATRIX_HEADER,
     StopParams,
+    _detect_batch,
+    check_stores,
     detect_file,
-    detect_many,
     detect_stops,
     read_stop_events,
 )
 from .errors import ParseError, ShelfScanError, UnknownTrajectory, non_negative
 from .kinematics import (
     DEFAULT_WINDOW,
+    Pieces,
     batches,
     build_track,
+    build_tracks,
     check_window,
     default_jobs,
     fork_map,
@@ -58,8 +61,8 @@ from .kinematics import (
     write_document,
 )
 
-# no command calls these three; perfbench/tracer.py wraps them by these names
-from .detector import write_stop_events  # noqa: F401
+# no command calls these four; perfbench/tracer.py wraps them by these names
+from .detector import detect_many, write_stop_events  # noqa: F401
 from .kinematics import read_trajectories, write_trajectories  # noqa: F401
 from .layout import load_layout, save_layout
 
@@ -417,21 +420,22 @@ def _synth_batch(trajectories, layout, params, window):
     """synth's fork_map stage: (lines, labels) for a batch of trajectories.
 
     lines are the batch's trajectories.jsonl lines as bytes; labels are
-    those detect_many plants at `params` on the batch's tracks, or [] when
-    params is None.
+    those planted at `params` on the batch, or [] when params is None, by
+    the calls detector._detect_range makes on a batch of records.
     """
     lines = "".join(map(trajectory_record, trajectories)).encode()
     if params is None:
         return lines, []
     from . import labeling
 
-    tracks = [build_track(traj, window) for traj in trajectories]
-    return lines, [lab for events in detect_many(tracks, layout, params)
-                   for lab in labeling.labels_from_stop_events(events, reviewer_id="auto")]
+    tracks = build_tracks(Pieces.join(trajectories), window)
+    check_stores(tracks.store_ids, layout)
+    return lines, labeling.labels_from_stop_events(_detect_batch(tracks, layout, params)[3],
+                                                   reviewer_id="auto")
 
 
 def cmd_synth(args):
-    """Generate the scenario in process, then format its records and plant its labels in batches.
+    """Realize the scenario in process as its batches take it, then format and plant each batch.
 
     Each batch (batches) goes to a child that fork_map forks for it, which
     returns its JSONL bytes and planted labels; the records are written in
@@ -465,22 +469,24 @@ def cmd_synth(args):
             n_shelves=int(_opt(args, cfg, "shelves", 19)),
             noise=float(_opt(args, cfg, "noise", 0.0)),
         )
-    trajectories, truth, layout = synth.generate(spec)
-    save_layout(layout, _artifact(args, "layout.json"))
-    cut = batches(trajectories, len)
+    layout = synth.make_layout(spec.template, store_id=spec.store_id)
+    episodes = {}
+    cut = batches(synth.realize(spec, layout, episodes), len)
     first = list(islice(cut, 2))  # a second batch, if any, is worth a worker beside the first
-    tasks = ((batch, layout, params, window) for batch in chain(first, cut))
+    save_layout(layout, _artifact(args, "layout.json"))  # realize has checked every script by now
+    # the first batches are popped as they are taken, so none outlives its task
+    tasks = ((batch, layout, params, window) for batch in chain(map(first.pop, [0] * len(first)), cut))
     labels = []
     with open(_artifact(args, "trajectories.jsonl"), "wb") as fh:
         for lines, planted in fork_map(_synth_batch, tasks, jobs if len(first) > 1 else 1):
             fh.write(lines)
             labels.extend(planted)
-    synth.write_ground_truth(truth, _artifact(args, "ground_truth.json"))
+    synth.write_ground_truth(synth.GroundTruth(episodes), _artifact(args, "ground_truth.json"))
     if args.plant:
         labels_path = _artifact(args, "labels.jsonl")
         labeling.write_labels(labels, labels_path)
         labeling.write_label_manifest(1, ["auto"], _manifest_path(labels_path))
-    _say(f"synth: wrote {len(trajectories)} trajectories, "
+    _say(f"synth: wrote {len(episodes)} trajectories, "
           f"{layout.n_shelves}-shelf layout -> {args.out}")
     return 0
 

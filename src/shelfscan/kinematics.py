@@ -213,6 +213,14 @@ class Pieces:
                     self.times, self.positions, self.thetas)))
                 for i, (lo, hi) in enumerate(zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist()))]
 
+    @classmethod
+    def join(cls, trajectories) -> "Pieces":
+        """A non-empty list of Trajectories end to end, each outside a record (line 0)."""
+        return cls([t.trajectory_id for t in trajectories], [t.store_id for t in trajectories],
+                   [0] * len(trajectories), np.concatenate([[0], np.cumsum([len(t) for t in trajectories])]),
+                   *(np.concatenate([getattr(t, name) for t in trajectories])
+                     for name in ("times", "positions", "thetas")))
+
 
 @dataclass(frozen=True, eq=False)
 class TrackBatch:
@@ -268,9 +276,7 @@ def build_track(traj: Trajectory, window: int = DEFAULT_WINDOW) -> KinematicTrac
     len(traj)) samples, so every trajectory a reader returns can be built;
     an even or non-positive window raises InvalidWindow.
     """
-    piece = Pieces([traj.trajectory_id], [traj.store_id], [0], np.array([0, len(traj)]),
-                   traj.times, traj.positions, traj.thetas)
-    return build_tracks(piece, window).track(0)
+    return build_tracks(Pieces.join([traj]), window).track(0)
 
 
 def split_records(records):

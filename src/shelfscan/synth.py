@@ -171,30 +171,38 @@ def facing_heading(layout: StoreLayout, shelf_id: int, origin) -> float:
     return math.atan2(my - origin[1], mx - origin[0])
 
 
-def _build_timeline(script: ShopperScript, layout: StoreLayout,
-                    speed: float) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """Noise-free positions/thetas plus dwell sample spans per waypoint."""
+def _check_script(script: ShopperScript, layout: StoreLayout, speed: float) -> None:
+    """Raise InfeasibleScript for the first waypoint of `script` that _build_timeline cannot realize."""
     xmin, ymin, xmax, ymax = layout.bounds
-    pos: list[np.ndarray] = []  # one block of samples per leg or dwell
-    theta: list[np.ndarray] = []
-    episodes: list[tuple[int, int, int]] = []  # (shelf_id, first sample, last sample)
-
     for w in script.waypoints:
         tx, ty = w.target
         if not (xmin - 1.0 <= tx <= xmax + 1.0 and ymin - 1.0 <= ty <= ymax + 1.0):
             raise InfeasibleScript(
                 f"waypoint {w.target} of {script.trajectory_id!r} lies outside the store"
             )
-        if w.dwell < 0:
-            raise InfeasibleScript(f"negative dwell in {script.trajectory_id!r}")
+        if w.dwell < 0 or w.dwell == math.inf:  # a NaN dwell is no dwell
+            raise InfeasibleScript(f"negative or infinite dwell in {script.trajectory_id!r}")
+        if w.heading is not None and not math.isfinite(w.heading):
+            raise InfeasibleScript(f"non-finite heading in {script.trajectory_id!r}")
         if w.face_shelf is not None and not 1 <= w.face_shelf <= layout.n_shelves:
             raise InfeasibleScript(
                 f"script {script.trajectory_id!r} faces unknown shelf {w.face_shelf}"
             )
-
-        leg_speed = w.speed if w.speed is not None else speed
-        if leg_speed <= 0:
+        if not (w.speed if w.speed is not None else speed) > 0:  # False for NaN too
             raise InfeasibleScript(f"non-positive leg speed in {script.trajectory_id!r}")
+
+
+def _build_timeline(script: ShopperScript, layout: StoreLayout,
+                    speed: float) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """Noise-free positions/thetas plus dwell sample spans per waypoint, of a script _check_script passed."""
+    xmin, ymin, _, _ = layout.bounds
+    pos: list[np.ndarray] = []  # one block of samples per leg or dwell
+    theta: list[np.ndarray] = []
+    episodes: list[tuple[int, int, int]] = []  # (shelf_id, first sample, last sample)
+
+    for w in script.waypoints:
+        tx, ty = w.target
+        leg_speed = w.speed if w.speed is not None else speed
         if not pos:
             pos.append(np.array([[tx, ty]], dtype=float))
             theta.append(np.zeros(1))
@@ -232,14 +240,18 @@ def _build_timeline(script: ShopperScript, layout: StoreLayout,
     return pos, theta, episodes
 
 
-def generate(spec: ScenarioSpec):
-    """Realize a scenario: (trajectories, ground truth, layout)."""
+def realize(spec: ScenarioSpec, layout: StoreLayout, episodes: dict):
+    """Yield each script's Trajectory on the spec's layout, realized as it is taken, in script order.
+
+    Every script is checked before the first is realized, so an infeasible
+    spec raises InfeasibleScript before anything is yielded. A script's
+    episodes (GroundTruth's tuples) go into `episodes` as its trajectory is yielded.
+    """
     if spec.walk_speed <= 0:
         raise InfeasibleScript(f"walk speed must be positive, got {spec.walk_speed}")
-    layout = make_layout(spec.template, store_id=spec.store_id)
+    for script in spec.scripts:
+        _check_script(script, layout, spec.walk_speed)
     rng = np.random.default_rng(spec.seed)
-    trajectories = []
-    truth: dict[str, tuple[tuple[int, float, float], ...]] = {}
     for script in spec.scripts:
         pos, theta, spans = _build_timeline(script, layout, spec.walk_speed)
         if spec.position_noise > 0:
@@ -253,13 +265,18 @@ def generate(spec: ScenarioSpec):
                 (sid, s, min(e, keep - 1)) for sid, s, e in spans if s <= keep - 1
             ]
         times = np.arange(len(pos)) * DT
-        trajectories.append(Trajectory(
-            script.trajectory_id, spec.store_id, times, pos, wrap_angle(theta)
-        ))
-        truth[script.trajectory_id] = tuple(
+        episodes[script.trajectory_id] = tuple(
             (sid, float(times[s]), float(times[e])) for sid, s, e in spans
         )
-    return trajectories, GroundTruth(episodes=truth), layout
+        yield Trajectory(script.trajectory_id, spec.store_id, times, pos, wrap_angle(theta))
+
+
+def generate(spec: ScenarioSpec):
+    """Realize a scenario at once: (trajectories, ground truth, layout), from realize."""
+    layout = make_layout(spec.template, store_id=spec.store_id)
+    episodes = {}
+    trajectories = list(realize(spec, layout, episodes))
+    return trajectories, GroundTruth(episodes=episodes), layout
 
 
 def _entry(layout: StoreLayout) -> tuple[float, float]:
@@ -423,7 +440,8 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     raises ParseError; a value the scenario types reject keeps its own error.
     """
     def waypoint(w):
-        return _from_dict(Waypoint, w, target=lambda t: (float(t[0]), float(t[1])))
+        return _from_dict(Waypoint, w, target=lambda t: (float(t[0]), float(t[1])),
+                          face_shelf=lambda s: None if s is None else json_int(s, "face_shelf"))
 
     def script(s):
         return _from_dict(ShopperScript, s, waypoints=lambda ws: tuple(map(waypoint, ws)))

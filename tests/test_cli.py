@@ -4,6 +4,7 @@ import json
 import math
 import os
 import signal
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from shelfscan import (
     write_scenario,
     write_stop_events,
 )
-from shelfscan import calibration, cli, detector, kinematics
+from shelfscan import calibration, cli, detector, kinematics, synth
 from shelfscan.cli import main
 from shelfscan.errors import FrameMismatch
 from shelfscan.labeling import read_labels, write_label_manifest
@@ -1011,21 +1012,66 @@ def test_synth_forks_workers_only_for_more_than_one_batch(tmp_path, synth_batche
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_synth_worker_error_exits_1_with_record(tmp_path, monkeypatch, capsys, synth_batches, jobs):
-    """A batch's error reaches the CLI as the exit-1 record of the first failing trajectory."""
-    build = cli.build_track
+    """A batch's error reaches the CLI as the exit-1 record of the first failing batch."""
+    build = cli.build_tracks
 
-    def failing(traj, window):
-        if traj.trajectory_id in ("trip-00004", "trip-00010"):  # in the second and fourth batches
-            raise FrameMismatch(f"cannot build {traj.trajectory_id}")
-        return build(traj, window)
+    def failing(pieces, window):
+        bad = [tid for tid in pieces.ids if tid in ("trip-00004", "trip-00010")]  # the second and fourth batches
+        if bad:
+            raise FrameMismatch(f"cannot build {bad[0]}")
+        return build(pieces, window)
 
-    monkeypatch.setattr(cli, "build_track", failing)
+    monkeypatch.setattr(cli, "build_tracks", failing)
     code = run(["synth", "--population", "12", "--shelves", "5", "--seed", "5", "--plant", "2.0,1.2,0.55",
                 "--jobs", jobs, "--out", str(tmp_path / "out")])
     assert synth_batches == [(int(jobs), 4)]
     assert code == 1
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "FrameMismatch", "message": "cannot build trip-00004"}
+
+
+def test_synth_realizes_scripts_as_the_batches_take_them(tmp_path, monkeypatch):
+    """As each batch is planted, only the scripts of the batches taken and one look-ahead script are realized."""
+    monkeypatch.setattr(kinematics, "BATCH_SAMPLES", 1500)
+    realized, seen, timeline, stage = [], [], synth._build_timeline, cli._synth_batch
+
+    def count(*args):
+        realized.append(args[0].trajectory_id)
+        return timeline(*args)
+
+    def taken(*args):
+        seen.append(len(realized))
+        return stage(*args)
+
+    monkeypatch.setattr(synth, "_build_timeline", count)
+    monkeypatch.setattr(cli, "_synth_batch", taken)
+    assert run(["synth", "--population", "12", "--shelves", "5", "--seed", "5", "--plant", "2.0,1.2,0.55",
+                "--jobs", "1", "--out", str(tmp_path / "out")]) == 0
+    # batches of trips 0-2, 3-4, 5-8 and 9-11; each batch is taken with the trip that closed it
+    assert seen == [6, 6, 10, 12] and len(realized) == 12
+
+
+@pytest.mark.parametrize("fault, error", [
+    ({"target": [1e4, 1e4]}, "InfeasibleScript"), ({"dwell": 1.0, "face_shelf": 99}, "InfeasibleScript"),
+    ({"speed": math.nan}, "InfeasibleScript"), ({"dwell": math.inf}, "InfeasibleScript"),
+    ({"dwell": 1.0, "heading": math.nan}, "InfeasibleScript"), ({"dwell": 1.0, "face_shelf": 2.0}, "ParseError")])
+def test_synth_spec_with_an_infeasible_last_script_writes_nothing(tmp_path, monkeypatch, capsys, fault, error):
+    """The last script, in the fourth 1500-sample batch, fails before any file is written, at any --jobs.
+
+    A spec file may hold NaN and Infinity, which json reads; a face_shelf must be a JSON integer.
+    """
+    monkeypatch.setattr(kinematics, "BATCH_SAMPLES", 1500)
+    doc = asdict(population_scenario(5, 12, n_shelves=5))
+    doc["scripts"][-1]["waypoints"][1].update(fault)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        assert run(["synth", "--spec", str(spec), "--plant", "2.0,1.2,0.55", "--jobs", jobs,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == error
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", [None, _malformed_row])
