@@ -294,25 +294,25 @@ def _prepare(dataset, layout: StoreLayout, axes, fold: bool = False) -> Runs:
                 f"visit matrix shape {visits.values.shape} does not match "
                 f"{layout.n_shelves} shelves x {len(track)} samples"
             )
-    return _runs_of(_gaze(dataset, layout, float(axes[1][-1]), float(axes[2][-1])), axes, fold)
+    return _runs_of(_gaze(dataset, layout, axes), axes, fold)
 
 
-def _gaze(pairs, layout: StoreLayout, cutoff: float, v_max: float):
+def _gaze(pairs, layout: StoreLayout, axes):
     """Yield the _Prepared batch (_gaze_batch) of each batch of checked (track, visits) pairs (batches)."""
     for batch in batches(pairs, lambda pair: len(pair[0])):
         yield _gaze_batch(TrackBatch.join([track for track, _ in batch]), [visits for _, visits in batch],
-                          layout, cutoff, v_max)
+                          layout, axes)
 
 
-def _gaze_batch(tracks: TrackBatch, visits, layout: StoreLayout, cutoff: float, v_max: float) -> _Prepared:
+def _gaze_batch(tracks: TrackBatch, visits, layout: StoreLayout, axes) -> _Prepared:
     """The one _Prepared of a batch of tracks and their visit matrices, the tracks' bounds kept.
 
-    One gaze_stream call casts the rays of the samples at most v_max fast,
-    within the distance cutoff: those _flatten keeps. Each track's visit
-    matrix is read at its own samples' candidates.
+    One gaze_stream call casts the rays of the samples at most the grid
+    axes' largest v_b fast, within their largest delta_b: those _flatten
+    keeps. Each track's visit matrix is read at its own samples' candidates.
     """
-    candidates, lams = gaze_stream(tracks.positions, tracks.normals, layout, cutoff=cutoff,
-                                   cast=tracks.speeds <= v_max)
+    candidates, lams = gaze_stream(tracks.positions, tracks.normals, layout, cutoff=float(axes[1][-1]),
+                                   cast=tracks.speeds <= float(axes[2][-1]))
     vac = np.zeros(len(candidates), dtype=bool)
     cuts = tracks.bounds.tolist()
     for lo, hi, v in zip(cuts, cuts[1:], visits):
@@ -378,8 +378,7 @@ def _prepare_range(read, by_traj, n_reviewers: int, layout: StoreLayout, window:
         for tracks in read(window):
             visits = [labeling.majority_vote(by_traj.get(tracks.ids[i], []), tracks.track(i), layout,
                                              n_reviewers) for i in range(len(tracks))]
-            # the gaze casts within the largest delta_b and v_b
-            yield _gaze_batch(tracks, visits, layout, float(axes[1][-1]), float(axes[2][-1]))
+            yield _gaze_batch(tracks, visits, layout, axes)
             del tracks, visits  # before the next batch is read
 
     return [_runs_of(gazed(), axes, fold)]

@@ -25,7 +25,6 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from itertools import chain, islice
 
 # No command calls BLAS, yet OpenBLAS starts a thread pool when numpy is
 # imported, and its threads spin for tens of milliseconds of CPU before they
@@ -40,7 +39,6 @@ from .detector import (
     STOP_MATRIX_HEADER,
     StopParams,
     _detect_batch,
-    check_stores,
     detect_file,
     detect_stops,
     read_stop_events,
@@ -81,10 +79,13 @@ def _timestamp():
 
 
 def _load_config(args):
-    """The --config file's JSON object, {} without one; a value its flag would refuse is a usage error."""
+    """Put the --config file's typed values on args where no flag set them, for _opt to read.
+
+    A value its flag would refuse is a usage error; other keys are ignored.
+    """
     path = getattr(args, "config", None)
     if not path:
-        return {}
+        return
     try:
         cfg = read_document(path, "config")
     except (OSError, ParseError) as exc:  # a ParseError's cause names the fault, without the path
@@ -107,11 +108,12 @@ def _load_config(args):
             continue
         if not ok:
             _usage_error(f"config {path}: {key} must be {kind}, got {json.dumps(value)}")
-    return cfg
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
-def _opt(args, cfg, key, default=None):
-    """Flag value if given, else config-file value, else default.
+def _opt(args, key, default=None):
+    """Flag value if given, else config-file value (main puts it on args), else default.
 
     A grid range defaults to calibration.ParamGrid's, which only the
     commands that sweep a grid ask for, so only they load calibration.
@@ -119,8 +121,6 @@ def _opt(args, cfg, key, default=None):
     val = getattr(args, key, None)
     if val is not None:
         return val
-    if key in cfg:
-        return cfg[key]
     if key in _RANGE_KEYS:
         from .calibration import ParamGrid
 
@@ -165,15 +165,15 @@ def _require_paths(*paths):
             _usage_error(f"path does not exist: {p}")
 
 
-def _grid_from(args, cfg):
+def _grid_from(args):
     from .calibration import ParamGrid
 
-    return ParamGrid(*(tuple(map(float, _opt(args, cfg, f"{name}_range")))
+    return ParamGrid(*(tuple(map(float, _opt(args, f"{name}_range")))
                        for name in ("t_b", "delta_b", "v_b")))
 
 
-def _params_from(args, cfg) -> StopParams:
-    values = {key: _opt(args, cfg, key) for key in ("t_b", "delta_b", "v_b")}
+def _params_from(args) -> StopParams:
+    values = {key: _opt(args, key) for key in ("t_b", "delta_b", "v_b")}
     missing = [k for k, v in values.items() if v is None]
     if missing:
         _usage_error(f"missing detector parameters: {', '.join(missing)} "
@@ -203,9 +203,9 @@ def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs,
                                     jobs=jobs, fold=fold)
 
 
-def _jobs(args, cfg):
+def _jobs(args):
     """Worker count: --jobs, else config `jobs`, else default_jobs()."""
-    jobs = _opt(args, cfg, "jobs")
+    jobs = _opt(args, "jobs")
     try:
         jobs = default_jobs() if jobs is None else int(jobs)
     except ValueError as exc:
@@ -220,13 +220,12 @@ def _manifest_path(labels_path):
 
 
 def cmd_detect(args):
-    cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories)
-    window = check_window(int(_opt(args, cfg, "window")))
-    params = _params_from(args, cfg)
+    window = check_window(int(_opt(args, "window")))
+    params = _params_from(args)
     layout = load_layout(args.layout)
     n_tracks, n_events, stops, rows = detect_file(args.trajectories, layout, params, window,
-                                                  _jobs(args, cfg))
+                                                  _jobs(args))
     # the range workers formatted both files; a failed run has returned before any is opened
     with open(_artifact(args, "stops.jsonl"), "wb") as fh:
         fh.writelines(stops)
@@ -241,13 +240,12 @@ def cmd_detect(args):
 def cmd_calibrate(args):
     from . import calibration
 
-    cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
-    window = int(_opt(args, cfg, "window"))
-    grid = _grid_from(args, cfg)
+    window = int(_opt(args, "window"))
+    grid = _grid_from(args)
     calibration.check_request(grid, window)
     layout = load_layout(args.layout)
-    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg),
+    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args),
                                fold=True)
     result = calibration.calibrate(dataset, layout, grid)
     report = {
@@ -257,7 +255,7 @@ def cmd_calibrate(args):
         "recall": result.metrics.recall,
         "counts": asdict(result.metrics.counts),
         "n_trajectories": len(dataset),
-        "config": _resolved_config(args, cfg, ["window", "t_b_range", "delta_b_range", "v_b_range"]),
+        "config": _resolved_config(args, ["window", "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
     write_document(report, _artifact(args, "calibration.json"))
@@ -270,8 +268,8 @@ def cmd_calibrate(args):
     return 0
 
 
-def _resolved_config(args, cfg, keys):
-    return {key: _opt(args, cfg, key) for key in keys}
+def _resolved_config(args, keys):
+    return {key: _opt(args, key) for key in keys}
 
 
 def _write_repeats(reports, path):
@@ -287,18 +285,17 @@ def _write_repeats(reports, path):
 def cmd_eval_same(args):
     from . import calibration
 
-    cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.labels)
-    window = int(_opt(args, cfg, "window"))
-    grid = _grid_from(args, cfg)
-    seed = int(_opt(args, cfg, "seed"))
-    repeats = int(_opt(args, cfg, "repeats"))
-    fractions = _opt(args, cfg, "p", [0.5])
+    window = int(_opt(args, "window"))
+    grid = _grid_from(args)
+    seed = int(_opt(args, "seed"))
+    repeats = int(_opt(args, "repeats"))
+    fractions = _opt(args, "p", [0.5])
     fractions = [float(p) for p in (fractions if isinstance(fractions, list) else [fractions])]
     for p in fractions:
         calibration.check_request(grid, window, "same-store", p, repeats, seed)
     layout = load_layout(args.layout)
-    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args, cfg))
+    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args))
 
     reports = [
         calibration.same_store_eval(dataset, layout, grid, p=p, repeats=repeats, seed=seed)
@@ -306,8 +303,8 @@ def cmd_eval_same(args):
     ]
     doc = {
         "reports": [r.to_dict() for r in reports],
-        "config": _resolved_config(args, cfg, ["window", "seed", "repeats",
-                                               "t_b_range", "delta_b_range", "v_b_range"]),
+        "config": _resolved_config(args, ["window", "seed", "repeats",
+                                          "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
     write_document(doc, _artifact(args, "eval.json"))
@@ -321,15 +318,14 @@ def cmd_eval_same(args):
 def cmd_eval_cross(args):
     from . import calibration
 
-    cfg = _load_config(args)
     _require_paths(args.layout_a, args.trajectories_a, args.labels_a,
                    args.layout_b, args.trajectories_b, args.labels_b)
-    window = int(_opt(args, cfg, "window"))
-    grid = _grid_from(args, cfg)
-    seed = int(_opt(args, cfg, "seed"))
-    p, repeats = float(_opt(args, cfg, "p", 1.0)), int(_opt(args, cfg, "cross_repeats", 1))
+    window = int(_opt(args, "window"))
+    grid = _grid_from(args)
+    seed = int(_opt(args, "seed"))
+    p, repeats = float(_opt(args, "p", 1.0)), int(_opt(args, "cross_repeats", 1))
     calibration.check_request(grid, window, "cross-store", p, repeats, seed)
-    jobs = _jobs(args, cfg)
+    jobs = _jobs(args)
     layout_a = load_layout(args.layout_a)
     layout_b = load_layout(args.layout_b)
     dataset_a = _prepare_labeled(args.trajectories_a, args.labels_a, layout_a, window, grid, jobs)
@@ -340,8 +336,7 @@ def cmd_eval_cross(args):
                                           p=p, seed=seed, repeats=repeats)
     doc = {
         "report": report.to_dict(),
-        "config": _resolved_config(args, cfg, ["window", "seed",
-                                               "t_b_range", "delta_b_range", "v_b_range"]),
+        "config": _resolved_config(args, ["window", "seed", "t_b_range", "delta_b_range", "v_b_range"]),
         "generated_at": _timestamp(),
     }
     write_document(doc, _artifact(args, "eval.json"))
@@ -358,14 +353,13 @@ def _trajectory_ids(read):
 def cmd_analyze(args):
     from . import analytics
 
-    cfg = _load_config(args)
     _require_paths(args.layout, args.trajectories, args.stops, args.purchases)
-    check_window(int(_opt(args, cfg, "window")))  # analyze smooths nothing, but takes --window
+    check_window(int(_opt(args, "window")))  # analyze smooths nothing, but takes --window
     layout = load_layout(args.layout)
     # the side files first; what they say of the trajectories is checked once those are read
     events = read_stop_events(args.stops)
     purchases = analytics.read_purchases(args.purchases) if args.purchases else None
-    trajectory_ids = map_file(args.trajectories, _trajectory_ids, (), _jobs(args, cfg))
+    trajectory_ids = map_file(args.trajectories, _trajectory_ids, (), _jobs(args))
     by_traj = {tid: [] for tid in trajectory_ids}
     for ev in events:
         if ev.trajectory_id not in by_traj:
@@ -429,7 +423,6 @@ def _synth_batch(trajectories, layout, params, window):
     from . import labeling
 
     tracks = build_tracks(Pieces.join(trajectories), window)
-    check_stores(tracks.store_ids, layout)
     return lines, labeling.labels_from_stop_events(_detect_batch(tracks, layout, params)[3],
                                                    reviewer_id="auto")
 
@@ -437,18 +430,17 @@ def _synth_batch(trajectories, layout, params, window):
 def cmd_synth(args):
     """Realize the scenario in process as its batches take it, then format and plant each batch.
 
-    Each batch (batches) goes to a child that fork_map forks for it, which
-    returns its JSONL bytes and planted labels; the records are written in
-    file order as the batches come back. A child leaves through os._exit,
-    so the bytes buffered in the open trajectories.jsonl are written once,
-    by this process. A store of one batch has nothing to run beside it and
-    is written in process; a store of more runs up to --jobs children at a
-    time. The artifacts do not depend on --jobs.
+    Each batch (batches) goes to fork_map, at --jobs workers, which runs
+    it in a child forked for it, or in process for a store of one batch;
+    the batch comes back as its JSONL bytes and planted labels, and the
+    records are written in file order as the batches come back. A child
+    leaves through os._exit, so the bytes buffered in the open
+    trajectories.jsonl are written once, by this process. The artifacts do
+    not depend on --jobs.
     """
     from . import synth
 
-    cfg = _load_config(args)
-    jobs = _jobs(args, cfg)
+    jobs = _jobs(args)
     params = None
     if args.plant:
         from . import labeling  # here, so the batch children inherit it
@@ -458,27 +450,25 @@ def cmd_synth(args):
         except ValueError:
             _usage_error(f"--plant takes three comma-separated numbers T,D,V, got {args.plant!r}")
         params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)  # rejects bad values before any write
-    window = check_window(int(_opt(args, cfg, "window")))  # checked whether or not it plants
+    window = check_window(int(_opt(args, "window")))  # checked whether or not it plants
     if args.spec:
         _require_paths(args.spec)
         spec = synth.read_scenario(args.spec)
     else:
         spec = synth.population_scenario(
-            seed=int(_opt(args, cfg, "seed")),
-            n_trajectories=int(_opt(args, cfg, "population", 50)),
-            n_shelves=int(_opt(args, cfg, "shelves", 19)),
-            noise=float(_opt(args, cfg, "noise", 0.0)),
+            seed=int(_opt(args, "seed")),
+            n_trajectories=int(_opt(args, "population", 50)),
+            n_shelves=int(_opt(args, "shelves", 19)),
+            noise=float(_opt(args, "noise", 0.0)),
         )
     layout = synth.make_layout(spec.template, store_id=spec.store_id)
     episodes = {}
-    cut = batches(synth.realize(spec, layout, episodes), len)
-    first = list(islice(cut, 2))  # a second batch, if any, is worth a worker beside the first
-    save_layout(layout, _artifact(args, "layout.json"))  # realize has checked every script by now
-    # the first batches are popped as they are taken, so none outlives its task
-    tasks = ((batch, layout, params, window) for batch in chain(map(first.pop, [0] * len(first)), cut))
+    trajectories = synth.realize(spec, layout, episodes)  # checks every script before any write
+    save_layout(layout, _artifact(args, "layout.json"))
+    tasks = ((batch, layout, params, window) for batch in batches(trajectories, len))
     labels = []
     with open(_artifact(args, "trajectories.jsonl"), "wb") as fh:
-        for lines, planted in fork_map(_synth_batch, tasks, jobs if len(first) > 1 else 1):
+        for lines, planted in fork_map(_synth_batch, tasks, jobs):
             fh.write(lines)
             labels.extend(planted)
     synth.write_ground_truth(synth.GroundTruth(episodes), _artifact(args, "ground_truth.json"))
@@ -495,11 +485,10 @@ def cmd_oracle_check(args):
     from . import synth
     from .oracle import brute_force_stops
 
-    cfg = _load_config(args)
-    seed = non_negative("seed", int(_opt(args, cfg, "seed")))
-    scenarios = non_negative("scenarios", int(_opt(args, cfg, "scenarios", 100)))
-    max_len = synth.check_max_len(int(_opt(args, cfg, "max_len", 2000)))
-    window = check_window(int(_opt(args, cfg, "window")))
+    seed = non_negative("seed", int(_opt(args, "seed")))
+    scenarios = non_negative("scenarios", int(_opt(args, "scenarios", 100)))
+    max_len = synth.check_max_len(int(_opt(args, "max_len", 2000)))
+    window = check_window(int(_opt(args, "window")))
     checked = 0
     mismatch = None
     for i in range(scenarios):
@@ -655,6 +644,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             _usage_error(f"--out is not a directory: {args.out}")
+        _load_config(args)
         return args.func(args)
     except ShelfScanError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

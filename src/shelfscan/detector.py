@@ -277,8 +277,10 @@ def _detect_batch(tracks: TrackBatch, layout: StoreLayout, params: StopParams):
 
     Only the samples at most v_b fast are cast: runs rejects every other
     sample, so no run loses one. track, starts and ends give each event's
-    track and its first and last sample in the batch. Callers check stores.
+    track and its first and last sample in the batch. A track of another
+    store raises FrameMismatch (check_stores) before any ray is cast.
     """
+    check_stores(tracks.store_ids, layout)
     candidates, lams = gaze_stream(tracks.positions, tracks.normals, layout, cutoff=params.delta_b,
                                    cast=tracks.speeds <= params.v_b)
     times, speeds = tracks.times, tracks.speeds
@@ -298,7 +300,6 @@ def detect_stops(track: KinematicTrack, layout: StoreLayout, params: StopParams)
     (n_shelves, n_samples) Boolean StopMatrix marking every sample of
     every qualifying run.
     """
-    check_stores([track.store_id], layout)
     _, starts, ends, events = _detect_batch(TrackBatch.join([track]), layout, params)
     values = np.zeros((layout.n_shelves, len(track)), dtype=bool)
     for s, e, ev in zip(starts.tolist(), ends.tolist(), events):
@@ -323,11 +324,10 @@ def read_stop_events(path) -> list[StopEvent]:
 def detect_many(tracks, layout: StoreLayout, params: StopParams):
     """Detect stops on many tracks, one _detect_batch call per batch of tracks (kinematics.batches).
 
-    Returns one event list per input track, in input order. Every track is
-    store-checked before any is detected.
+    Returns one event list per input track, in input order. Each batch is
+    store-checked as it is detected (_detect_batch), so the error raised
+    is the FrameMismatch of the first track of another store.
     """
-    tracks = list(tracks)
-    check_stores([track.store_id for track in tracks], layout)
     found = []
     for batch in batches(tracks, len):
         per_track = [[] for _ in batch]
@@ -362,7 +362,6 @@ def _detect_range(read, layout: StoreLayout, params: StopParams, window: int):
     """
     n_tracks, lines, rows = 0, [], []
     for tracks in read(window):
-        check_stores(tracks.store_ids, layout)
         n_tracks += len(tracks)
         which, starts, ends, events = _detect_batch(tracks, layout, params)
         bounds, track = tracks.bounds.tolist(), None

@@ -16,7 +16,7 @@ import os
 import pickle
 import struct
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -112,14 +112,6 @@ def check_window(window: int) -> int:
     return window
 
 
-def fit_window(window: int, n_samples: int) -> int:
-    """Largest valid (odd, <= n_samples) window not exceeding `window`."""
-    w = min(window, n_samples)
-    if w % 2 == 0:
-        w -= 1
-    return max(w, 1)
-
-
 def low_pass_positions(positions: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
     """Centered moving average of (n, 2) positions over `window` samples.
 
@@ -135,7 +127,7 @@ def low_pass_positions(positions: np.ndarray, window: int = DEFAULT_WINDOW) -> n
 
 
 def _smooth(positions, bounds, window: int) -> np.ndarray:
-    """low_pass_positions of each piece bounds[i]:bounds[i + 1], over fit_window(window, its length).
+    """low_pass_positions of each piece bounds[i]:bounds[i + 1], over the largest odd window <= `window` it holds.
 
     Each piece has its own prefix sums, so every value rounds as it would
     in the piece alone. A sample whose window lies inside its piece takes
@@ -154,7 +146,7 @@ def _smooth(positions, bounds, window: int) -> np.ndarray:
         out[half + 1:n - half] = (cum[window:] - cum[:n - window]) / window
     first, size = bounds[:-1], np.diff(bounds)
     fit = np.minimum(window, size)
-    fit = np.maximum(fit - (fit % 2 == 0), 1)  # fit_window of each piece
+    fit = np.maximum(fit - (fit % 2 == 0), 1)  # the largest odd window each piece holds
     full = fit == window
     # the samples the slice got wrong: a piece's first half + 1 and last half, or all of a narrowed one
     head, tail = np.where(full, half + 1, size), np.where(full, half, 0)
@@ -259,9 +251,9 @@ class TrackBatch:
 def build_tracks(pieces: Pieces, window: int = DEFAULT_WINDOW) -> TrackBatch:
     """The kinematic streams of every piece, each stream derived in one pass over all of them.
 
-    A piece shorter than `window` is smoothed over fit_window(window, its
-    length) samples, as build_track smooths a trajectory; an even or
-    non-positive window raises InvalidWindow.
+    A piece shorter than `window` is smoothed over the largest odd window
+    that it holds (_smooth), as build_track smooths a trajectory; an even
+    or non-positive window raises InvalidWindow.
     """
     positions = _smooth(pieces.positions, pieces.bounds, check_window(window))
     return TrackBatch(pieces.ids, pieces.store_ids, pieces.bounds, pieces.times, positions,
@@ -272,9 +264,9 @@ def build_tracks(pieces: Pieces, window: int = DEFAULT_WINDOW) -> TrackBatch:
 def build_track(traj: Trajectory, window: int = DEFAULT_WINDOW) -> KinematicTrack:
     """Derive the kinematic streams used by the stop detector: build_tracks of one piece.
 
-    A trajectory shorter than `window` is smoothed over fit_window(window,
-    len(traj)) samples, so every trajectory a reader returns can be built;
-    an even or non-positive window raises InvalidWindow.
+    A trajectory shorter than `window` is smoothed over the largest odd
+    window that it holds, so every trajectory a reader returns can be
+    built; an even or non-positive window raises InvalidWindow.
     """
     return build_tracks(Pieces.join([traj]), window).track(0)
 
@@ -619,12 +611,14 @@ def range_count(n_bytes: int, jobs: int) -> int:
 def fork_map(fn, tasks, workers: int):
     """Yield fn(*task) for each task of an iterable, in task order.
 
-    Each task runs in a child forked for it, at most `workers` at a time,
-    or in this process, one task per result taken, when `workers` is 1 or
-    less. A child inherits fn and its task, so neither is pickled; it
-    sends back its result, or its error, pickled through a pipe, and leaves
-    through os._exit, so no frame of this process unwinds in it (a file
-    this process holds open is not flushed twice). Tasks are taken from
+    The first two tasks are taken before any runs. Each task runs in a
+    child forked for it, at most `workers` at a time, or in this process,
+    one task per result taken, when `workers` is 1 or less or the iterable
+    holds one task, which has nothing to run beside it. A child inherits
+    fn and its task, so neither is pickled; it sends back its result, or
+    its error, pickled through a pipe, and leaves through os._exit, so no
+    frame of this process unwinds in it (a file this process holds open is
+    not flushed twice). Tasks are taken from
     the iterable as children start, and a child's pipe is read as it
     writes, so one that finishes frees its slot at once. Each running
     child holds the lowest slot free when it was forked, and starts on
@@ -633,7 +627,11 @@ def fork_map(fn, tasks, workers: int):
     without sending its whole result raises ChildProcessError. Once the
     generator ends, by any path, no child is left running.
     """
-    if workers <= 1:
+    tasks = iter(tasks)
+    head = list(islice(tasks, 2))
+    forks = workers > 1 and len(head) > 1
+    tasks = chain(map(head.pop, [0] * len(head)), tasks)  # popped as taken, so none outlives its task
+    if not forks:
         for task in tasks:
             yield fn(*task)
         return
@@ -801,8 +799,9 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
 
     The file is cut into up to `jobs` ranges at newlines (_byte_ranges),
     each read by a child that fork_map forks for it, or in process if
-    there is one. A range's stage output comes back pickled, so a stage
-    returns picklable items; the stage itself is inherited, not pickled.
+    there is one (fork_map's rule). A range's stage output comes back
+    pickled, so a stage returns picklable items; the stage itself is
+    inherited, not pickled.
     read(window) yields a range's records in file order, a batch at a time
     as the stage takes them, each gap-split into one Pieces, or, given a
     window, built into one TrackBatch (_read_range). The stage returns a
@@ -818,7 +817,7 @@ def map_file(path, stage, stage_args, jobs: int | None = None, check=None) -> li
     if jobs is None:
         jobs = default_jobs()
     tasks = [(path, start, stop, stage, stage_args) for start, stop in _byte_ranges(path, jobs)]
-    results = list(fork_map(_read_range, tasks, len(tasks)))  # an empty file has no range
+    results = list(fork_map(_read_range, tasks, jobs))  # an empty file has no range
     errors = []
     # a reused record id first, so it wins a tie: it is checked before its record is split
     for what, pairs in (("trajectory_id", [pair for r in results for pair in r.ids]),

@@ -241,16 +241,21 @@ def _build_timeline(script: ShopperScript, layout: StoreLayout,
 
 
 def realize(spec: ScenarioSpec, layout: StoreLayout, episodes: dict):
-    """Yield each script's Trajectory on the spec's layout, realized as it is taken, in script order.
+    """An iterator of each script's Trajectory on the spec's layout, realized as taken, in script order.
 
-    Every script is checked before the first is realized, so an infeasible
-    spec raises InfeasibleScript before anything is yielded. A script's
+    Every script is checked when realize is called, so an infeasible spec
+    raises InfeasibleScript here, before any script is realized. A script's
     episodes (GroundTruth's tuples) go into `episodes` as its trajectory is yielded.
     """
     if spec.walk_speed <= 0:
         raise InfeasibleScript(f"walk speed must be positive, got {spec.walk_speed}")
     for script in spec.scripts:
         _check_script(script, layout, spec.walk_speed)
+    return _realized(spec, layout, episodes)
+
+
+def _realized(spec: ScenarioSpec, layout: StoreLayout, episodes: dict):
+    """realize's iterator, over scripts that _check_script passed."""
     rng = np.random.default_rng(spec.seed)
     for script in spec.scripts:
         pos, theta, spans = _build_timeline(script, layout, spec.walk_speed)

@@ -40,7 +40,7 @@ from shelfscan import (
 )
 from shelfscan import LayoutTemplate
 from shelfscan.cli import main as cli_main
-from shelfscan.kinematics import Trajectory, fit_window
+from shelfscan.kinematics import Trajectory
 
 from conftest import standing_trajectory
 
@@ -87,7 +87,7 @@ def test_oracle_equivalence_1000_scenarios():
             v_b=float(rng.uniform(0.1, 1.5)),
         )
         for traj in trajs:
-            track = build_track(traj, fit_window(5, len(traj)))
+            track = build_track(traj, 5)
             _, fast = detect_stops(track, layout, params)
             slow = brute_force_stops(track, layout, params)
             checked += 1
@@ -122,7 +122,7 @@ def test_monotonicity_suite():
     rng = np.random.default_rng(31337)
     for i in range(200):
         trajs, _, layout = generate(random_scenario(50_000 + i, max_len=400))
-        tracks = [build_track(t, fit_window(5, len(t))) for t in trajs]
+        tracks = [build_track(t, 5) for t in trajs]
         for _ in range(20):
             t_b = float(rng.uniform(0.4, 4.0))
             delta_b = float(rng.uniform(0.4, 2.5))

@@ -454,8 +454,7 @@ def test_sweep_of_a_block_longer_than_8192_samples_matches_pointwise_counts(sing
     traj = make_trajectory(np.array([1.0, 1.0]) + rng.normal(0.0, 0.01, (n, 2)), np.full(n, -math.pi / 2))
     visits = VisitMatrix(traj.trajectory_id, traj.times, rng.random((1, n)) < 0.5, n_reviewers=1)
     axes = (np.array([0.5, 30.0, 999.0]), np.array([0.995, 1.005, 2.0]), np.array([0.03, 0.06, 1.0]))
-    [prepared] = calibration._gaze([(build_track(traj, window=5), visits)], single_shelf_layout,
-                                   float(axes[1][-1]), float(axes[2][-1]))
+    [prepared] = calibration._gaze([(build_track(traj, window=5), visits)], single_shelf_layout, axes)
     tp, fp, fn = sweep(prepared, *axes).count_tables
     assert tp[-1, -1, -1] + fp[-1, -1, -1] == n  # one run of every sample
     for index in np.ndindex(tp.shape):

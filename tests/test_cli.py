@@ -998,12 +998,16 @@ def test_synth_artifacts_do_not_depend_on_jobs(tmp_path, request, cut, jobs):
 
 
 @pytest.mark.parametrize("population, batches", [(3, 1), (4, 2)])  # 1417 and 2051 samples
-def test_synth_forks_workers_only_for_more_than_one_batch(tmp_path, synth_batches, population, batches):
+def test_synth_forks_workers_only_for_more_than_one_batch(tmp_path, monkeypatch, synth_batches,
+                                                          population, batches):
     """One batch is written in process at any --jobs; two batches run --jobs workers, to the same files."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(jobs) or fork())  # the --jobs of each fork
     for jobs in ("1", "2"):
         assert run(["synth", "--population", str(population), "--shelves", "5", "--seed", "5",
                     "--plant", "2.0,1.2,0.55", "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
-    assert synth_batches == [(1, batches), (1 if batches == 1 else 2, batches)]
+    assert synth_batches == [(1, batches), (2, batches)]
+    assert forks == ([] if batches == 1 else ["2", "2"])
     names = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "2").iterdir()) and len(names) == 5
     for name in names:

@@ -391,7 +391,8 @@ DEEP = 100_000
         "deep-samples"])
 def test_a_record_nested_too_deep_is_a_parse_error(line):
     # the last three nest 2,000 or 4,000 deep: orjson would decode them, json cannot. Each line is parsed
-    # in a forked child, so a decoder that overflows its stack fails this test, not the run
+    # in a forked child, two tasks so that fork_map forks, and a decoder that overflows its stack fails
+    # this test, not the run
     with pytest.raises(ParseError, match=r"^t\.jsonl:7: bad trajectory record: RecursionError"):
-        list(fork_map(parse_record, [(line, "t.jsonl:7")], 2))
+        list(fork_map(parse_record, [(line, "t.jsonl:7")] * 2, 2))
     assert_same_outcome(line)

@@ -24,7 +24,6 @@ from shelfscan.detector import TIE_TOL, _segment_cells, read_stop_events, write_
 from shelfscan.errors import FrameMismatch, ParseError, ValidationError
 from shelfscan.oracle import _scan_ray
 from shelfscan.synth import generate, population_scenario, random_scenario
-from shelfscan.kinematics import fit_window
 
 from conftest import make_trajectory, rotate_point, standing_trajectory
 
@@ -252,6 +251,16 @@ def test_detect_many_store_mismatch_rejected(single_shelf_layout):
         detect_many(tracks, single_shelf_layout, PARAMS)
 
 
+def test_detect_batch_checks_its_own_stores(single_shelf_layout):
+    """_detect_batch store-checks the batch it is given, so no caller checks before it."""
+    tracks = [
+        build_track(standing_trajectory((1, 1), 0.0, 5, trajectory_id=tid, store_id=store), window=1)
+        for tid, store in (("here", "unit"), ("there", "elsewhere"))
+    ]
+    with pytest.raises(FrameMismatch, match="'elsewhere'"):
+        detector._detect_batch(kinematics.TrackBatch.join(tracks), single_shelf_layout, PARAMS)
+
+
 def test_params_must_be_positive():
     with pytest.raises(ValidationError):
         StopParams(t_b=0.0, delta_b=1.0, v_b=1.0)
@@ -269,7 +278,7 @@ def test_event_fields_respect_thresholds():
             v_b=float(rng.uniform(0.2, 1.2)),
         )
         for traj in trajs:
-            track = build_track(traj, window=fit_window(5, len(traj)))
+            track = build_track(traj, 5)
             events, _ = detect_stops(track, layout, params)
             last_end = -math.inf
             for ev in sorted(events, key=lambda e: e.t_s):
@@ -297,15 +306,14 @@ def test_rigid_motion_invariance():
         obstacles=tuple(Obstacle(id=o.id, segment=rot_seg(o.segment)) for o in layout.obstacles),
     )
     for traj in trajs:
-        window = fit_window(5, len(traj))
-        base = detect_stops(build_track(traj, window), layout, params)[1]
+        base = detect_stops(build_track(traj, 5), layout, params)[1]
         moved_positions = [rotate_point(p, angle, offset) for p in traj.positions]
         moved_thetas = traj.thetas + angle
         moved = make_trajectory(
             moved_positions, moved_thetas,
             trajectory_id=traj.trajectory_id, store_id=traj.store_id,
         )
-        rot = detect_stops(build_track(moved, window), rot_layout, params)[1]
+        rot = detect_stops(build_track(moved, 5), rot_layout, params)[1]
         assert np.array_equal(base.values, rot.values)
 
 
@@ -313,7 +321,7 @@ def test_gaze_cutoff_agrees_below_threshold():
     trajs, _, layout = generate(random_scenario(9, max_len=400))
     cutoff = 1.5
     for traj in trajs:
-        track = build_track(traj, window=fit_window(5, len(traj)))
+        track = build_track(traj, 5)
         full_c, full_l = gaze_stream(track.positions, track.normals, layout, cutoff=None)
         cut_c, cut_l = gaze_stream(track.positions, track.normals, layout, cutoff=cutoff)
         within = full_l <= cutoff
@@ -329,7 +337,7 @@ def test_gaze_mask_casts_only_its_rays(seed, cutoff):
     rng = np.random.default_rng(seed)
     trajs, _, layout = generate(random_scenario(seed, max_len=400))
     for traj in trajs:
-        track = build_track(traj, window=fit_window(5, len(traj)))
+        track = build_track(traj, 5)
         full_c, full_l = gaze_stream(track.positions, track.normals, layout, cutoff=cutoff)
         for cast in (rng.random(len(track)) < rng.random(), np.zeros(len(track), dtype=bool)):
             got_c, got_l = gaze_stream(track.positions, track.normals, layout, cutoff=cutoff, cast=cast)
@@ -344,7 +352,7 @@ def test_pair_budget_does_not_change_gaze(monkeypatch, seed, pairs):
     """One ray per _solve_pairs call (1), or rays with more pairs than the budget (7), change no output."""
     rng = np.random.default_rng(seed)
     trajs, _, layout = generate(random_scenario(seed, max_len=400))
-    tracks = [build_track(traj, window=fit_window(5, len(traj))) for traj in trajs]
+    tracks = [build_track(traj, 5) for traj in trajs]
     positions = np.concatenate([t.positions for t in tracks])
     normals = np.concatenate([t.normals for t in tracks])
     assert len(layout.segment_points) > pairs  # without a cutoff every ray has more pairs than 7
@@ -418,7 +426,7 @@ def test_sample_at_exactly_v_b_is_cast_and_its_stop_kept(single_shelf_layout):
 def test_detect_many_matches_detect_stops_and_ignores_jobs():
     trajs, _, layout = generate(random_scenario(13, max_len=300))
     params = StopParams(1.5, 1.4, 0.6)
-    tracks = [build_track(t, window=fit_window(5, len(t))) for t in trajs]
+    tracks = [build_track(t, 5) for t in trajs]
     assert detect_many(tracks, layout, params) == [detect_stops(t, layout, params)[0] for t in tracks]
 
     spec = population_scenario(4, n_trajectories=300, n_shelves=6, noise=0.05)

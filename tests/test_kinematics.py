@@ -22,7 +22,6 @@ from shelfscan.errors import InvalidWindow, ParseError, TooShort, ValidationErro
 from shelfscan.kinematics import (
     batches,
     default_jobs,
-    fit_window,
     fork_map,
     map_file,
     range_count,
@@ -71,9 +70,7 @@ def test_window_three_boundary_means():
 )
 @settings(max_examples=100, deadline=None)
 def test_window_mean_matches_brute_force(xs, half):
-    window = 2 * half + 1
-    if window > len(xs):
-        window = fit_window(window, len(xs))
+    window = min(2 * half + 1, len(xs) - (len(xs) % 2 == 0))  # the largest odd window xs holds
     traj = make_trajectory([(x, 0.0) for x in xs], [0.0] * len(xs))
     smoothed = low_pass_positions(traj.positions, window=window)
     assert np.allclose(smoothed[:, 0], brute_window_mean(xs, window), atol=1e-9)
@@ -500,6 +497,16 @@ def kill_self_at(index, doomed):
 def test_fork_map_yields_in_task_order_when_later_tasks_finish_first(no_child_left, workers):
     tasks = [(0.05 * (4 - i), i) for i in range(5)]
     assert list(fork_map(sleep_then, tasks, workers)) == list(range(5))
+
+
+def test_fork_map_runs_a_lone_task_in_process(monkeypatch, no_child_left):
+    """A lone task has nothing to run beside it, so it runs here at any worker count; two tasks fork two."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert list(fork_map(os.getpid, [()], 2)) == [os.getpid()] and forks == []
+    pids = list(fork_map(os.getpid, [(), ()], 2))
+    assert len(set(pids)) == 2 and os.getpid() not in pids and len(forks) == 2
+    assert list(fork_map(os.getpid, [], 2)) == [] and len(forks) == 2
 
 
 def test_fork_map_raises_the_first_error_in_task_order(no_child_left):

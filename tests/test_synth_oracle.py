@@ -24,7 +24,6 @@ from shelfscan import (
     stand_point,
 )
 from shelfscan.errors import InfeasibleScript, ParseError, ValidationError
-from shelfscan.kinematics import fit_window
 from shelfscan.synth import (
     GroundTruth,
     read_ground_truth,
@@ -268,7 +267,7 @@ def test_detector_equals_oracle_on_random_scenarios():
             v_b=float(rng.uniform(0.1, 1.5)),
         )
         for traj in trajs:
-            track = build_track(traj, window=fit_window(5, len(traj)))
+            track = build_track(traj, 5)
             _, fast = detect_stops(track, layout, params)
             slow = brute_force_stops(track, layout, params)
             if not np.array_equal(fast.values, slow.values):
