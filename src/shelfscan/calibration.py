@@ -384,9 +384,9 @@ def _prepare_range(read, by_traj, n_reviewers: int, layout: StoreLayout, window:
     return [_runs_of(gazed(), axes, fold)]
 
 
-def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, grid,
+def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, axes,
                  window: int = DEFAULT_WINDOW, jobs: int | None = None, fold: bool = False) -> Runs:
-    """The Runs of every trajectory of a JSONL trajectory file, with its labels, on the grid.
+    """The Runs of every trajectory of a JSONL trajectory file, with its labels, on the grid's axes.
 
     kinematics.map_file's range workers read, gap-split, vote, build, gaze
     and enumerate the file a gaze batch at a time, so this process holds
@@ -398,12 +398,12 @@ def prepare_file(trajectories, labels, n_reviewers: int, layout: StoreLayout, gr
     2000 noisy trips that holds `calibrate --jobs 2` to a 52 MB peak, which
     is 72 MB if each range's runs are kept instead, even unjoined.
 
-    The window, the grid and the panel size are checked before the file is
-    read; then the error raised does not depend on `jobs`: the read error
-    on the lowest line, else UnknownTrajectory for labels that name no
-    trajectory of the file, else the first vote error in file order.
+    The caller checks the window and the grid, whose axes check_request
+    returns; the panel size is checked here, before the file is read. Then
+    the error raised does not depend on `jobs`: the read error on the
+    lowest line, else UnknownTrajectory for labels that name no trajectory
+    of the file, else the first vote error in file order.
     """
-    axes = check_request(grid, window)
     check_panel(n_reviewers)
     by_traj = {}
     for lab in labels:

@@ -4,8 +4,8 @@ Every command reads plain files, writes fixed-name artifacts into --out,
 and embeds its fully resolved configuration in the JSON reports it
 produces, so a report is enough to rerun the experiment. Identical inputs
 and seeds give byte-identical outputs except for the generated_at
-metadata field. Flags override config-file values; numeric defaults live
-in _DEFAULTS below.
+metadata field. Flags override config-file values, which override each
+flag's default.
 
 A command imports the package modules it runs when it runs, so detect
 loads only layout, kinematics and detector. main() returns the exit code
@@ -64,9 +64,6 @@ from .detector import detect_many, write_stop_events  # noqa: F401
 from .kinematics import read_trajectories, write_trajectories  # noqa: F401
 from .layout import load_layout, save_layout
 
-# the grid ranges' defaults are calibration.ParamGrid's (_opt)
-_DEFAULTS = {"window": DEFAULT_WINDOW, "seed": 0, "repeats": 10}
-
 # config keys by the JSON type their flags take; other keys are ignored
 _INT_KEYS = {"window", "seed", "repeats", "jobs", "population", "shelves", "scenarios", "max_len",
              "cross_repeats"}
@@ -79,13 +76,11 @@ def _timestamp():
 
 
 def _load_config(args):
-    """Put the --config file's typed values on args where no flag set them, for _opt to read.
+    """The --config file's known keys and their values, which main makes the command's defaults.
 
     A value its flag would refuse is a usage error; other keys are ignored.
     """
-    path = getattr(args, "config", None)
-    if not path:
-        return
+    path = args.config
     try:
         cfg = read_document(path, "config")
     except (OSError, ParseError) as exc:  # a ParseError's cause names the fault, without the path
@@ -94,6 +89,7 @@ def _load_config(args):
     def number(value):
         return type(value) in (int, float)  # a bool is neither
 
+    known = {}
     for key, value in cfg.items():
         if key == "p" and args.command == "eval-same" and isinstance(value, list):
             kind, ok = "a JSON number or a list of them", value and all(map(number, value))
@@ -108,24 +104,8 @@ def _load_config(args):
             continue
         if not ok:
             _usage_error(f"config {path}: {key} must be {kind}, got {json.dumps(value)}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-
-
-def _opt(args, key, default=None):
-    """Flag value if given, else config-file value (main puts it on args), else default.
-
-    A grid range defaults to calibration.ParamGrid's, which only the
-    commands that sweep a grid ask for, so only they load calibration.
-    """
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in _RANGE_KEYS:
-        from .calibration import ParamGrid
-
-        return list(getattr(ParamGrid(), key.removesuffix("_range")))
-    return _DEFAULTS.get(key, default)
+        known[key] = value
+    return known
 
 
 class _StdoutLost(Exception):
@@ -166,14 +146,21 @@ def _require_paths(*paths):
 
 
 def _grid_from(args):
+    """The ParamGrid of args' ranges, each that nothing set put on args as ParamGrid's.
+
+    Only the commands that sweep a grid call this, so only they load calibration.
+    """
     from .calibration import ParamGrid
 
-    return ParamGrid(*(tuple(map(float, _opt(args, f"{name}_range")))
-                       for name in ("t_b", "delta_b", "v_b")))
+    names, default = ("t_b", "delta_b", "v_b"), ParamGrid()
+    for name in names:
+        if getattr(args, f"{name}_range") is None:
+            setattr(args, f"{name}_range", list(getattr(default, name)))
+    return ParamGrid(*(tuple(map(float, getattr(args, f"{name}_range"))) for name in names))
 
 
 def _params_from(args) -> StopParams:
-    values = {key: _opt(args, key) for key in ("t_b", "delta_b", "v_b")}
+    values = {key: getattr(args, key) for key in ("t_b", "delta_b", "v_b")}
     missing = [k for k, v in values.items() if v is None]
     if missing:
         _usage_error(f"missing detector parameters: {', '.join(missing)} "
@@ -187,8 +174,8 @@ def _artifact(args, name):
     return os.path.join(args.out, name)
 
 
-def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs, fold=False):
-    """calibration.prepare_file on a trajectory file and its labels, on the grid.
+def _prepare_labeled(trajectories_path, labels_path, layout, window, axes, jobs, fold=False):
+    """calibration.prepare_file on a trajectory file and its labels, on the checked grid's axes.
 
     The labels manifest is expected next to the labels file with the
     .manifest.json suffix replacing .jsonl.
@@ -199,15 +186,14 @@ def _prepare_labeled(trajectories_path, labels_path, layout, window, grid, jobs,
     _require_paths(manifest_path)
     n_reviewers = labeling.read_label_manifest(manifest_path)
     labels = labeling.read_labels(labels_path)
-    return calibration.prepare_file(trajectories_path, labels, n_reviewers, layout, grid, window,
+    return calibration.prepare_file(trajectories_path, labels, n_reviewers, layout, axes, window,
                                     jobs=jobs, fold=fold)
 
 
 def _jobs(args):
     """Worker count: --jobs, else config `jobs`, else default_jobs()."""
-    jobs = _opt(args, "jobs")
     try:
-        jobs = default_jobs() if jobs is None else int(jobs)
+        jobs = default_jobs() if args.jobs is None else args.jobs
     except ValueError as exc:
         _usage_error(exc)
     if jobs < 1:
@@ -221,7 +207,7 @@ def _manifest_path(labels_path):
 
 def cmd_detect(args):
     _require_paths(args.layout, args.trajectories)
-    window = check_window(int(_opt(args, "window")))
+    window = check_window(args.window)
     params = _params_from(args)
     layout = load_layout(args.layout)
     n_tracks, n_events, stops, rows = detect_file(args.trajectories, layout, params, window,
@@ -241,11 +227,10 @@ def cmd_calibrate(args):
     from . import calibration
 
     _require_paths(args.layout, args.trajectories, args.labels)
-    window = int(_opt(args, "window"))
-    grid = _grid_from(args)
-    calibration.check_request(grid, window)
+    window, grid = args.window, _grid_from(args)
+    axes = calibration.check_request(grid, window)
     layout = load_layout(args.layout)
-    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args),
+    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, axes, _jobs(args),
                                fold=True)
     result = calibration.calibrate(dataset, layout, grid)
     report = {
@@ -269,7 +254,7 @@ def cmd_calibrate(args):
 
 
 def _resolved_config(args, keys):
-    return {key: _opt(args, key) for key in keys}
+    return {key: getattr(args, key) for key in keys}
 
 
 def _write_repeats(reports, path):
@@ -286,16 +271,12 @@ def cmd_eval_same(args):
     from . import calibration
 
     _require_paths(args.layout, args.trajectories, args.labels)
-    window = int(_opt(args, "window"))
-    grid = _grid_from(args)
-    seed = int(_opt(args, "seed"))
-    repeats = int(_opt(args, "repeats"))
-    fractions = _opt(args, "p", [0.5])
-    fractions = [float(p) for p in (fractions if isinstance(fractions, list) else [fractions])]
+    window, grid, seed, repeats = args.window, _grid_from(args), args.seed, args.repeats
+    fractions = [float(p) for p in (args.p if isinstance(args.p, list) else [args.p])]
     for p in fractions:
-        calibration.check_request(grid, window, "same-store", p, repeats, seed)
+        axes = calibration.check_request(grid, window, "same-store", p, repeats, seed)
     layout = load_layout(args.layout)
-    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, grid, _jobs(args))
+    dataset = _prepare_labeled(args.trajectories, args.labels, layout, window, axes, _jobs(args))
 
     reports = [
         calibration.same_store_eval(dataset, layout, grid, p=p, repeats=repeats, seed=seed)
@@ -320,17 +301,15 @@ def cmd_eval_cross(args):
 
     _require_paths(args.layout_a, args.trajectories_a, args.labels_a,
                    args.layout_b, args.trajectories_b, args.labels_b)
-    window = int(_opt(args, "window"))
-    grid = _grid_from(args)
-    seed = int(_opt(args, "seed"))
-    p, repeats = float(_opt(args, "p", 1.0)), int(_opt(args, "cross_repeats", 1))
-    calibration.check_request(grid, window, "cross-store", p, repeats, seed)
+    window, grid, seed = args.window, _grid_from(args), args.seed
+    p, repeats = float(args.p), args.cross_repeats
+    axes = calibration.check_request(grid, window, "cross-store", p, repeats, seed)
     jobs = _jobs(args)
     layout_a = load_layout(args.layout_a)
     layout_b = load_layout(args.layout_b)
-    dataset_a = _prepare_labeled(args.trajectories_a, args.labels_a, layout_a, window, grid, jobs)
+    dataset_a = _prepare_labeled(args.trajectories_a, args.labels_a, layout_a, window, axes, jobs)
     # cross_store_eval reads the test side only as every trip's totals
-    dataset_b = _prepare_labeled(args.trajectories_b, args.labels_b, layout_b, window, grid, jobs,
+    dataset_b = _prepare_labeled(args.trajectories_b, args.labels_b, layout_b, window, axes, jobs,
                                  fold=True)
     report = calibration.cross_store_eval(dataset_a, layout_a, dataset_b, layout_b, grid,
                                           p=p, seed=seed, repeats=repeats)
@@ -354,7 +333,7 @@ def cmd_analyze(args):
     from . import analytics
 
     _require_paths(args.layout, args.trajectories, args.stops, args.purchases)
-    check_window(int(_opt(args, "window")))  # analyze smooths nothing, but takes --window
+    check_window(args.window)  # analyze smooths nothing, but takes --window
     layout = load_layout(args.layout)
     # the side files first; what they say of the trajectories is checked once those are read
     events = read_stop_events(args.stops)
@@ -450,16 +429,16 @@ def cmd_synth(args):
         except ValueError:
             _usage_error(f"--plant takes three comma-separated numbers T,D,V, got {args.plant!r}")
         params = StopParams(t_b=t_b, delta_b=delta_b, v_b=v_b)  # rejects bad values before any write
-    window = check_window(int(_opt(args, "window")))  # checked whether or not it plants
+    window = check_window(args.window)  # checked whether or not it plants
     if args.spec:
         _require_paths(args.spec)
         spec = synth.read_scenario(args.spec)
     else:
         spec = synth.population_scenario(
-            seed=int(_opt(args, "seed")),
-            n_trajectories=int(_opt(args, "population", 50)),
-            n_shelves=int(_opt(args, "shelves", 19)),
-            noise=float(_opt(args, "noise", 0.0)),
+            seed=args.seed,
+            n_trajectories=args.population,
+            n_shelves=args.shelves,
+            noise=float(args.noise),
         )
     layout = synth.make_layout(spec.template, store_id=spec.store_id)
     episodes = {}
@@ -485,10 +464,10 @@ def cmd_oracle_check(args):
     from . import synth
     from .oracle import brute_force_stops
 
-    seed = non_negative("seed", int(_opt(args, "seed")))
-    scenarios = non_negative("scenarios", int(_opt(args, "scenarios", 100)))
-    max_len = synth.check_max_len(int(_opt(args, "max_len", 2000)))
-    window = check_window(int(_opt(args, "window")))
+    seed = non_negative("seed", args.seed)
+    scenarios = non_negative("scenarios", args.scenarios)
+    max_len = synth.check_max_len(args.max_len)
+    window = check_window(args.window)
     checked = 0
     mismatch = None
     for i in range(scenarios):
@@ -540,11 +519,13 @@ def build_parser():
         description="Shelf-visit detection, calibration and analytics for shopper trajectories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # main makes a --config file a command's defaults
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--window", type=int, help="odd smoothing window in samples (default 5)")
+        p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                       help="odd smoothing window in samples (default %(default)s)")
 
     p = sub.add_parser("detect", help="run the stop detector, write stops.jsonl + stop_matrix.csv")
     common(p)
@@ -571,9 +552,9 @@ def build_parser():
     p.add_argument("--layout", required=True)
     p.add_argument("--trajectories", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--p", type=float, nargs="+", help="calibration fraction(s) to sweep")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--p", type=float, nargs="+", default=[0.5], help="calibration fraction(s) to sweep")
+    p.add_argument("--repeats", type=int, default=10)
+    _seed_flag(p)
     _grid_flags(p)
     _jobs_flag(p)
     p.set_defaults(func=cmd_eval_same)
@@ -586,11 +567,12 @@ def build_parser():
     p.add_argument("--layout-b", required=True)
     p.add_argument("--trajectories-b", required=True)
     p.add_argument("--labels-b", required=True)
-    p.add_argument("--p", type=float, help="fraction of store A used to calibrate (default 1.0)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--p", type=float, default=1.0,
+                   help="fraction of store A used to calibrate (default %(default)s)")
+    _seed_flag(p)
     _grid_flags(p)
     _jobs_flag(p)
-    p.set_defaults(func=cmd_eval_cross)
+    p.set_defaults(func=cmd_eval_cross, cross_repeats=1)  # cross_repeats is a config key only
 
     p = sub.add_parser("analyze", help="visit statistics and purchase conversion from stop events")
     common(p)
@@ -606,10 +588,10 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic store, trajectories and ground truth")
     common(p)
     p.add_argument("--spec", help="scenario JSON; otherwise a random population is built")
-    p.add_argument("--population", type=int, help="number of synthetic trips (no --spec)")
-    p.add_argument("--shelves", type=int, help="shelf count (no --spec)")
-    p.add_argument("--noise", type=float, help="position/heading jitter std (no --spec)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--population", type=int, default=50, help="number of synthetic trips (no --spec)")
+    p.add_argument("--shelves", type=int, default=19, help="shelf count (no --spec)")
+    p.add_argument("--noise", type=float, default=0.0, help="position/heading jitter std (no --spec)")
+    _seed_flag(p)
     p.add_argument("--plant", metavar="T,D,V",
                    help="also write labels produced by the detector at these thresholds")
     _jobs_flag(p)
@@ -617,9 +599,11 @@ def build_parser():
 
     p = sub.add_parser("oracle-check", help="compare detector against the brute-force oracle")
     common(p)
-    p.add_argument("--scenarios", type=int, help="number of random scenarios (default 100)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int, help="max trajectory length in samples")
+    p.add_argument("--scenarios", type=int, default=100,
+                   help="number of random scenarios (default %(default)s)")
+    _seed_flag(p)
+    p.add_argument("--max-len", dest="max_len", type=int, default=2000,
+                   help="max trajectory length in samples")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -634,6 +618,10 @@ def _grid_flags(p):
                    metavar=("MIN", "MAX", "STEP"))
 
 
+def _seed_flag(p):
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _jobs_flag(p):
     p.add_argument("--jobs", type=int, help="worker processes (default: SHELFSCAN_JOBS or usable CPUs)")
 
@@ -644,7 +632,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             _usage_error(f"--out is not a directory: {args.out}")
-        _load_config(args)
+        if args.config:  # flags beat the file's values, as they beat their defaults
+            parser.commands[args.command].set_defaults(**_load_config(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ShelfScanError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

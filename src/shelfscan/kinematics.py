@@ -17,7 +17,7 @@ import pickle
 import struct
 from dataclasses import dataclass, fields
 from itertools import chain, islice
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -406,17 +406,33 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_field(value, kind, name: str):
+    """JSON `value` as a dataclass field `name` of type `kind`; TypeError or ValueError if it cannot be.
+
+    An int must be a JSON integer (json_int), a str or float converts by
+    str() or float(), and an `X | None` is None or converts as X. Any other
+    annotation is a TypeError.
+    """
+    if kind is int:
+        return json_int(value, name)
+    if kind is str or kind is float:
+        return kind(value)
+    options = get_args(kind)
+    if len(options) == 2 and options[1] is type(None):  # X | None
+        return None if value is None else json_field(value, options[0], name)
+    raise TypeError(f"{name} is a {kind}, not a str, int, float or one of them | None")
+
+
 def read_records(path, cls, what: str) -> list:
     """Read a JSONL file of `cls` records, one per line, as write_records writes them.
 
     `cls` is a dataclass whose fields are each annotated str, int or float;
     any other annotation raises TypeError before the file is read. A field
-    is read from the key of its name: a str or float value is converted by
-    str() or float(), and an int must be a JSON integer (json_int). A line
-    that is not UTF-8 JSON, lacks a field or holds a value that does not
-    convert raises ParseError naming the file, the line and `what`, as does
-    a line nested deeper than json can decode. An error that cls itself
-    raises, such as ValidationError, passes unchanged.
+    is read from the key of its name (json_field). A line that is not UTF-8
+    JSON, lacks a field or holds a value that does not convert raises
+    ParseError naming the file, the line and `what`, as does a line nested
+    deeper than json can decode. An error that cls itself raises, such as
+    ValidationError, passes unchanged.
     """
     types = get_type_hints(cls)
     columns = [(f.name, types[f.name]) for f in fields(cls)]
@@ -427,7 +443,7 @@ def read_records(path, cls, what: str) -> list:
     for lineno, line in read_lines(path):
         try:
             rec = json.loads(line)
-            values = [json_int(rec[name], name) if kind is int else kind(rec[name]) for name, kind in columns]
+            values = [json_field(rec[name], kind, name) for name, kind in columns]
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}:{lineno}: bad {what}: {exc!r}") from exc
         out.append(cls(*values))
@@ -774,7 +790,6 @@ def _read_range(path, start: int, stop: int, stage, stage_args):
             pieces, error = split_records(records)
             if error:  # on a line before any that failed to parse, the record read past the batch too
                 errors[:] = [error]
-                records = [rec for rec in records if rec[3] <= error[0]]
             ids.extend((rec[0], rec[3]) for rec in records)
             known.extend(zip(pieces.ids, pieces.lines))
             records.clear()  # batches holds this list until it takes the next batch

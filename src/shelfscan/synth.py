@@ -20,7 +20,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import InfeasibleScript, ParseError, ShelfScanError, ValidationError, non_negative
-from .kinematics import DT, Trajectory, json_int, read_document, wrap_angle, write_document
+from .kinematics import DT, Trajectory, json_field, json_int, read_document, wrap_angle, write_document
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
 
@@ -428,14 +428,13 @@ def random_scenario(seed: int, max_len: int = 2000) -> ScenarioSpec:
 def _from_dict(cls, doc: dict, **nested):
     """A `cls` from the keys of doc named after its fields; a key left out takes the field's default.
 
-    A field annotated str, int or float is converted by that type, a field
-    named in `nested` by the function given for it, any other as it is.
+    A field named in `nested` is converted by the function given for it,
+    any other by its annotation (json_field).
     """
     types = get_type_hints(cls)
-    convert = {f.name: nested.get(f.name, types[f.name] if types[f.name] in (str, int, float) else None)
-               for f in fields(cls)}
-    return cls(**{name: fn(doc[name]) if fn else doc[name]
-                  for name, fn in convert.items() if name in doc})
+    return cls(**{f.name: nested[f.name](doc[f.name]) if f.name in nested
+                  else json_field(doc[f.name], types[f.name], f.name)
+                  for f in fields(cls) if f.name in doc})
 
 
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
@@ -445,8 +444,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     raises ParseError; a value the scenario types reject keeps its own error.
     """
     def waypoint(w):
-        return _from_dict(Waypoint, w, target=lambda t: (float(t[0]), float(t[1])),
-                          face_shelf=lambda s: None if s is None else json_int(s, "face_shelf"))
+        return _from_dict(Waypoint, w, target=lambda t: (float(t[0]), float(t[1])))
 
     def script(s):
         return _from_dict(ShopperScript, s, waypoints=lambda ws: tuple(map(waypoint, ws)))

@@ -1326,6 +1326,59 @@ def test_flag_zero_matches_config_zero(tmp_path, capsys, command, key, extra, ch
     assert check(*outcomes[0])
 
 
+def _json(name, *path):
+    """A function of --out that reads what JSON artifact `name` holds at path (keys and indices)."""
+    def read(out):
+        doc = read_json(out / name)
+        for key in path:
+            doc = doc[key]
+        return doc
+    return read
+
+
+def _population_noise(out):
+    """Which noise, of 0.0, 0.05 and 0.1, synth's seed-0 population of 2 trips and 4 shelves was given."""
+    written = (out / "trajectories.jsonl").read_text()
+    return next(noise for noise in (0.0, 0.05, 0.1) if written == "".join(map(
+        kinematics.trajectory_record, synth.generate(population_scenario(0, 2, n_shelves=4, noise=noise))[0])))
+
+
+PRECEDENCE = [  # command, key, other flags, what the artifacts say of the key; its default, config, flag
+    ("oracle-check", "window", ["--scenarios", "0"], _json("oracle_check.json", "config", "window"), 5, 7, 9),
+    ("oracle-check", "seed", ["--scenarios", "0"], _json("oracle_check.json", "config", "seed"), 0, 3, 4),
+    ("oracle-check", "max_len", ["--scenarios", "0"], _json("oracle_check.json", "config", "max_len"),
+     2000, 50, 60),
+    ("oracle-check", "scenarios", ["--max-len", "3"], _json("oracle_check.json", "scenarios"), 100, 2, 3),
+    ("eval-same", "repeats", [], _json("eval.json", "reports", 0, "repeats"), 10, 2, 3),
+    ("eval-same", "p", ["--repeats", "2"], _json("eval.json", "reports", 0, "p"), 0.5, 0.3, 0.4),
+    ("eval-cross", "p", [], _json("eval.json", "report", "p"), 1.0, 0.5, 0.25),
+    ("eval-cross", "cross_repeats", [], _json("eval.json", "report", "repeats"), 1, 2, None),  # config only
+    ("synth", "population", ["--shelves", "4"],
+     lambda out: len((out / "trajectories.jsonl").read_text().splitlines()), 50, 2, 3),
+    ("synth", "shelves", ["--population", "2"], lambda out: len(_json("layout.json", "shelves")(out)),
+     19, 4, 5),
+    ("synth", "noise", ["--population", "2", "--shelves", "4"], _population_noise, 0.0, 0.05, 0.1),
+]
+
+
+@pytest.mark.parametrize("command, key, extra, read, default, config, flag", PRECEDENCE,
+                         ids=[f"{row[0]}-{row[1]}" for row in PRECEDENCE])
+def test_flag_beats_config_which_beats_the_flags_default(synth_dir, tmp_path, command, key, extra, read,
+                                                        default, config, flag):
+    """The key as the artifacts say it: with neither flag nor config value, with the config value, with both."""
+    inputs = {"eval-same": _inputs(synth_dir) + SMALL_GRID,
+              "eval-cross": _inputs(synth_dir, "-a") + _inputs(synth_dir, "-b") + SMALL_GRID}.get(command, [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: config}))
+    runs = [([], default), (["--config", str(cfg)], config)]
+    if flag is not None:
+        runs.append((["--config", str(cfg), "--" + key.replace("_", "-"), str(flag)], flag))
+    for i, (source, want) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert run([command, *inputs, *extra, *source, "--out", str(out)]) == 0
+        assert read(out) == want, source
+
+
 @pytest.mark.parametrize("command", ["synth", "eval-same", "eval-cross", "oracle-check"])
 def test_negative_seed_exits_1_with_record(synth_dir, tmp_path, capsys, command):
     inputs = {"eval-same": _inputs(synth_dir) + SMALL_GRID,

@@ -23,6 +23,7 @@ from shelfscan import (
     random_scenario,
     stand_point,
 )
+from shelfscan.cli import main
 from shelfscan.errors import InfeasibleScript, ParseError, ValidationError
 from shelfscan.synth import (
     GroundTruth,
@@ -179,6 +180,48 @@ def test_scenario_keys_left_out_take_the_dataclass_defaults():
            "scripts": [{"trajectory_id": "t", "waypoints": [{"target": [1, 2]},
                                                             {"target": [3, 4], "dwell": 1.5}]}]}
     assert scenario_from_dict(doc) == spec
+
+
+MALFORMED_FIELDS = [  # (the field's path in asdict(spec), its value, the ParseError's cause)
+    (("max_samples",), 50.9, "TypeError('max_samples must be a JSON integer, got 50.9')"),
+    (("scripts", 0, "waypoints", 0, "speed"), "fast",
+     "ValueError(\"could not convert string to float: 'fast'\")"),
+    (("scripts", 0, "waypoints", 0, "heading"), "north",
+     "ValueError(\"could not convert string to float: 'north'\")"),
+    (("template", "shelves_per_row"), "2", "TypeError(\"shelves_per_row must be a JSON integer, got '2'\")"),
+    (("seed",), 2.7, "TypeError('seed must be a JSON integer, got 2.7')"),
+    (("seed",), "3", "TypeError(\"seed must be a JSON integer, got '3'\")"),
+    (("seed",), True, "TypeError('seed must be a JSON integer, got True')"),
+]
+
+
+def with_field(doc, path, value):
+    """doc with the value at path (keys and list indices) replaced, in place."""
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path, value, cause", MALFORMED_FIELDS, ids=[
+    "max_samples-float", "speed-str", "heading-str", "shelves_per_row-str", "seed-float", "seed-str", "seed-bool"])
+def test_scenario_field_its_annotation_refuses_is_a_parse_error(path, value, cause):
+    doc = asdict(population_scenario(1, 2, n_shelves=3))
+    with_field(doc, path, value)
+    with pytest.raises(ParseError, match="^" + re.escape(f"malformed scenario document: {cause}") + "$"):
+        scenario_from_dict(doc)
+
+
+def test_synth_spec_with_a_malformed_field_exits_1_and_writes_nothing(tmp_path, capsys):
+    doc = asdict(population_scenario(1, 2, n_shelves=3))
+    with_field(doc, ("scripts", 0, "waypoints", 0, "speed"), "fast")
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(doc))
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParseError",
+        "message": "malformed scenario document: ValueError(\"could not convert string to float: 'fast'\")"}
+    assert not out.exists()
 
 
 def test_spec_reusing_a_trajectory_id_rejected():
