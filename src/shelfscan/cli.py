@@ -53,6 +53,7 @@ from .kinematics import (
     check_window,
     default_jobs,
     fork_map,
+    json_field,
     map_file,
     read_document,
     trajectory_record,
@@ -64,11 +65,11 @@ from .detector import detect_many, write_stop_events  # noqa: F401
 from .kinematics import read_trajectories, write_trajectories  # noqa: F401
 from .layout import load_layout, save_layout
 
-# config keys by the JSON type their flags take; other keys are ignored
-_INT_KEYS = {"window", "seed", "repeats", "jobs", "population", "shelves", "scenarios", "max_len",
-             "cross_repeats"}
-_NUMBER_KEYS = {"t_b", "delta_b", "v_b", "noise", "p"}
-_RANGE_KEYS = {"t_b_range", "delta_b_range", "v_b_range"}
+# config keys and the annotations their values convert by (kinematics.json_field); other keys are ignored
+_CONFIG_KEYS = {**dict.fromkeys(["window", "seed", "repeats", "jobs", "population", "shelves", "scenarios",
+                                 "max_len", "cross_repeats"], int),
+                **dict.fromkeys(["t_b", "delta_b", "v_b", "noise", "p"], float),
+                **dict.fromkeys(["t_b_range", "delta_b_range", "v_b_range"], tuple[float, float, float])}
 
 
 def _timestamp():
@@ -78,33 +79,25 @@ def _timestamp():
 def _load_config(args):
     """The --config file's known keys and their values, which main makes the command's defaults.
 
-    A value its flag would refuse is a usage error; other keys are ignored.
+    Each value converts by its key's annotation (kinematics.json_field), as
+    every JSON reader's do, and eval-same's p may be a non-empty list. A
+    value json_field refuses is a usage error; other keys are ignored.
     """
     path = args.config
     try:
         cfg = read_document(path, "config")
     except (OSError, ParseError) as exc:  # a ParseError's cause names the fault, without the path
         _usage_error(f"config {path}: {exc.__cause__ or exc}")
-
-    def number(value):
-        return type(value) in (int, float)  # a bool is neither
-
     known = {}
     for key, value in cfg.items():
-        if key == "p" and args.command == "eval-same" and isinstance(value, list):
-            kind, ok = "a JSON number or a list of them", value and all(map(number, value))
-        elif key in _INT_KEYS:
-            kind, ok = "a JSON integer", type(value) is int
-        elif key in _NUMBER_KEYS:
-            kind, ok = "a JSON number", number(value)
-        elif key in _RANGE_KEYS:
-            kind, ok = "three JSON numbers", (isinstance(value, list) and len(value) == 3
-                                              and all(map(number, value)))
-        else:
-            continue
-        if not ok:
-            _usage_error(f"config {path}: {key} must be {kind}, got {json.dumps(value)}")
-        known[key] = value
+        kind = _CONFIG_KEYS.get(key)
+        if key == "p" and args.command == "eval-same" and type(value) is list and value:
+            kind = tuple[float, ...]  # the fractions eval-same sweeps
+        if kind is not None:
+            try:
+                known[key] = json_field(value, kind, key)
+            except (TypeError, OverflowError) as exc:
+                _usage_error(f"config {path}: {exc}")
     return known
 
 
@@ -156,7 +149,7 @@ def _grid_from(args):
     for name in names:
         if getattr(args, f"{name}_range") is None:
             setattr(args, f"{name}_range", list(getattr(default, name)))
-    return ParamGrid(*(tuple(map(float, getattr(args, f"{name}_range"))) for name in names))
+    return ParamGrid(*(tuple(getattr(args, f"{name}_range")) for name in names))
 
 
 def _params_from(args) -> StopParams:
@@ -165,7 +158,7 @@ def _params_from(args) -> StopParams:
     if missing:
         _usage_error(f"missing detector parameters: {', '.join(missing)} "
                      f"(pass --t-b/--delta-b/--v-b or a config file)")
-    return StopParams(**{key: float(value) for key, value in values.items()})
+    return StopParams(**values)
 
 
 def _artifact(args, name):
@@ -272,7 +265,7 @@ def cmd_eval_same(args):
 
     _require_paths(args.layout, args.trajectories, args.labels)
     window, grid, seed, repeats = args.window, _grid_from(args), args.seed, args.repeats
-    fractions = [float(p) for p in (args.p if isinstance(args.p, list) else [args.p])]
+    fractions = args.p if isinstance(args.p, (list, tuple)) else [args.p]
     for p in fractions:
         axes = calibration.check_request(grid, window, "same-store", p, repeats, seed)
     layout = load_layout(args.layout)
@@ -302,7 +295,7 @@ def cmd_eval_cross(args):
     _require_paths(args.layout_a, args.trajectories_a, args.labels_a,
                    args.layout_b, args.trajectories_b, args.labels_b)
     window, grid, seed = args.window, _grid_from(args), args.seed
-    p, repeats = float(args.p), args.cross_repeats
+    p, repeats = args.p, args.cross_repeats
     axes = calibration.check_request(grid, window, "cross-store", p, repeats, seed)
     jobs = _jobs(args)
     layout_a = load_layout(args.layout_a)
@@ -438,7 +431,7 @@ def cmd_synth(args):
             seed=args.seed,
             n_trajectories=args.population,
             n_shelves=args.shelves,
-            noise=float(args.noise),
+            noise=args.noise,
         )
     layout = synth.make_layout(spec.template, store_id=spec.store_id)
     episodes = {}

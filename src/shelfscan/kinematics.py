@@ -15,9 +15,10 @@ import math
 import os
 import pickle
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from itertools import chain, islice
-from typing import NamedTuple, get_args, get_type_hints
+from typing import Annotated, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -399,28 +400,58 @@ def read_lines(path, start: int = 0, stop: int | None = None):
                 yield lineno, line
 
 
-def json_int(value, name: str) -> int:
-    """`value`, which must be a JSON integer: TypeError naming it `name` for a bool, float, string or other."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
-    return value
+# the JSON type a value of each plain annotation must be, as json_field's messages name it
+_JSON_TYPES = {str: "a JSON string", int: "a JSON integer", float: "a JSON number", bool: "a JSON boolean",
+               dict: "a JSON object"}
 
 
 def json_field(value, kind, name: str):
-    """JSON `value` as a dataclass field `name` of type `kind`; TypeError or ValueError if it cannot be.
+    """JSON `value` as a field `name` annotated `kind`: the one rule by which every reader converts a value.
 
-    An int must be a JSON integer (json_int), a str or float converts by
-    str() or float(), and an `X | None` is None or converts as X. Any other
-    annotation is a TypeError.
+    A str, int, bool or dict must be a JSON string, integer, boolean or object, and a float a
+    JSON number: an integer converts (OverflowError past the double range), a bool does not,
+    and NaN is a number, which the model checks. A tuple[X, Y, ...] must be a list (or tuple)
+    of exactly that many values, a tuple[X, ...] of any length, each converted as its own type
+    under the same name. A dataclass must be a JSON object (from_json), an X | None is null or
+    converts as X, and an Annotated[X, label] converts as X named `label`. Any other value, or
+    annotation, is a TypeError naming `name`.
     """
-    if kind is int:
-        return json_int(value, name)
-    if kind is str or kind is float:
-        return kind(value)
-    options = get_args(kind)
+    if kind in _JSON_TYPES:
+        if type(value) is kind or kind is float and type(value) is int:
+            return float(value) if kind is float else value
+        raise TypeError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if is_dataclass(kind):
+        return from_json(kind, json_field(value, dict, name))
+    origin, options = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        if type(value) not in (list, tuple):
+            raise TypeError(f"{name} must be a JSON list, got {value!r}")
+        if options[-1] is Ellipsis:
+            options = options[:1] * len(value)
+        elif len(value) != len(options):
+            raise TypeError(f"{name} must be a JSON list of {len(options)} values, got {value!r}")
+        return tuple(json_field(item, item_kind, name) for item, item_kind in zip(value, options))
+    if origin is Annotated:
+        return json_field(value, *options)
     if len(options) == 2 and options[1] is type(None):  # X | None
         return None if value is None else json_field(value, options[0], name)
-    raise TypeError(f"{name} is a {kind}, not a str, int, float or one of them | None")
+    raise TypeError(f"{name} is a {kind}, which json_field does not convert")
+
+
+_type_hints = cache(get_type_hints)  # evaluated once per class: from_json reads each layout element
+
+
+def from_json(cls, doc: dict, **nested):
+    """A `cls` from the keys of a JSON object named after its fields; a key left out takes the field's default.
+
+    A field named in `nested` is converted by nested[name](value, name),
+    any other by its annotation (json_field). Keys that name no field are
+    ignored; a missing key without a default is the TypeError cls raises.
+    """
+    types = _type_hints(cls)
+    return cls(**{f.name: nested[f.name](doc[f.name], f.name) if f.name in nested
+                  else json_field(doc[f.name], types[f.name], f.name)
+                  for f in fields(cls) if f.name in doc})
 
 
 def read_records(path, cls, what: str) -> list:
@@ -428,13 +459,14 @@ def read_records(path, cls, what: str) -> list:
 
     `cls` is a dataclass whose fields are each annotated str, int or float;
     any other annotation raises TypeError before the file is read. A field
-    is read from the key of its name (json_field). A line that is not UTF-8
-    JSON, lacks a field or holds a value that does not convert raises
+    is read from the key of its name and converted by json_field, the rule
+    of every JSON reader. A line that is not UTF-8 JSON, lacks a field or
+    holds a value json_field refuses raises
     ParseError naming the file, the line and `what`, as does a line nested
     deeper than json can decode. An error that cls itself raises, such as
     ValidationError, passes unchanged.
     """
-    types = get_type_hints(cls)
+    types = _type_hints(cls)
     columns = [(f.name, types[f.name]) for f in fields(cls)]
     for name, kind in columns:
         if kind not in (str, int, float):
@@ -519,7 +551,7 @@ def parse_record(line: bytes, where: str):
         return record
     try:
         rec = json.loads(line)
-        trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
+        trajectory_id, store_id = (json_field(rec[key], str, key) for key in ("trajectory_id", "store_id"))
         rows = _sample_rows(rec["samples"], where, b"true" in line or b"false" in line)
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, OverflowError,
             RecursionError) as exc:

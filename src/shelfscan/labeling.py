@@ -22,7 +22,7 @@ from .errors import (
     UnknownTrajectory,
     ValidationError,
 )
-from .kinematics import DT, Trajectory, json_int, read_document, read_records, write_document, write_records
+from .kinematics import DT, Trajectory, json_field, read_document, read_records, write_document, write_records
 from .layout import StoreLayout
 
 
@@ -145,19 +145,17 @@ def write_labels(labels, path) -> None:
 def read_label_manifest(path) -> int:
     """Read the sidecar manifest's panel size; its reviewer roster is checked but not returned.
 
-    An n_reviewers that is not a JSON integer (2.7, 2.0, true, "3"), or
-    reviewers that are not a JSON list of strings ("auto"), raises
-    ParseError naming the file, as does a file that is not a JSON object.
+    kinematics.json_field converts both: an n_reviewers that is not a JSON
+    integer (2.7, 2.0, true, "3"), or reviewers that are not a JSON list of
+    strings ("auto"), raises ParseError naming the file, as does a file
+    that is not a JSON object.
     """
     doc = read_document(path, "label manifest")
     try:
-        roster = doc.get("reviewers", [])
-        if type(roster) is not list or any(type(r) is not str for r in roster):
-            raise TypeError(f"reviewers must be a JSON list of strings, got {roster!r}")
-        n = json_int(doc["n_reviewers"], "n_reviewers")
+        json_field(doc.get("reviewers", []), tuple[str, ...], "reviewers")
+        return json_field(doc["n_reviewers"], int, "n_reviewers")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"cannot parse label manifest {path}: {exc!r}") from exc
-    return n
 
 
 def write_label_manifest(n_reviewers: int, reviewers, path) -> None:

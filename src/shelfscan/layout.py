@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, ShelfScanError, ValidationError
-from .kinematics import json_int, read_document, write_document
+from .errors import ParseError, ValidationError
+from .kinematics import from_json, json_field, read_document, write_document
 
 MIN_SEGMENT_LENGTH = 1e-9
 UNIT_NORM_TOL = 1e-6
@@ -36,8 +36,8 @@ class Segment2D:
     def __post_init__(self):
         object.__setattr__(self, "a", (float(self.a[0]), float(self.a[1])))
         object.__setattr__(self, "b", (float(self.b[0]), float(self.b[1])))
-        if self.length <= MIN_SEGMENT_LENGTH:
-            raise ValidationError(f"degenerate segment {self.a}-{self.b}")
+        if not MIN_SEGMENT_LENGTH < self.length < math.inf:  # False for NaN too
+            raise ValidationError(f"degenerate or non-finite segment {self.a}-{self.b}")
 
     @property
     def vector(self) -> tuple[float, float]:
@@ -68,7 +68,7 @@ class Shelf:
     def __post_init__(self):
         nx, ny = float(self.normal[0]), float(self.normal[1])
         norm = math.hypot(nx, ny)
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # True for NaN too
             raise ValidationError(f"normal {self.normal} is not unit length", element=f"shelf {self.id}")
         nx, ny = nx / norm, ny / norm
         fx, fy = self.face.vector
@@ -163,54 +163,43 @@ def all_segments(layout: StoreLayout) -> list[tuple[int, Segment2D, bool]]:
     return out
 
 
-def _parse_segment(pair) -> Segment2D:
-    (ax, ay), (bx, by) = pair
-    return Segment2D((float(ax), float(ay)), (float(bx), float(by)))
-
-
 def load_layout(path) -> StoreLayout:
     """Load and validate a store layout from its JSON file (kinematics.read_document)."""
     return layout_from_dict(read_document(path, "layout file"))
 
 
-def _elements(doc: dict, key: str, name: str, build) -> list:
-    """build(item) for each item of doc[key]; a ValidationError that names no element names the item."""
+def _segment(value, name: str) -> Segment2D:
+    """A segment as a layout file holds it, [[ax, ay], [bx, by]]."""
+    return Segment2D(*json_field(value, tuple[tuple[float, float], tuple[float, float]], name))
+
+
+_ELEMENTS = {"shelves": (Shelf, "shelf"), "obstacles": (Obstacle, "obstacle"), "portals": (Portal, "portal")}
+
+
+def _elements(items, key: str) -> tuple:
+    """The elements of a layout's list `key` (from_json); a ValidationError naming no element names the item."""
+    cls, name = _ELEMENTS[key]
     out = []
-    for item in doc.get(key, []):
+    for item in json_field(items, tuple[dict, ...], key):
         try:
-            out.append(build(item))
+            out.append(from_json(cls, item, face=_segment, segment=_segment))
         except ValidationError as exc:
             if exc.element is not None:
                 raise
             raise ValidationError(str(exc), element=f"{name} {item.get('id')}") from exc
-    return out
+    # file order is not significant for shelves and obstacles, whose ids number them; portals keep it
+    return tuple(out) if cls is Portal else tuple(sorted(out, key=lambda element: element.id))
 
 
 def layout_from_dict(doc: dict) -> StoreLayout:
-    """The StoreLayout of a layout document: a value or key that does not convert is a ParseError.
+    """The StoreLayout of a layout document, each value converted by kinematics.json_field.
 
-    A shelf, obstacle or portal id must be a JSON integer (json_int).
+    A value json_field refuses, or a missing key without a default, is a
+    ParseError; a value the layout types reject keeps its own error.
     """
     try:
-        shelves = _elements(doc, "shelves", "shelf", lambda s: Shelf(
-            id=json_int(s["id"], "id"), face=_parse_segment(s["face"]), normal=tuple(s["normal"])))
-        obstacles = _elements(doc, "obstacles", "obstacle", lambda o: Obstacle(
-            id=json_int(o["id"], "id"), segment=_parse_segment(o["segment"])))
-        portals = _elements(doc, "portals", "portal", lambda p: Portal(
-            id=json_int(p["id"], "id"), segment=_parse_segment(p["segment"]),
-            entrance=bool(p.get("entrance", True)), exit=bool(p.get("exit", True))))
-        area = doc.get("area_m2")
-        return StoreLayout(
-            store_id=str(doc["store_id"]),
-            # file order is not significant; ids are
-            shelves=tuple(sorted(shelves, key=lambda s: s.id)),
-            obstacles=tuple(sorted(obstacles, key=lambda o: o.id)),
-            portals=tuple(portals),
-            area_m2=None if area is None else float(area),
-        )
-    except ShelfScanError:
-        raise  # a value the layout types reject keeps its own error
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        return from_json(StoreLayout, doc, shelves=_elements, obstacles=_elements, portals=_elements)
+    except (TypeError, OverflowError) as exc:
         raise ParseError(f"malformed layout document: {exc!r}") from exc
 
 

@@ -14,13 +14,13 @@ Generation is deterministic given the scenario seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .errors import InfeasibleScript, ParseError, ShelfScanError, ValidationError, non_negative
-from .kinematics import DT, Trajectory, json_field, json_int, read_document, wrap_angle, write_document
+from .errors import InfeasibleScript, ParseError, ValidationError, non_negative
+from .kinematics import DT, Trajectory, from_json, json_field, read_document, wrap_angle, write_document
 from .layout import Obstacle, Portal, Segment2D, Shelf, StoreLayout
 
 
@@ -425,36 +425,17 @@ def random_scenario(seed: int, max_len: int = 2000) -> ScenarioSpec:
     )
 
 
-def _from_dict(cls, doc: dict, **nested):
-    """A `cls` from the keys of doc named after its fields; a key left out takes the field's default.
-
-    A field named in `nested` is converted by the function given for it,
-    any other by its annotation (json_field).
-    """
-    types = get_type_hints(cls)
-    return cls(**{f.name: nested[f.name](doc[f.name]) if f.name in nested
-                  else json_field(doc[f.name], types[f.name], f.name)
-                  for f in fields(cls) if f.name in doc})
-
-
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
-    """The ScenarioSpec of a scenario document, as write_scenario writes it.
+    """The ScenarioSpec of a scenario document, as write_scenario writes it (kinematics.from_json).
 
-    A value that does not convert, or a missing key that has no default,
-    raises ParseError; a value the scenario types reject keeps its own error.
+    Each value converts by its field's annotation (kinematics.json_field),
+    and a key left out takes the field's default. A value json_field
+    refuses, or a missing key without a default, raises ParseError; a
+    value the scenario types reject keeps its own error.
     """
-    def waypoint(w):
-        return _from_dict(Waypoint, w, target=lambda t: (float(t[0]), float(t[1])))
-
-    def script(s):
-        return _from_dict(ShopperScript, s, waypoints=lambda ws: tuple(map(waypoint, ws)))
-
     try:
-        return _from_dict(ScenarioSpec, doc, template=lambda t: _from_dict(LayoutTemplate, t),
-                          scripts=lambda ss: tuple(map(script, ss)))
-    except ShelfScanError:
-        raise  # a value the scenario types reject keeps its own error
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        return from_json(ScenarioSpec, doc)
+    except (TypeError, OverflowError) as exc:
         raise ParseError(f"malformed scenario document: {exc!r}") from exc
 
 
@@ -471,14 +452,15 @@ def write_ground_truth(truth: GroundTruth, path) -> None:
     write_document({tid: [list(ep) for ep in eps] for tid, eps in truth.episodes.items()}, path)
 
 
+# a ground truth episode as the file lists it, each value named in json_field's errors
+_EPISODE = tuple[Annotated[int, "shelf id"], Annotated[float, "t_start"], Annotated[float, "t_end"]]
+
+
 def read_ground_truth(path) -> GroundTruth:
-    """Read a ground truth file as write_ground_truth writes it; a shelf id must be a JSON integer."""
+    """Read a ground truth file as write_ground_truth writes it, its episodes by kinematics.json_field."""
     doc = read_document(path, "ground truth file")
     try:
-        episodes = {
-            str(tid): tuple((json_int(s, "shelf id"), float(t0), float(t1)) for s, t0, t1 in eps)
-            for tid, eps in doc.items()
-        }
-    except (TypeError, ValueError) as exc:
+        episodes = {tid: json_field(eps, tuple[_EPISODE, ...], tid) for tid, eps in doc.items()}
+    except (TypeError, OverflowError) as exc:
         raise ParseError(f"cannot parse ground truth file {path}: {exc!r}") from exc
     return GroundTruth(episodes=episodes)

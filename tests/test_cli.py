@@ -602,6 +602,37 @@ def test_config_list_of_fractions_and_unknown_keys_are_accepted(synth_dir, tmp_p
     assert [rep["p"] for rep in read_json(out / "eval.json")["reports"]] == [0.4, 0.6]
 
 
+@pytest.mark.parametrize("command", ["calibrate", "eval-same"])
+def test_config_and_flags_write_the_same_bytes(synth_dir, tmp_path, command):
+    """Integer range ends from --config are the floats the flags give, so the reports match byte for byte."""
+    name = {"calibrate": "calibration.json", "eval-same": "eval.json"}[command]
+    extra = ["--repeats", "2"] if command == "eval-same" else []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_b_range": [1, 3, 0.5], "delta_b_range": [0.6, 1.8, 0.3],
+                               "v_b_range": [0.25, 0.85, 0.15], "window": 5}))
+    outs = tmp_path / "flags", tmp_path / "config"
+    assert run([command, *_inputs(synth_dir), *SMALL_GRID, *extra, "--out", str(outs[0])]) == 0
+    assert run([command, *_inputs(synth_dir), "--config", str(cfg), *extra, "--out", str(outs[1])]) == 0
+    flags, config = ((out / name).read_text().splitlines() for out in outs)
+    assert [line for line in config if "generated_at" not in line] == [
+        line for line in flags if "generated_at" not in line]
+    assert read_json(outs[1] / name)["config"]["t_b_range"] == [1.0, 3.0, 0.5]
+
+
+def test_detect_on_a_layout_with_a_nan_face_exits_1_before_writing(synth_dir, tmp_path, capsys):
+    doc = read_json(synth_dir / "layout.json")
+    doc["shelves"][0]["face"][1][0] = math.nan
+    layout, out = tmp_path / "layout.json", tmp_path / "out"
+    layout.write_text(json.dumps(doc))
+    assert run(["detect", "--layout", str(layout), "--trajectories", str(synth_dir / "trajectories.jsonl"),
+                "--t-b", "2.0", "--delta-b", "1.2", "--v-b", "0.55", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ValidationError" and record["message"].endswith("(element: shelf 1)")
+    assert not out.exists()
+
+
 def detect(layout, trajectories, out, *extra):
     return run([
         "detect", "--layout", str(layout), "--trajectories", str(trajectories),

@@ -28,7 +28,10 @@ def reference(line: bytes, where: str):
     """
     try:
         rec = json.loads(line)
-        trajectory_id, store_id = str(rec["trajectory_id"]), str(rec["store_id"])
+        for key in ("trajectory_id", "store_id"):
+            if type(rec[key]) is not str:
+                raise TypeError(f"{key} must be a JSON string, got {rec[key]!r}")
+        trajectory_id, store_id = rec["trajectory_id"], rec["store_id"]
         samples = rec["samples"]
         if not isinstance(samples, list):
             raise ParseError(f"{where}: samples must be a list, got {type(samples).__name__}")

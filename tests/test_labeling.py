@@ -197,11 +197,12 @@ def test_manifest_n_reviewers_must_be_json_integer(tmp_path, n_reviewers):
     assert read_label_manifest(path) == 2
 
 
-@pytest.mark.parametrize("reviewers", ["auto", ["a", 2], {"a": 1}, None])
-def test_manifest_reviewers_must_be_a_json_list_of_strings(tmp_path, reviewers):
+@pytest.mark.parametrize("reviewers, kind", [("auto", "list"), (["a", 2], "string"), ({"a": 1}, "list"),
+                                             (None, "list")])
+def test_manifest_reviewers_must_be_a_json_list_of_strings(tmp_path, reviewers, kind):
     path = tmp_path / "labels.manifest.json"
     path.write_text(json.dumps({"n_reviewers": 2, "reviewers": reviewers}))
-    with pytest.raises(ParseError, match=f"^cannot parse label manifest {path}: .*reviewers must be a JSON list of strings"):
+    with pytest.raises(ParseError, match=f"^cannot parse label manifest {path}: .*reviewers must be a JSON {kind}, got "):
         read_label_manifest(path)
     path.write_text(json.dumps({"n_reviewers": 2}))
     assert read_label_manifest(path) == 2

@@ -219,3 +219,19 @@ def test_degenerate_shelf_face_names_element(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_layout(write_layout_doc(tmp_path, doc))
     assert "shelf 4" in str(err.value)
+
+
+@pytest.mark.parametrize("key, edit, element", [
+    ("shelves", {"face": [[0, 0], [math.nan, 0]]}, "shelf 1"),
+    ("shelves", {"face": [[0, 0], [math.inf, 0]]}, "shelf 1"),
+    ("shelves", {"normal": [0, math.nan]}, "shelf 1"),
+    ("shelves", {"normal": [math.nan, 1]}, "shelf 1"),
+    ("obstacles", {"segment": [[0, 3], [math.inf, 3]]}, "obstacle 2"),
+    ("obstacles", {"segment": [[-math.inf, 3], [math.inf, 3]]}, "obstacle 2"),
+    ("obstacles", {"segment": [[-1e308, 3], [1e308, 3]]}, "obstacle 2"),  # finite ends, infinite length
+    ("portals", {"segment": [[3, math.nan], [3, 1]]}, "portal 1"),
+])
+def test_non_finite_geometry_is_a_validation_error_naming_the_element(tmp_path, key, edit, element):
+    doc = {**WITH_OBSTACLE_AND_PORTAL, key: [{**WITH_OBSTACLE_AND_PORTAL[key][0], **edit}]}
+    with pytest.raises(ValidationError, match=f"\\(element: {element}\\)$"):
+        load_layout(write_layout_doc(tmp_path, doc))

@@ -184,10 +184,9 @@ def test_scenario_keys_left_out_take_the_dataclass_defaults():
 
 MALFORMED_FIELDS = [  # (the field's path in asdict(spec), its value, the ParseError's cause)
     (("max_samples",), 50.9, "TypeError('max_samples must be a JSON integer, got 50.9')"),
-    (("scripts", 0, "waypoints", 0, "speed"), "fast",
-     "ValueError(\"could not convert string to float: 'fast'\")"),
+    (("scripts", 0, "waypoints", 0, "speed"), "fast", "TypeError(\"speed must be a JSON number, got 'fast'\")"),
     (("scripts", 0, "waypoints", 0, "heading"), "north",
-     "ValueError(\"could not convert string to float: 'north'\")"),
+     "TypeError(\"heading must be a JSON number, got 'north'\")"),
     (("template", "shelves_per_row"), "2", "TypeError(\"shelves_per_row must be a JSON integer, got '2'\")"),
     (("seed",), 2.7, "TypeError('seed must be a JSON integer, got 2.7')"),
     (("seed",), "3", "TypeError(\"seed must be a JSON integer, got '3'\")"),
@@ -220,7 +219,7 @@ def test_synth_spec_with_a_malformed_field_exits_1_and_writes_nothing(tmp_path, 
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "ParseError",
-        "message": "malformed scenario document: ValueError(\"could not convert string to float: 'fast'\")"}
+        "message": "malformed scenario document: TypeError(\"speed must be a JSON number, got 'fast'\")"}
     assert not out.exists()
 
 
