@@ -410,6 +410,8 @@ def cmd_synth(args):
     trajectories.jsonl are written once, by this process. The artifacts do
     not depend on --jobs.
     """
+    import orjson  # noqa: F401  here, so the batch children inherit it (kinematics.trajectory_record)
+
     from . import synth
 
     jobs = _jobs(args)

@@ -903,20 +903,35 @@ def _trajectories(read) -> list[Trajectory]:
 
 
 def trajectory_record(traj: Trajectory) -> str:
-    """One trajectory as the JSONL line parse_record reads, its newline included."""
-    rec = {
-        "trajectory_id": traj.trajectory_id,
-        "store_id": traj.store_id,
-        "samples": np.column_stack([traj.times, traj.positions, traj.thetas]).tolist(),
-    }
-    return json.dumps(rec) + "\n"
+    """One trajectory as the JSONL line parse_record reads, its newline included.
+
+    The line is json.dumps of {"trajectory_id", "store_id", "samples": the
+    (n, 4) rows [t, x, y, theta] as lists}, byte for byte; that call is the
+    reference, and it formats any record with a NaN, an infinity or a value
+    whose magnitude is neither 0 nor in [1e-4, 1e16). Every other record's
+    rows are formatted by one orjson call: in that range orjson writes each
+    double as json.dumps does, as a plain decimal with the shortest digits
+    that round-trip (outside it, 1e-05 would come out as 0.00001 and 1e+16
+    as 1e16). The ids go through json.dumps, so they escape as before.
+    """
+    rows = np.column_stack([traj.times, traj.positions, traj.thetas])  # C-contiguous float64, as orjson needs
+    mag = np.abs(rows)
+    if not ((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))).all():  # a NaN fails every comparison
+        return json.dumps({"trajectory_id": traj.trajectory_id, "store_id": traj.store_id,
+                           "samples": rows.tolist()}) + "\n"
+    import orjson  # here, not at the top: only a process that writes a trajectory loads it
+
+    samples = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ").decode()
+    return (f'{{"trajectory_id": {json.dumps(traj.trajectory_id)}, '
+            f'"store_id": {json.dumps(traj.store_id)}, "samples": {samples}}}\n')
 
 
 def write_trajectories(trajectories, path) -> None:
     """Write trajectories as JSONL, one trajectory_record line each, in order.
 
-    `shelfscan synth` writes the same lines, formatted by batches in forked
-    children (cli.cmd_synth).
+    Each line is json.dumps of the record, formatted by orjson where that
+    gives the same bytes (trajectory_record). `shelfscan synth` writes the
+    same lines, formatted by batches in forked children (cli.cmd_synth).
     """
     with open(path, "w") as fh:
         fh.writelines(map(trajectory_record, trajectories))

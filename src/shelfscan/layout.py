@@ -130,6 +130,12 @@ class StoreLayout:
                 f"obstacle ids must be exactly {n_s + 1}..{n_s + len(obstacle_ids)} in order, got {obstacle_ids}",
                 element=self.store_id,
             )
+        portal_ids = [p.id for p in self.portals]
+        if len(set(portal_ids)) != len(portal_ids):
+            raise ValidationError(f"portal ids must be distinct, got {portal_ids}", element=self.store_id)
+        if self.area_m2 is not None and not (math.isfinite(self.area_m2) and self.area_m2 > 0):
+            raise ValidationError(f"area_m2 must be finite and positive, got {self.area_m2}",
+                                  element=self.store_id)
 
     @property
     def n_shelves(self) -> int:

@@ -3,10 +3,11 @@ import math
 import os
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shelfscan import (
@@ -300,6 +301,83 @@ def test_written_population_reads_back_exactly(tmp_path):
         assert np.array_equal(got.thetas, want.thetas)
     write_trajectories(back, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def reference_line(trajectory_id, store_id, rows, dumps=json.dumps):
+    """trajectory_record's reference, written out: json.dumps of the record with its rows as lists."""
+    return dumps({"trajectory_id": trajectory_id, "store_id": store_id, "samples": rows.tolist()}) + "\n"
+
+
+def any_record(trajectory_id, store_id, rows):
+    """A stand-in for a Trajectory holding any (n, 4) rows, which Trajectory itself refuses: NaN, uneven times."""
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    return SimpleNamespace(trajectory_id=trajectory_id, store_id=store_id,
+                           times=rows[:, 0], positions=rows[:, 1:3], thetas=rows[:, 3])
+
+
+ODD_ID = 'caf\u00e9 \u6e2c "q" \\ \u2028\x00'
+IN_RANGE = st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True) | st.just(0.0)
+
+
+def rows_of(doubles):
+    return st.lists(st.lists(doubles, min_size=4, max_size=4), min_size=1, max_size=6)
+
+
+# every double, NaN and the infinities included; rows of synth-sized ones; rows all in the fast path's range
+ROWS = rows_of(st.floats()) | rows_of(st.floats(-1e3, 1e3)) | rows_of(IN_RANGE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | st.just(ODD_ID), st.text() | st.just(ODD_ID), ROWS)
+@example(ODD_ID, "s", [[0.1, 1e-05, 2.5, -1.0]])
+@example(ODD_ID, "s", [[0.1, 9.999999999999999e-05, 2.5, -1.0]])
+@example(ODD_ID, "s", [[0.1, 1e-4, 2.5, -1.0]])
+@example(ODD_ID, "s", [[0.1, 9999999999999998.0, 2.5, -1.0]])
+@example(ODD_ID, "s", [[0.1, 1e16, 2.5, -1.0]])
+@example(ODD_ID, "s", [[0.1, -0.0, 2.5, -1.0]])
+@example(ODD_ID, "s", [[0.1, 5e-324, 2.5, -1.0]])
+def test_trajectory_record_is_json_dumps_of_the_record(trajectory_id, store_id, rows):
+    record = any_record(trajectory_id, store_id, rows)
+    assert kinematics.trajectory_record(record) == reference_line(trajectory_id, store_id, np.array(rows))
+
+
+def ids_only(obj, *args, dumps=json.dumps, **kwargs):
+    if not isinstance(obj, str):
+        raise AssertionError(f"json.dumps was called on a {type(obj).__name__}")
+    return dumps(obj, *args, **kwargs)
+
+
+@pytest.fixture
+def no_samples_dumps(monkeypatch):
+    """Fail the test if json.dumps is given anything but an id: only orjson may format sample rows."""
+    monkeypatch.setattr(json, "dumps", ids_only)
+
+
+def test_a_clean_synth_store_is_formatted_by_orjson_alone(tmp_path, no_samples_dumps):
+    trajs, _, _ = generate(population_scenario(4, 12, n_shelves=9, noise=0.05))
+    path = tmp_path / "store.jsonl"
+    write_trajectories(trajs, path)
+    assert path.read_text() == "".join(
+        reference_line(t.trajectory_id, t.store_id, np.column_stack([t.times, t.positions, t.thetas]))
+        for t in trajs)
+
+
+def test_a_record_with_a_value_below_1e_4_takes_json_dumps(monkeypatch):
+    traj = generate(population_scenario(4, 1, n_shelves=9, noise=0.05))[0][0]
+    thetas = traj.thetas.copy()
+    thetas[5] = 5e-05
+    odd = Trajectory(traj.trajectory_id, traj.store_id, traj.times, traj.positions, thetas)
+    want = reference_line(odd.trajectory_id, odd.store_id, np.column_stack([odd.times, odd.positions, thetas]))
+    dumped = []
+
+    def spy(obj, *args, dumps=json.dumps, **kwargs):
+        dumped.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    assert kinematics.trajectory_record(odd) == want
+    assert [type(obj) for obj in dumped] == [dict]
+    assert "5e-05" in want
 
 
 @settings(max_examples=300, deadline=None)

@@ -235,3 +235,20 @@ def test_non_finite_geometry_is_a_validation_error_naming_the_element(tmp_path, 
     doc = {**WITH_OBSTACLE_AND_PORTAL, key: [{**WITH_OBSTACLE_AND_PORTAL[key][0], **edit}]}
     with pytest.raises(ValidationError, match=f"\\(element: {element}\\)$"):
         load_layout(write_layout_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("area", [-5.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_an_area_that_is_not_finite_and_positive_is_a_validation_error(tmp_path, area):
+    assert load_layout(write_layout_doc(tmp_path, {**MINIMAL, "area_m2": 12.5})).area_m2 == 12.5
+    assert load_layout(write_layout_doc(tmp_path, {**MINIMAL, "area_m2": None})).area_m2 is None
+    with pytest.raises(ValidationError, match=r"^area_m2 must be finite and positive.*\(element: mini\)$"):
+        load_layout(write_layout_doc(tmp_path, {**MINIMAL, "area_m2": area}))
+
+
+def test_repeated_portal_ids_are_a_validation_error(tmp_path):
+    portal = WITH_OBSTACLE_AND_PORTAL["portals"][0]
+    two = {**WITH_OBSTACLE_AND_PORTAL, "portals": [portal, {**portal, "id": 4}]}
+    assert [p.id for p in load_layout(write_layout_doc(tmp_path, two)).portals] == [1, 4]
+    doc = {**WITH_OBSTACLE_AND_PORTAL, "portals": [{**portal, "id": -3}, {**portal, "id": -3}]}
+    with pytest.raises(ValidationError, match=r"^portal ids must be distinct, got \[-3, -3\] \(element: mini\)$"):
+        load_layout(write_layout_doc(tmp_path, doc))
